@@ -67,10 +67,13 @@ def _pmul(a, b):
     if len(b) == 1:
         s = b[0]
         return tuple(s * x for x in a)
+    # Operands are mostly-zero tuples of v = q**2 powers, so the inner loop
+    # runs over the nonzero coefficients of b only.
+    nzb = [(j, y) for j, y in enumerate(b) if y]
     c = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in nzb:
                 c[i + j] += x * y
     return _ptrim(c)
 
@@ -260,7 +263,9 @@ class RatQ:
         if ig > 1:
             num = tuple(x // ig for x in num)
             den = tuple(x // ig for x in den)
-        if len(num) > 1 and len(den) > 1:
+        # After the q-shift a monomial (one nonzero coefficient) is coprime
+        # to any polynomial, so the gcd is 1 and is skipped.
+        if num.count(0) < len(num) - 1 and den.count(0) < len(den) - 1:
             g = _pgcd(num, den)
             if len(g) > 1 or g != P_ONE:
                 num = _pdiv_exact(num, g)
@@ -325,13 +330,22 @@ class RatQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if not o.num:
+            return self
+        if not self.num:
+            return -o
+        if self.den == o.den:
+            return RatQ(_psub(self.num, o.num), self.den)
+        return RatQ(
+            _psub(_pmul(self.num, o.den), _pmul(o.num, self.den)),
+            _pmul(self.den, o.den),
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __neg__(self):
         return RatQ._raw(_pneg(self.num), self.den)

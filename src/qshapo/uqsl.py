@@ -118,12 +118,16 @@ def solve_linear(cols: list[dict], rhs: dict):
         A[r], A[p] = A[p], A[r]
         b[r], b[p] = b[p], b[r]
         inv = A[r][c].inverse()
-        A[r] = [x * inv for x in A[r]]
+        piv = A[r] = [x * inv if x else x for x in A[r]]
         b[r] = b[r] * inv
+        # the update x - f*y leaves x alone wherever the pivot row is zero
+        nz = [j for j, y in enumerate(piv) if y]
         for row in range(m):
-            if row != r and A[row][c]:
-                f = A[row][c]
-                A[row] = [x - f * y for x, y in zip(A[row], A[r])]
+            Arow = A[row]
+            f = Arow[c]
+            if row != r and f:
+                for j in nz:
+                    Arow[j] = Arow[j] - f * piv[j]
                 b[row] = b[row] - f * b[r]
         r += 1
     for row in range(r, m):
@@ -132,17 +136,16 @@ def solve_linear(cols: list[dict], rhs: dict):
     return ("ok", b[:k])
 
 
-_PBW_BASIS_CACHE: dict = {}
-
-
 def _pbw_basis_columns(mu, rs: RewriteSystem):
-    key = (id(rs), tuple(mu))
-    got = _PBW_BASIS_CACHE.get(key)
+    """PBW monomials of multidegree mu and their normal forms, cached on rs
+    so that the columns can never outlive or cross to another system."""
+    key = tuple(mu)
+    got = rs._pbw_cache.get(key)
     if got is None:
         monos = pbw_monomials(mu, rs.n)
         cols = [rs.normal_form(expand_pbw(M, rs.n)).terms for M in monos]
         got = (monos, cols)
-        _PBW_BASIS_CACHE[key] = got
+        rs._pbw_cache[key] = got
     return got
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from .freealg import NCPoly, RewriteSystem, word_multidegree
 from .roots import cartan_entry, sigma_vec
-from .scalars import R_ONE, RatQ, WeightScalar
+from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar
 from .uqsl import CartanElement, h_cartan
 
-V_MINUS_VINV = RatQ.v_power(1) - RatQ.v_power(-1)
 _VMV_INV = V_MINUS_VINV.inverse()
 
 
@@ -248,9 +247,7 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
             if w[pos] != i:
                 continue
             s = sum(cartan_entry(i, w[k]) for k in range(pos + 1, len(w)))
-            scal = (
-                Yp * RatQ.v_power(-s) - Ym * RatQ.v_power(s)
-            ) * _VMV_INV * c
+            scal = (Yp * RatQ.v_power(-s) - Ym * RatQ.v_power(s)) * c
             if not scal:
                 continue
             rest = w[:pos] + w[pos + 1 :]
@@ -261,7 +258,8 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
                     out[x] = acc
                 elif x in out:
                     del out[x]
-    return VermaVector(hw, out)
+    # the common factor 1/(v - 1/v), applied once per output coefficient
+    return VermaVector(hw, {x: acc * _VMV_INV for x, acc in out.items()})
 
 
 def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:

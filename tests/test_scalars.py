@@ -1,17 +1,30 @@
 """Exact-arithmetic tests: canonical forms, field axioms, q-combinatorics."""
 
 import random
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshapo.scalars import (
     R_ONE,
     R_ZERO,
     RatQ,
     WeightScalar,
+    _pcontent,
+    _pgcd,
+    _pmul,
     qbinom,
     qbinom_formal,
     qint,
     ws_eval,
 )
+
+try:
+    import sympy
+except ImportError:  # sympy is only a test-time oracle
+    sympy = None
 
 
 def rand_ratq(rng):
@@ -186,3 +199,106 @@ def test_hyperplane_substitution():
     # a scalar supported on the hyperplane ideal collapses to zero
     prod = WeightScalar.monomial(2, (1, 1)) - WeightScalar.const(2, RatQ.q_power(-1))
     assert prod.substitute_hyperplane(1).is_zero()
+
+
+# ----------------------------------------------------------------------------
+# Property tests for the sparse kernel
+# ----------------------------------------------------------------------------
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _dense_pmul(a, b):
+    """Schoolbook product over every coefficient pair, zeros included."""
+    if not a or not b:
+        return ()
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return _trim(c)
+
+
+def _from_support(support):
+    """Polynomial with the given {degree: coefficient} support."""
+    if not support:
+        return ()
+    c = [0] * (max(support) + 1)
+    for k, x in support.items():
+        c[k] = x
+    return _trim(c)
+
+
+_nonzero = st.integers(-40, 40).filter(bool)
+_dense_polys = st.lists(st.integers(-40, 40), max_size=10).map(_trim)
+# shaped like the coefficients of the level-m solves: a few nonzero
+# coefficients on even degrees (powers of v = q**2), up to 140 long
+_vpower_polys = st.dictionaries(
+    st.integers(0, 70).map(lambda k: 2 * k), _nonzero, max_size=6
+).map(_from_support)
+_polys = st.one_of(_dense_polys, _vpower_polys)
+_nonzero_polys = _polys.filter(bool)
+# short dense or monomial denominators keep the gcds of a - b cheap
+_monomials = st.builds(lambda k, c: (0,) * k + (c,), st.integers(0, 70), _nonzero)
+_ratqs = st.builds(RatQ, _polys, st.one_of(_dense_polys.filter(bool), _monomials))
+
+
+@settings(deadline=None)
+@given(_polys, _polys)
+def test_pmul_matches_dense_oracle(a, b):
+    assert _pmul(a, b) == _dense_pmul(a, b)
+
+
+@settings(deadline=None)
+@given(_ratqs, _ratqs)
+def test_sub_is_add_of_negation(a, b):
+    assert a - b == a + (-b)
+    assert b - a == -(a - b)
+    assert a - 3 == a + RatQ.from_int(-3)
+    assert 3 - a == RatQ.from_int(3) + (-a)
+
+
+@settings(deadline=None)
+@given(_polys, _monomials)
+def test_monomial_denominator_canonical_form(num, den):
+    # without a polynomial gcd, num / (c*q**k) must still come out coprime
+    # and content-free, with a positive leading denominator coefficient
+    x = RatQ(num, den)
+    if x.num:
+        assert x.den[-1] > 0
+        assert _pgcd(x.num, x.den) == (1,)
+        assert gcd(_pcontent(x.num), _pcontent(x.den)) == 1
+    assert x * RatQ(den) == RatQ(num)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy oracle not installed")
+@settings(max_examples=60, deadline=None)
+@given(
+    _polys,
+    st.one_of(st.just((1,)), _nonzero_polys.filter(lambda p: len(p) < 40)),
+    st.integers(-6, 6).filter(bool),
+    st.integers(0, 30),
+)
+def test_monomial_denominator_against_sympy(num, extra, c, k):
+    # a monomial denominator, possibly times a factor sharing roots with num
+    q = sympy.Symbol("q")
+
+    def expr(p):
+        return sum(int(x) * q**i for i, x in enumerate(p))
+
+    def coeffs(p):
+        return _trim(int(t) for t in reversed(p.all_coeffs()))
+
+    den = _pmul((0,) * k + (c,), extra)
+    x = RatQ(num, den)
+    # cancel gives num/den = r * p/d with r rational; the canonical pair is
+    # r.p*p over r.q*d without integer content, with positive leading den
+    r, p, d = sympy.Poly(expr(num), q).cancel(sympy.Poly(expr(den), q))
+    r = sympy.Rational(r)
+    p, d = coeffs(p * r.p), coeffs(d * r.q)
+    g = gcd(*p, *d) * (1 if d[-1] > 0 else -1)
+    assert (x.num, x.den) == (tuple(t // g for t in p), tuple(t // g for t in d))

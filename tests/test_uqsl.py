@@ -1,17 +1,22 @@
 """Root vectors, PBW conversion, and the twisted adjoint calculus."""
 
+import gc
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qshapo.freealg import NCPoly, get_rewrite_system
+from qshapo import uqsl
+from qshapo.freealg import NCPoly, complete, deglex_key, get_rewrite_system, serre_relations
 from qshapo.roots import enumerate_II, enumerate_JJ, positive_roots
-from qshapo.scalars import R_ONE, RatQ, WeightScalar, qbinom
+from qshapo.scalars import R_ONE, R_ZERO, RatQ, WeightScalar, qbinom
 from qshapo.uqsl import (
     CartanElement,
     LocElement,
     NotRightDivisible,
+    _pbw_basis_columns,
     ad_F,
     ad_F_nilpotency,
     ad_F_pow,
@@ -335,3 +340,99 @@ def test_cartan_elements():
     assert h1 * h2 == h2 * h1
     assert CartanElement.one(2) * h1 == h1
     assert (h1 - h1).is_zero()
+
+
+def _dense_solve(cols, rhs):
+    """Reference Gauss-Jordan elimination updating every column."""
+    rows = sorted({w for col in cols for w in col} | set(rhs), key=deglex_key)
+    idx = {w: r for r, w in enumerate(rows)}
+    m, k = len(rows), len(cols)
+    A = [[R_ZERO] * k for _ in range(m)]
+    for c, col in enumerate(cols):
+        for w, x in col.items():
+            A[idx[w]][c] = x
+    b = [rhs.get(w, R_ZERO) for w in rows]
+    r = 0
+    for c in range(k):
+        p = next((row for row in range(r, m) if A[row][c]), None)
+        if p is None:
+            return ("singular",)
+        A[r], A[p] = A[p], A[r]
+        b[r], b[p] = b[p], b[r]
+        inv = A[r][c].inverse()
+        A[r] = [x * inv for x in A[r]]
+        b[r] = b[r] * inv
+        for row in range(m):
+            if row != r and A[row][c]:
+                f = A[row][c]
+                A[row] = [x - f * y for x, y in zip(A[row], A[r])]
+                b[row] = b[row] - f * b[r]
+        r += 1
+    if any(b[r:]):
+        return ("inconsistent",)
+    return ("ok", b[:k])
+
+
+_nonzero_entries = st.one_of(
+    st.builds(lambda a, e: a * Q(e), st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-4, 4)),
+    st.builds(lambda a, b: RatQ((a, 0, b), (1, 1)), st.integers(-2, 2), st.integers(1, 2)),
+)
+# half zero, so that the sparse row update has columns to skip
+_entries = st.one_of(st.just(R_ZERO), _nonzero_entries)
+
+
+@st.composite
+def _linear_systems(draw):
+    """(cols, rhs, expected outcome) with the outcome forced by the shape:
+    a triangular block with a nonzero diagonal is solvable; a column that is
+    a multiple of another is singular; a rhs on a row no column touches is
+    inconsistent."""
+    kind = draw(st.sampled_from(["ok", "singular", "inconsistent"]))
+    k = draw(st.integers(1, 4))
+    extra = draw(st.integers(0, 3))
+    words = [(r + 1,) for r in range(k + extra)]
+    cols = []
+    for c in range(k):
+        col = {words[c]: draw(_nonzero_entries)}
+        for r in list(range(c)) + list(range(k, k + extra)):
+            col[words[r]] = draw(_entries)
+        cols.append({w: x for w, x in col.items() if x})
+    xs = [draw(_entries) for _ in range(k)]
+    rhs = {}
+    for x, col in zip(xs, cols):
+        for w, y in col.items():
+            rhs[w] = rhs.get(w, R_ZERO) + x * y
+    if kind == "singular":
+        f = draw(_nonzero_entries)
+        src = cols[draw(st.integers(0, k - 1))]
+        cols.insert(draw(st.integers(0, k)), {w: f * y for w, y in src.items()})
+    elif kind == "inconsistent":
+        rhs[(k + extra + 1,)] = draw(_nonzero_entries)
+    return cols, {w: x for w, x in rhs.items() if x}, kind, xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_linear_systems())
+def test_solve_linear_matches_dense_reference(system):
+    cols, rhs, kind, xs = system
+    got = solve_linear(cols, rhs)
+    assert got == _dense_solve(cols, rhs)
+    assert got[0] == kind
+    if kind == "ok":
+        assert got[1] == xs
+
+
+def test_pbw_cache_is_per_system():
+    # Systems built and dropped in turn may reuse one another's id(); each
+    # must still read only its own PBW columns.  The free algebra and the
+    # Serre quotient of one rank disagree on these multidegrees.
+    assert not hasattr(uqsl, "_PBW_BASIS_CACHE")
+    for n, serre in ((2, True), (3, False), (2, False), (3, True), (2, True)):
+        rs = complete(serre_relations(n) if serre else [], 6, n=n)
+        mu = (2, 1) + (0,) * (n - 2)
+        monos = pbw_monomials(mu, n)
+        want = [rs.normal_form(expand_pbw(M, n)).terms for M in monos]
+        assert _pbw_basis_columns(mu, rs) == (monos, want)
+        assert set(rs._pbw_cache) == {mu}
+        del rs
+        gc.collect()
