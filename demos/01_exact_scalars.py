@@ -6,7 +6,7 @@ in q with integer coefficients, kept in a canonical reduced form so that an
 identity holds exactly when the canonical form is literally zero.
 """
 
-from qshapo.scalars import RatQ, WeightScalar, qbinom, qbinom_formal, qint, ws_eval
+from qshapo.scalars import RatQ, WeightScalar, qbinom, qbinom_formal, qint
 
 q = RatQ.q_power(1)
 v = RatQ.v_power(1)  # v = q^2 throughout
@@ -37,6 +37,6 @@ for r in (3, 5, -2):
 print("\nweight scalars: y_i stands for q^(lam, alpha_i)")
 s = WeightScalar(2, {(2, 0): RatQ.from_int(1), (0, -2): RatQ.from_int(-1)})
 print(f"  s = {s}")
-print(f"  evaluated at (lam,a1)=3, (lam,a2)=1: {ws_eval(s, (3, 1))}")
+print(f"  evaluated at (lam,a1)=3, (lam,a2)=1: {s.eval((3, 1))}")
 print("  on the level-1 hyperplane (y1*y2 = q^-1), y2 is eliminated:")
 print(f"  s|_H = {s.substitute_hyperplane(1)}")

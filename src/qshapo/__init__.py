@@ -10,7 +10,7 @@ cross-checking that each produces highest weight vectors exactly.
 """
 
 from .freealg import NCPoly, RewriteSystem, complete, get_rewrite_system, serre_relations
-from .scalars import RatQ, WeightScalar, qbinom, qbinom_formal, qint, ws_eval
+from .scalars import RatQ, WeightScalar, qbinom, qbinom_formal, qint
 from .shapovalov import (
     ShapoElement,
     compare_doot,
@@ -29,7 +29,6 @@ __all__ = [
     "qint",
     "qbinom",
     "qbinom_formal",
-    "ws_eval",
     "NCPoly",
     "RewriteSystem",
     "serre_relations",

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,8 +73,12 @@ def cache_path(cache_dir: Path, n: int, cap: int) -> Path:
 
 
 def load_or_build(n: int, cap: int, cache_dir: Path):
-    """Return (system, status) with status in built/loaded/rebuilt."""
+    """Return (system, status) with status in built/loaded/rebuilt.
+
+    The cache file is written to a temp file beside it and moved into place,
+    so a concurrent run reads either the old file or the whole new one."""
     path = cache_path(cache_dir, n, cap)
+    status = "built"
     if path.exists():
         try:
             rs = RewriteSystem.from_text(path.read_text())
@@ -82,14 +87,20 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
             raise CacheCorrupt("header mismatch")
         except CacheCorrupt as exc:
             print(f"warning: cache {path} is corrupt ({exc}); rebuilding", file=sys.stderr)
-            rs = complete(serre_relations(n), cap, n=n)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(rs.to_text())
-            return rs, "rebuilt"
+            status = "rebuilt"
     rs = complete(serre_relations(n), cap, n=n)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(rs.to_text())
-    return rs, "built"
+    tmp = tempfile.NamedTemporaryFile(
+        "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
+    )
+    try:
+        with tmp:
+            tmp.write(rs.to_text())
+        os.replace(tmp.name, path)
+    except BaseException:
+        os.unlink(tmp.name)
+        raise
+    return rs, status
 
 
 def _register_system(n: int, cap: int, cache_dir: Path) -> RewriteSystem:
@@ -268,23 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = JobConfig(command=args.command)
-    for field in (
-        "n",
-        "m",
-        "lam",
-        "mode",
-        "samples",
-        "seed",
-        "fmt",
-        "method",
-        "suite",
-        "cap",
-        "cache_dir",
-    ):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
+    cfg = JobConfig(**vars(build_parser().parse_args(argv)))
     if cfg.n < 1 or cfg.m < 1 or cfg.samples < 1:
         print("error: n, m and samples must be positive", file=sys.stderr)
         return 2

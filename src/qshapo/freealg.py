@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from io import StringIO
 
-from .scalars import R_ONE, RatQ
+from .scalars import R_ONE, RatQ, add_terms
 
 FORMAT_VERSION = "qshapo-rws-v1"
 DEFAULT_CAP_BUDGET = 16
@@ -103,27 +103,12 @@ class NCPoly:
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = terms.get(w)
-            s = c if prev is None else prev + c
-            if s:
-                terms[w] = s
-            elif prev is not None:
-                del terms[w]
-        return NCPoly._raw(self.n, terms)
+        return NCPoly._raw(self.n, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = terms.get(w)
-            s = -c if prev is None else prev - c
-            if s:
-                terms[w] = s
-            elif prev is not None:
-                del terms[w]
+        terms = add_terms(dict(self.terms), ((w, -c) for w, c in other.terms.items()))
         return NCPoly._raw(self.n, terms)
 
     def __neg__(self):
@@ -137,17 +122,14 @@ class NCPoly:
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                prev = terms.get(w)
-                s = c if prev is None else prev + c
-                if s:
-                    terms[w] = s
-                elif prev is not None:
-                    del terms[w]
+        terms = add_terms(
+            {},
+            (
+                (w1 + w2, c1 * c2)
+                for w1, c1 in self.terms.items()
+                for w2, c2 in other.terms.items()
+            ),
+        )
         return NCPoly._raw(self.n, terms)
 
     def lmul_word(self, w) -> "NCPoly":
@@ -280,9 +262,6 @@ class RewriteSystem:
                     return pos, ln
         return None
 
-    def is_normal_word(self, w) -> bool:
-        return self._first_reduction(w) is None
-
     # -- normal forms ------------------------------------------------------
 
     def _nf_word(self, w) -> dict:
@@ -314,16 +293,9 @@ class RewriteSystem:
             if missing:
                 stack.extend(missing)
                 continue
-            acc: dict = {}
-            for u, c in children:
-                for x, cx in cache[u].items():
-                    prev = acc.get(x)
-                    s = c * cx if prev is None else prev + c * cx
-                    if s:
-                        acc[x] = s
-                    elif prev is not None:
-                        del acc[x]
-            cache[cur] = acc
+            cache[cur] = add_terms(
+                {}, ((x, c * cx) for u, c in children for x, cx in cache[u].items())
+            )
             stack.pop()
         return cache[w]
 
@@ -333,14 +305,7 @@ class RewriteSystem:
         for w, c in p.terms.items():
             if len(w) > self.cap:
                 raise CapExceeded(len(w), self.cap)
-            for x, cx in self._nf_word(w).items():
-                add = c * cx
-                prev = terms.get(x)
-                s = add if prev is None else prev + add
-                if s:
-                    terms[x] = s
-                elif prev is not None:
-                    del terms[x]
+            add_terms(terms, ((x, c * cx) for x, cx in self._nf_word(w).items()))
         return NCPoly._raw(p.n, terms)
 
     def is_zero(self, p: NCPoly) -> bool:
@@ -445,21 +410,16 @@ def _make_rule(p: NCPoly):
     return lead, NCPoly(p.n, {w: -(inv * x) for w, x in rest.items()})
 
 
-def complete(
-    relations: list[NCPoly],
-    degree_cap: int,
-    cap_budget: int = DEFAULT_CAP_BUDGET,
-    n: int | None = None,
-) -> RewriteSystem:
+def complete(relations: list[NCPoly], degree_cap: int, n: int | None = None) -> RewriteSystem:
     """Overlap completion of a homogeneous two-sided ideal, truncated by degree.
 
     Processes overlap ambiguities in increasing (degree, word) order; any
     ambiguity whose overlap word exceeds the cap is discarded, so the result
     is confluent for all words of degree <= degree_cap.  Raises CapExceeded
-    when asked for a cap beyond the configured hard budget.
+    when asked for a cap beyond the hard budget DEFAULT_CAP_BUDGET.
     """
-    if degree_cap > cap_budget:
-        raise CapExceeded(degree_cap, cap_budget)
+    if degree_cap > DEFAULT_CAP_BUDGET:
+        raise CapExceeded(degree_cap, DEFAULT_CAP_BUDGET)
     if not relations:
         return RewriteSystem(n if n is not None else 1, degree_cap)
     n = relations[0].n

@@ -94,10 +94,6 @@ def weight_root_pairing(lam, mu) -> int:
     return sum(a * b for a, b in zip(lam, mu))
 
 
-def height(mu) -> int:
-    return sum(mu)
-
-
 # ----------------------------------------------------------------------------
 # Index sets
 # ----------------------------------------------------------------------------
@@ -125,16 +121,7 @@ def enumerate_JJ(n: int) -> list[tuple[int, ...]]:
     inside rank N."""
     if n < 2:
         raise ValueError("requires rank >= 2")
-    interior = list(range(2, n))
-    out = []
-    for mask in range(1 << len(interior)):
-        elems = [1]
-        for b, e in enumerate(interior):
-            if mask >> b & 1:
-                elems.append(e)
-        elems.append(n)
-        out.append(tuple(elems))
-    return out
+    return enumerate_II(n - 1)
 
 
 def in_II(I, n: int) -> bool:

@@ -13,7 +13,8 @@ Two scalar types live here:
   y_1..y_n with RatQ coefficients.  The symbol y_i stands for q raised to the
   pairing of an indeterminate highest weight with the i-th simple root, so a
   WeightScalar is a scalar-valued function of a symbolic weight; substituting
-  integers a_i via y_i -> q**a_i recovers a RatQ.
+  integers a_i via y_i -> q**a_i recovers a RatQ.  With prefix "k" the same
+  type holds Cartan elements: the exponent vector gamma stands for k_gamma.
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -21,6 +22,24 @@ Everything is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from math import gcd as _igcd
+
+# ----------------------------------------------------------------------------
+# Sparse sums: every dict-of-coefficients type in the package adds through here
+# ----------------------------------------------------------------------------
+
+def add_terms(acc: dict, pairs) -> dict:
+    """Add (key, coeff) pairs into acc in place and return it.  A key whose
+    sum is zero is dropped, and a zero coefficient is never stored."""
+    for k, c in pairs:
+        prev = acc.get(k)
+        if prev is not None:
+            c = prev + c
+        if c:
+            acc[k] = c
+        elif prev is not None:
+            del acc[k]
+    return acc
+
 
 # ----------------------------------------------------------------------------
 # Integer polynomials in q, represented as tuples of coefficients in
@@ -461,8 +480,9 @@ class WeightScalar:
     """Laurent polynomial in symbols y_1..y_n over RatQ.
 
     The exponent vectors are the keys of ``terms``; no zero coefficient is
-    ever stored.  ``prefix`` only affects printing (the one-symbol variant
-    used for a formal power v**r prints its symbol as "t").
+    ever stored.  ``prefix`` only affects printing: "y" for weight scalars,
+    "t" for the one-symbol variant used for a formal power v**r, and "k" for
+    Cartan elements.
     """
 
     __slots__ = ("n", "terms", "prefix")
@@ -470,22 +490,12 @@ class WeightScalar:
     def __init__(self, n: int, terms=None, prefix: str = "y"):
         self.n = n
         self.prefix = prefix
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != n:
-                    raise ValueError("exponent vector of wrong length")
-                if not isinstance(c, RatQ):
-                    c = RatQ.from_int(c)
-                if c.num:
-                    prev = clean.get(e)
-                    if prev is not None:
-                        c = prev + c
-                        if not c.num:
-                            del clean[e]
-                            continue
-                    clean[e] = c
-        self.terms = clean
+        terms = terms or {}
+        if any(len(e) != n for e in terms):
+            raise ValueError("exponent vector of wrong length")
+        self.terms = add_terms(
+            {}, ((e, c if isinstance(c, RatQ) else RatQ.from_int(c)) for e, c in terms.items())
+        )
 
     # -- constructors --------------------------------------------------------
 
@@ -519,14 +529,7 @@ class WeightScalar:
         if not isinstance(other, WeightScalar):
             return NotImplemented
         self._assert_compatible(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = terms.get(e)
-            s = c if prev is None else prev + c
-            if s.num:
-                terms[e] = s
-            elif prev is not None:
-                del terms[e]
+        terms = add_terms(dict(self.terms), other.terms.items())
         out = WeightScalar.__new__(WeightScalar)
         out.n, out.terms, out.prefix = self.n, terms, self.prefix
         return out
@@ -563,17 +566,14 @@ class WeightScalar:
         if not isinstance(other, WeightScalar):
             return NotImplemented
         self._assert_compatible(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = terms.get(e)
-                s = c if prev is None else prev + c
-                if s.num:
-                    terms[e] = s
-                elif prev is not None:
-                    del terms[e]
+        terms = add_terms(
+            {},
+            (
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
         out = WeightScalar.__new__(WeightScalar)
         out.n, out.terms, out.prefix = self.n, terms, self.prefix
         return out
@@ -624,18 +624,16 @@ class WeightScalar:
         literal vanishing of the canonical form.
         """
         n = self.n
-        terms: dict = {}
-        for e, c in self.terms.items():
-            d = e[n - 1]
-            if d:
-                c = c * RatQ.q_power((m - n) * d)
-                e = tuple(x - d for x in e[: n - 1]) + (0,)
-            prev = terms.get(e)
-            s = c if prev is None else prev + c
-            if s.num:
-                terms[e] = s
-            elif prev is not None:
-                del terms[e]
+
+        def moved():
+            for e, c in self.terms.items():
+                d = e[n - 1]
+                if d:
+                    c = c * RatQ.q_power((m - n) * d)
+                    e = tuple(x - d for x in e[: n - 1]) + (0,)
+                yield e, c
+
+        terms = add_terms({}, moved())
         out = WeightScalar.__new__(WeightScalar)
         out.n, out.terms, out.prefix = n, terms, self.prefix
         return out
@@ -685,8 +683,3 @@ def qbinom_formal(i: int, prefix: str = "t") -> WeightScalar:
         denom = RatQ.v_power(j) - RatQ.v_power(-j)
         out = out * factor / denom
     return out
-
-
-def ws_eval(s: WeightScalar, a) -> RatQ:
-    """Evaluate a WeightScalar at integer exponents a (y_i -> q**a_i)."""
-    return s.eval(a)

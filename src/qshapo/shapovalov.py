@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .freealg import NCPoly, RewriteSystem, get_rewrite_system
 from .roots import alpha, dot_reflect, enumerate_II, eta_vec, pairing, r_of
-from .scalars import R_ONE, RatQ, qint
+from .scalars import R_ONE, RatQ, add_terms, qint
 from .uqsl import (
     H_cartan,
     expand_pbw,
@@ -69,7 +69,8 @@ class ShapoElement:
         self.n = n
         self.m = m
         self.tag = tag
-        # terms: list of (pbw tuple, h-index tuple, CartanElement)
+        # terms: list of (pbw tuple, h-index tuple, Cartan part as a
+        # WeightScalar in the k-lattice)
         self.terms = sorted(terms, key=lambda t: t[0])
 
     def evaluate(self, hw: HighestWeight) -> dict:
@@ -104,7 +105,7 @@ class ShapoElement:
                     "pbw": [list(p) for p in pbw],
                     "h_factors": list(hs),
                     "h": {
-                        ",".join(map(str, g)): str(c) for g, c in H.sorted_terms()
+                        ",".join(map(str, g)): str(c) for g, c in sorted(H.terms.items())
                     },
                 }
             )
@@ -200,13 +201,7 @@ def theta_det(n: int, hw: HighestWeight) -> dict:
             for k in range(len(chain) - 1):
                 if chain[k][1] != chain[k + 1][0]:
                     raise AssertionError("determinant term is not a chain")
-            coeff = scalar if inv % 2 == 0 else -scalar
-            prev = out.get(chain)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                out[chain] = s
-            elif prev is not None:
-                del out[chain]
+            add_terms(out, [(chain, scalar if inv % 2 == 0 else -scalar)])
             return
         for row in range(1, n + 1):
             if used >> row & 1:
@@ -339,14 +334,6 @@ def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
 # Verification drivers
 # ----------------------------------------------------------------------------
 
-def _witness(vec: VermaVector) -> str:
-    if vec.is_zero():
-        return "0"
-    w, c = vec.sorted_terms()[0]
-    ws = "*".join(f"f{i}" for i in w) if w else "v"
-    return f"({c})*{ws}"
-
-
 def verify_hwv(
     n: int,
     m: int = 1,
@@ -379,7 +366,7 @@ def verify_hwv(
                 {
                     "check": f"e_{k} kills theta*v (symbolic, unconstrained)",
                     "status": "pass" if e.is_zero() else "fail",
-                    "witness": _witness(e),
+                    "witness": e.witness(),
                 }
             )
         tied = HighestWeight.symbolic(n, hyperplane_m=1)
@@ -389,7 +376,7 @@ def verify_hwv(
             {
                 "check": f"e_{n} kills theta*v (symbolic, on hyperplane)",
                 "status": "pass" if e.is_zero() else "fail",
-                "witness": _witness(e),
+                "witness": e.witness(),
             }
         )
         return report
@@ -411,7 +398,7 @@ def verify_hwv(
                 {
                     "check": f"e_{k} kills theta*v at lambda={','.join(map(str, w))}",
                     "status": "pass" if e.is_zero() else "fail",
-                    "witness": _witness(e),
+                    "witness": e.witness(),
                 }
             )
     return report

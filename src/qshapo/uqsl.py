@@ -6,7 +6,8 @@ This module supplies, over the rewriting engine:
   monomials built from them, with conversion both ways between the
   normal-word basis and the PBW basis;
 * Cartan-part elements: finite k-lattice combinations such as the h_i that
-  decorate Shapovalov summands;
+  decorate Shapovalov summands, stored as WeightScalars with prefix "k"
+  (the key gamma stands for k_gamma);
 * the twisted adjoint calculus for a fixed simple generator F = f_beta:
   the grading automorphism sigma, the sigma-derivation ad_F, its iterates,
   the finite expansion of F**l * u, and the one-parameter conjugation
@@ -22,7 +23,15 @@ from functools import lru_cache
 
 from .freealg import NCPoly, RewriteSystem, deglex_key
 from .roots import alpha, cartan_entry, kostant_partitions, pairing
-from .scalars import R_ONE, R_ZERO, RatQ, WeightScalar, qbinom, qbinom_formal
+from .scalars import (
+    R_ZERO,
+    V_MINUS_VINV,
+    RatQ,
+    WeightScalar,
+    add_terms,
+    qbinom,
+    qbinom_formal,
+)
 
 
 class SingularSystem(Exception):
@@ -55,18 +64,6 @@ def jimbo(i: int, j: int, n: int) -> NCPoly:
     b = NCPoly.letter(j - 1, n)
     q = RatQ.q_power(1)
     return (a * b).scale(q) - (b * a).scale(q.inverse())
-
-
-def is_pbw_monomial(factors) -> bool:
-    return all(factors[k] <= factors[k + 1] for k in range(len(factors) - 1))
-
-
-def pbw_multidegree(factors, n: int) -> tuple[int, ...]:
-    d = [0] * n
-    for (i, j) in factors:
-        for k in range(i, j):
-            d[k - 1] += 1
-    return tuple(d)
 
 
 def expand_pbw(factors, n: int) -> NCPoly:
@@ -178,113 +175,25 @@ def from_pbw(coords: dict, n: int) -> NCPoly:
 
 
 # ----------------------------------------------------------------------------
-# Cartan elements
+# Cartan elements: k_gamma is the WeightScalar monomial with exponent gamma,
+# and K_mu is k_{2 mu}
 # ----------------------------------------------------------------------------
 
-class CartanElement:
-    """Finite k-combination sum_gamma c_gamma k_gamma, gamma in the root
-    lattice written in simple-root coordinates.  K_mu is k_{2 mu}."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        clean = {}
-        if terms:
-            for g, c in terms.items():
-                if not isinstance(c, RatQ):
-                    c = RatQ.from_int(c)
-                if c.num:
-                    clean[tuple(g)] = c
-        self.terms = clean
-
-    @classmethod
-    def one(cls, n: int) -> "CartanElement":
-        return cls(n, {(0,) * n: R_ONE})
-
-    @classmethod
-    def k_power(cls, gamma, n: int, coeff=R_ONE) -> "CartanElement":
-        return cls(n, {tuple(gamma): coeff})
-
-    def __add__(self, other):
-        if not isinstance(other, CartanElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            s = terms.get(g, R_ZERO) + c
-            if s.num:
-                terms[g] = s
-            elif g in terms:
-                del terms[g]
-        return CartanElement(self.n, terms)
-
-    def __neg__(self):
-        return CartanElement(self.n, {g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, CartanElement):
-            return NotImplemented
-        terms: dict = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                g = tuple(a + b for a, b in zip(g1, g2))
-                s = terms.get(g, R_ZERO) + c1 * c2
-                if s.num:
-                    terms[g] = s
-                elif g in terms:
-                    del terms[g]
-        return CartanElement(self.n, terms)
-
-    def scale(self, c) -> "CartanElement":
-        return CartanElement(self.n, {g: c * x for g, x in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, CartanElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for g, c in self.sorted_terms():
-            if any(g):
-                gs = "k[" + ",".join(map(str, g)) + "]"
-                parts.append(f"({c})*{gs}")
-            else:
-                parts.append(f"({c})")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"CartanElement({self})"
-
-
-def h_cartan(i: int, n: int) -> CartanElement:
+def h_cartan(i: int, n: int) -> WeightScalar:
     """The Cartan-part factor h_i, expressed on the k-lattice basis:
     h_i = -1/q * (v - v**(1-2i) K_{sigma_i}**-2) / (v - 1/v)."""
-    denom = RatQ.v_power(1) - RatQ.v_power(-1)
+    if not 1 <= i <= n:
+        raise ValueError("index out of range")
     qinv = RatQ.q_power(-1)
-    c0 = -(qinv * RatQ.v_power(1)) / denom
-    c1 = (qinv * RatQ.v_power(1 - 2 * i)) / denom
+    c0 = -(qinv * RatQ.v_power(1)) / V_MINUS_VINV
+    c1 = (qinv * RatQ.v_power(1 - 2 * i)) / V_MINUS_VINV
     gamma = tuple(-4 if k < i else 0 for k in range(n))
-    return CartanElement(n, {(0,) * n: c0, gamma: c1})
+    return WeightScalar(n, {(0,) * n: c0, gamma: c1}, "k")
 
 
-def H_cartan(rset, n: int) -> CartanElement:
+def H_cartan(rset, n: int) -> WeightScalar:
     """Product of h_i over an index collection (empty product is 1)."""
-    out = CartanElement.one(n)
+    out = WeightScalar.one(n, "k")
     for i in rset:
         out = out * h_cartan(i, n)
     return out
@@ -315,24 +224,13 @@ def sigma_aut(x: NCPoly, beta: int) -> NCPoly:
 def ad_F(x: NCPoly, beta: int) -> NCPoly:
     """The sigma-derivation ad_F(x) = F x - sigma(x) F with F = f_beta."""
     F = (beta,)
-    terms: dict = {}
-    for w, c in x.terms.items():
-        left = F + w
-        prev = terms.get(left)
-        s = c if prev is None else prev + c
-        if s:
-            terms[left] = s
-        elif prev is not None:
-            del terms[left]
-        right = w + F
-        cc = RatQ.v_power(-_beta_pairing_of_word(w, beta)) * c
-        prev = terms.get(right)
-        s = -cc if prev is None else prev - cc
-        if s:
-            terms[right] = s
-        elif prev is not None:
-            del terms[right]
-    return NCPoly._raw(x.n, terms)
+
+    def pairs():
+        for w, c in x.terms.items():
+            yield F + w, c
+            yield w + F, -(RatQ.v_power(-_beta_pairing_of_word(w, beta)) * c)
+
+    return NCPoly._raw(x.n, add_terms({}, pairs()))
 
 
 def ad_F_pow(x: NCPoly, beta: int, n: int) -> NCPoly:
@@ -344,7 +242,7 @@ def ad_F_pow(x: NCPoly, beta: int, n: int) -> NCPoly:
     return out
 
 
-def ad_F_nilpotency(x: NCPoly, beta: int, rs: RewriteSystem, hard_cap=None):
+def ad_F_nilpotency(x: NCPoly, beta: int, rs: RewriteSystem):
     """Smallest k with ad_F**k(x) = 0 in the quotient, together with the
     normal forms of the iterates ad_F**j(x) for j < k.
 
@@ -355,8 +253,7 @@ def ad_F_nilpotency(x: NCPoly, beta: int, rs: RewriteSystem, hard_cap=None):
     """
     if x.is_zero():
         return 0, []
-    if hard_cap is None:
-        hard_cap = sum(x.multidegree()) + 2
+    hard_cap = sum(x.multidegree()) + 2
     iterates = []
     cur = rs.normal_form(x)
     k = 0
@@ -428,23 +325,12 @@ class LocElement:
                     clean[j] = p
         self.terms = clean
 
-    @classmethod
-    def from_poly(cls, p: NCPoly, beta: int) -> "LocElement":
-        return cls(p.n, beta, {0: p})
-
     def __add__(self, other):
         if not isinstance(other, LocElement):
             return NotImplemented
         if self.beta != other.beta:
             raise ValueError("mismatched localization generators")
-        terms = dict(self.terms)
-        for j, p in other.terms.items():
-            s = terms[j] + p if j in terms else p
-            if s.is_zero():
-                terms.pop(j, None)
-            else:
-                terms[j] = s
-        return LocElement(self.n, self.beta, terms)
+        return LocElement(self.n, self.beta, add_terms(dict(self.terms), other.terms.items()))
 
     def scale(self, c) -> "LocElement":
         return LocElement(self.n, self.beta, {j: p.scale(c) for j, p in self.terms.items()})

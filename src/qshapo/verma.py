@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from .freealg import NCPoly, RewriteSystem, word_multidegree
 from .roots import cartan_entry, sigma_vec
-from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar
-from .uqsl import CartanElement, h_cartan
+from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar, add_terms
+from .uqsl import H_cartan, h_cartan
 
 _VMV_INV = V_MINUS_VINV.inverse()
 
@@ -53,9 +53,6 @@ class HighestWeight:
     @classmethod
     def symbolic(cls, n: int, hyperplane_m: int | None = None) -> "HighestWeight":
         return cls(n, "symbolic", None, hyperplane_m)
-
-    def is_symbolic(self) -> bool:
-        return self.mode == "symbolic"
 
     # -- scalar helpers ----------------------------------------------------
 
@@ -117,14 +114,7 @@ class VermaVector:
     def __add__(self, other):
         if not isinstance(other, VermaVector):
             return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms[w] + c if w in terms else c
-            if s:
-                terms[w] = s
-            elif w in terms:
-                del terms[w]
-        return VermaVector(self.hw, terms)
+        return VermaVector(self.hw, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -160,6 +150,14 @@ class VermaVector:
 
     def __repr__(self):
         return f"VermaVector({self})"
+
+    def witness(self) -> str:
+        """The first term in deglex order, as a report witness ("0" if none)."""
+        if not self.terms:
+            return "0"
+        w, c = self.sorted_terms()[0]
+        ws = "*".join(f"f{i}" for i in w) if w else "v"
+        return f"({c})*{ws}"
 
     def to_json_obj(self) -> dict:
         off = None if self.is_zero() else list(self.weight_offset())
@@ -198,19 +196,13 @@ def vector_from_ncpoly(p: NCPoly, hw: HighestWeight, rs: RewriteSystem) -> Verma
 
 def act_f(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     """Left multiplication by f_i followed by normal form."""
-    out: dict = {}
-    for w, c in vec.terms.items():
-        for x, cx in rs._nf_word((i,) + w).items():
-            add = c * cx
-            s = out[x] + add if x in out else add
-            if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
+    out = add_terms(
+        {}, ((x, c * cx) for w, c in vec.terms.items() for x, cx in rs._nf_word((i,) + w).items())
+    )
     return VermaVector(vec.hw, out)
 
 
-def act_k(gamma, vec: VermaVector, rs: RewriteSystem | None = None) -> VermaVector:
+def act_k(gamma, vec: VermaVector) -> VermaVector:
     """Action of the group-like k_gamma: each term of weight lam - nu is
     scaled by q**(lam, gamma) * q**-(nu, gamma)."""
     hw = vec.hw
@@ -251,29 +243,22 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
             if not scal:
                 continue
             rest = w[:pos] + w[pos + 1 :]
-            for x, cx in rs._nf_word(rest).items():
-                add = scal * cx
-                acc = out[x] + add if x in out else add
-                if acc:
-                    out[x] = acc
-                elif x in out:
-                    del out[x]
+            add_terms(out, ((x, scal * cx) for x, cx in rs._nf_word(rest).items()))
     # the common factor 1/(v - 1/v), applied once per output coefficient
     return VermaVector(hw, {x: acc * _VMV_INV for x, acc in out.items()})
 
 
 def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     """Left action of a polynomial in the lowering generators."""
-    out: dict = {}
-    for u, cu in p.terms.items():
-        for w, c in vec.terms.items():
-            for x, cx in rs._nf_word(u + w).items():
-                add = (cu * cx) * c
-                acc = out[x] + add if x in out else add
-                if acc:
-                    out[x] = acc
-                elif x in out:
-                    del out[x]
+    out = add_terms(
+        {},
+        (
+            (x, (cu * cx) * c)
+            for u, cu in p.terms.items()
+            for w, c in vec.terms.items()
+            for x, cx in rs._nf_word(u + w).items()
+        ),
+    )
     return VermaVector(vec.hw, out)
 
 
@@ -288,30 +273,7 @@ def is_hwv(vec: VermaVector, rs: RewriteSystem) -> bool:
 # Cartan-part evaluation
 # ----------------------------------------------------------------------------
 
-def h_eval(i: int, hw: HighestWeight):
-    """Scalar by which h_i acts on the highest weight vector:
-    -1/q * v**(1 - L) * [L]_v with L = (lam + rho, sigma_i).
-
-    Implemented without quantum-integer shortcuts, as
-    -1/q * (v - v**(1-2i) * q**(-4(lam, sigma_i))) / (v - 1/v),
-    which stays valid verbatim in symbolic mode.
-    """
-    if not 1 <= i <= hw.n:
-        raise ValueError("index out of range")
-    gamma = tuple(-4 if k < i else 0 for k in range(hw.n))
-    inner = hw.coerce(RatQ.v_power(1)) - RatQ.v_power(1 - 2 * i) * hw.k_eigen(gamma)
-    return inner * (-(RatQ.q_power(-1)) * _VMV_INV)
-
-
-def H_eval(rset, hw: HighestWeight):
-    """Product of h_eval over an index collection (empty product is 1)."""
-    out = hw.one()
-    for i in rset:
-        out = out * h_eval(i, hw)
-    return out
-
-
-def cartan_eval(H: CartanElement, hw: HighestWeight):
+def cartan_eval(H: WeightScalar, hw: HighestWeight):
     """Evaluate a Cartan element at the highest weight: k_gamma goes to
     q**(lam, gamma), extended linearly."""
     out = hw.zero()
@@ -320,9 +282,16 @@ def cartan_eval(H: CartanElement, hw: HighestWeight):
     return out
 
 
-def h_consistency_check(i: int, hw: HighestWeight) -> bool:
-    """The two representations of h_i agree under evaluation."""
-    return cartan_eval(h_cartan(i, hw.n), hw) == h_eval(i, hw)
+def h_eval(i: int, hw: HighestWeight):
+    """Scalar by which h_i acts on the highest weight vector,
+    -1/q * v**(1 - L) * [L]_v with L = (lam + rho, sigma_i): the value of
+    h_cartan(i) at the weight, in numeric and symbolic mode alike."""
+    return cartan_eval(h_cartan(i, hw.n), hw)
+
+
+def H_eval(rset, hw: HighestWeight):
+    """Product of the h_i over an index collection at the highest weight."""
+    return cartan_eval(H_cartan(rset, hw.n), hw)
 
 
 def quantum_bracket(hw: HighestWeight, L_shift: int, sigma_i: int):

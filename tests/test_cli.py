@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qshapo import cli
 from qshapo.cli import main
 
 
@@ -195,6 +196,46 @@ def test_cache_corrupt_rebuilds(capsys, tmp_path):
     assert code == 0
     assert "rebuilt" in out
     assert "warning" in err
+
+
+def test_cache_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    # another run finishes writing the cache while this run is still
+    # completing; this run's write then fails half way through
+    rs, status = cli.load_or_build(2, 6, tmp_path)
+    assert status == "built"
+    path = cli.cache_path(tmp_path, 2, 6)
+    good = path.read_text()
+    path.unlink()
+    real_complete = cli.complete
+
+    def complete_while_other_run_writes(*args, **kwargs):
+        out = real_complete(*args, **kwargs)
+        path.write_text(good)
+        return out
+
+    real_tempfile = cli.tempfile.NamedTemporaryFile
+
+    def half_writing_tempfile(*args, **kwargs):
+        fh = real_tempfile(*args, **kwargs)
+        real_write = fh.write
+
+        def write(text):
+            real_write(text[: len(text) // 2])
+            fh.flush()
+            raise OSError(28, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "complete", complete_while_other_run_writes)
+    monkeypatch.setattr(cli.tempfile, "NamedTemporaryFile", half_writing_tempfile)
+    with pytest.raises(OSError):
+        cli.load_or_build(2, 6, tmp_path)
+    monkeypatch.undo()
+    assert path.read_text() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    again, status = cli.load_or_build(2, 6, tmp_path)
+    assert status == "loaded" and again.rules == rs.rules
 
 
 def test_env_var_cache_dir(capsys, tmp_path, monkeypatch):

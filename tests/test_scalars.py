@@ -15,10 +15,10 @@ from qshapo.scalars import (
     _pcontent,
     _pgcd,
     _pmul,
+    add_terms,
     qbinom,
     qbinom_formal,
     qint,
-    ws_eval,
 )
 
 try:
@@ -128,13 +128,13 @@ def test_qbinom_formal_specializes():
 def test_ws_eval_cases():
     n = 3
     y1 = WeightScalar.monomial(n, (1, 0, 0))
-    assert ws_eval(y1, (3, 0, 0)) == RatQ.q_power(3)
+    assert y1.eval((3, 0, 0)) == RatQ.q_power(3)
     s = WeightScalar.monomial(2, (2, -2))
-    assert ws_eval(s, (1, 1)) == R_ONE
+    assert s.eval((1, 1)) == R_ONE
     # ((y1^2 - y1^-2)/(q^2-q^-2)) at y1 = q^2 equals [2]_v
     vmv = RatQ.v_power(1) - RatQ.v_power(-1)
     s = WeightScalar(1, {(2,): R_ONE / vmv, (-2,): -(R_ONE / vmv)})
-    assert ws_eval(s, (2,)) == qint(2)
+    assert s.eval((2,)) == qint(2)
 
 
 def test_ws_ring_ops_distribute_under_eval():
@@ -245,6 +245,39 @@ _nonzero_polys = _polys.filter(bool)
 # short dense or monomial denominators keep the gcds of a - b cheap
 _monomials = st.builds(lambda k, c: (0,) * k + (c,), st.integers(0, 70), _nonzero)
 _ratqs = st.builds(RatQ, _polys, st.one_of(_dense_polys.filter(bool), _monomials))
+
+
+# few keys and a few small coefficients, so that sums collide and cancel
+_keys = st.tuples(st.integers(0, 3), st.integers(0, 2))
+_small_ratqs = st.builds(
+    RatQ,
+    st.lists(st.integers(-3, 3), max_size=3).map(_trim),
+    st.sampled_from([(1,), (0, 0, 1), (1, 0, 1)]),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(_keys, _small_ratqs.filter(bool), max_size=6),
+    st.lists(st.tuples(_keys, st.one_of(st.just(R_ZERO), _small_ratqs)), max_size=12),
+    st.data(),
+)
+def test_add_terms_matches_naive_oracle(start, pairs, data):
+    # force cancellations: add back the negation of a drawn subset of the
+    # starting terms and of the pairs, in a drawn order
+    undo = list(start.items()) + pairs
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(undo), max_size=len(undo)))
+    pairs = data.draw(
+        st.permutations(pairs + [(k, -c) for (k, c), neg in zip(undo, chosen) if neg])
+    )
+    acc = dict(start)
+    got = add_terms(acc, pairs)
+    assert got is acc
+    sums = {}
+    for k, c in list(start.items()) + pairs:
+        sums[k] = sums.get(k, R_ZERO) + c
+    assert got == {k: c for k, c in sums.items() if c}
+    assert all(got.values())
 
 
 @settings(deadline=None)

@@ -4,7 +4,7 @@ import pytest
 
 from qshapo.freealg import get_rewrite_system
 from qshapo.roots import dot_reflect, hyperplane_sample, sample_dominant_chain
-from qshapo.scalars import R_ONE, RatQ, qint
+from qshapo.scalars import R_ONE, RatQ, WeightScalar, qint
 from qshapo.shapovalov import (
     InductionPreconditionError,
     ShapoElement,
@@ -45,9 +45,7 @@ def test_theta_sum_structure():
         t = theta_sum(n)
         lead = [H for pbw, _, H in t.terms if pbw == t.pi0_monomial()]
         assert len(lead) == 1
-        from qshapo.uqsl import CartanElement
-
-        assert lead[0] == CartanElement.one(n)
+        assert lead[0] == WeightScalar.one(n, "k")
 
 
 def test_theta_sum_renderers():

@@ -16,7 +16,6 @@ from qshapo.verma import (
     act_k,
     act_poly,
     cartan_eval,
-    h_consistency_check,
     h_eval,
     is_hwv,
     quantum_bracket,
@@ -26,6 +25,20 @@ from qshapo.verma import (
 V = RatQ.v_power
 Q = RatQ.q_power
 VMV = V(1) - V(-1)
+
+
+def h_direct(i, hw):
+    """Independent oracle for h_i at the weight, written straight from
+    -1/q * (v - v**(1-2i) * q**(-4(lam, sigma_i))) / (v - 1/v) without the
+    k-lattice form that the library evaluates."""
+    gamma = tuple(-4 if k < i else 0 for k in range(hw.n))
+    inner = hw.coerce(V(1)) - V(1 - 2 * i) * hw.k_eigen(gamma)
+    return inner * (-Q(-1) * VMV.inverse())
+
+
+def h_consistency_check(i, hw):
+    """The k-lattice form of h_i, evaluated, agrees with the direct formula."""
+    return cartan_eval(h_cartan(i, hw.n), hw) == h_eval(i, hw) == h_direct(i, hw)
 
 
 def test_highest_weight_modes():
@@ -163,12 +176,27 @@ def test_H_eval_products():
 
 def test_cartan_eval_consistency():
     for n in (2, 3, 4):
-        hw = HighestWeight.symbolic(n)
-        for i in range(1, n + 1):
-            assert h_consistency_check(i, hw)
-        hwn = HighestWeight.numeric(tuple(range(n)))
-        for i in range(1, n + 1):
-            assert cartan_eval(h_cartan(i, n), hwn) == h_eval(i, hwn)
+        weights = [
+            HighestWeight.symbolic(n),
+            HighestWeight.symbolic(n, hyperplane_m=1),
+            HighestWeight.symbolic(n, hyperplane_m=3),
+            HighestWeight.numeric(tuple(range(n))),
+            HighestWeight.numeric(tuple(range(-2, 2 * n - 2, 2))),
+        ]
+        for hw in weights:
+            for i in range(1, n + 1):
+                assert h_consistency_check(i, hw), (n, i, hw.mode, hw.hyperplane_m)
+            # products of h_i evaluate to products of the oracle values
+            for rset in [(), (1,), (1, n), tuple(range(1, n + 1))]:
+                expect = hw.one()
+                for i in rset:
+                    expect = expect * h_direct(i, hw)
+                assert H_eval(rset, hw) == expect
+            for bad in (0, n + 1):
+                with pytest.raises(ValueError):
+                    h_eval(bad, hw)
+                with pytest.raises(ValueError):
+                    H_eval((1, bad), hw)
 
 
 def test_quantum_bracket_matches_numeric():
