@@ -3,8 +3,11 @@ manage the on-disk rewrite-system cache.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid weight or
 arguments, 3 a computation exceeded the rewrite cap (the message names the
-cap needed).  Output is deterministic for a fixed argument vector (sampling
-is seeded, never wall-clock)."""
+cap needed), 4 an internal inconsistency (a singular PBW system, a failed
+right division, an ad_F iterate that does not vanish, or a construction
+result its derivation rules out; a damaged cache file can cause these).
+Output is deterministic for a fixed argument vector (sampling is seeded,
+never wall-clock)."""
 
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .freealg import (
     serre_relations,
 )
 from .shapovalov import (
+    InconsistentResult,
     InductionPreconditionError,
     WeightError,
     theta_det,
@@ -34,6 +38,7 @@ from .shapovalov import (
     theta_sum,
 )
 from .suites import SUITES, run_suite
+from .uqsl import NilpotencyCapExceeded, NotRightDivisible, SingularSystem
 from .verma import HighestWeight
 
 ENV_CACHE = "QSHAPO_CACHE"
@@ -50,7 +55,7 @@ class JobConfig:
     seed: int = 0
     fmt: str = "text"
     method: str = "sum"
-    suite: str = "hwv"
+    suite: str | None = None
     cap: int | None = None
     cache_dir: str | None = None
 
@@ -296,6 +301,11 @@ def main(argv=None) -> int:
     except (WeightError, InductionPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (
+        SingularSystem, NotRightDivisible, NilpotencyCapExceeded, InconsistentResult
+    ) as exc:
+        print(f"error: internal inconsistency ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 4
     print(f"error: unknown command {cfg.command}", file=sys.stderr)
     return 2
 

@@ -300,11 +300,10 @@ class RewriteSystem:
         return cache[w]
 
     def normal_form(self, p: NCPoly) -> NCPoly:
-        """Canonical representative of p in the quotient (degrees <= cap)."""
+        """Canonical representative of p in the quotient; a word longer than
+        the cap raises CapExceeded (from _nf_word)."""
         terms: dict = {}
         for w, c in p.terms.items():
-            if len(w) > self.cap:
-                raise CapExceeded(len(w), self.cap)
             add_terms(terms, ((x, c * cx) for x, cx in self._nf_word(w).items()))
         return NCPoly._raw(p.n, terms)
 

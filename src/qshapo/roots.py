@@ -186,16 +186,14 @@ def dot_reflect(i: int, lam) -> tuple[int, ...]:
     return tuple(out)
 
 
-def hyperplane_sample(n, m, count, seed=0, spread=3):
-    """Deterministic integer weights with (lam + rho, eta) = m.
-
-    Since (rho, eta) = N this means the pairings sum to m - N.  Duplicates
-    are rejected; the sequence depends only on the seed.
-    """
+def _distinct_weights(n, m, count, seed, spread, draw):
+    """``count`` distinct weights ``draw(rng, spread)`` from a generator
+    seeded with ``seed``; the spread grows by one whenever 40 draws per
+    weight found so far bring nothing new (the sample space is too small)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if n == 1:
-        return [(m - 1,)]  # the hyperplane holds a single integer weight
+        return [(m - 1,)]  # the only weight on the hyperplane; nothing to reflect
     rng = random.Random(seed)
     seen = set()
     out = []
@@ -203,15 +201,28 @@ def hyperplane_sample(n, m, count, seed=0, spread=3):
     while len(out) < count:
         tries += 1
         if tries > 40 * (len(out) + 1):
-            spread += 1  # sample space too small for the requested count
+            spread += 1
             tries = 0
-        head = [rng.randint(-spread, spread) for _ in range(n - 1)]
-        lam = tuple(head) + (m - n - sum(head),)
+        lam = draw(rng, spread)
         if lam in seen:
             continue
         seen.add(lam)
         out.append(lam)
     return out
+
+
+def hyperplane_sample(n, m, count, seed=0, spread=3):
+    """Deterministic integer weights with (lam + rho, eta) = m.
+
+    Since (rho, eta) = N this means the pairings sum to m - N.  Duplicates
+    are rejected; the sequence depends only on the seed.
+    """
+
+    def draw(rng, spread):
+        head = [rng.randint(-spread, spread) for _ in range(n - 1)]
+        return tuple(head) + (m - n - sum(head),)
+
+    return _distinct_weights(n, m, count, seed, spread, draw)
 
 
 def sample_dominant_chain(n, m, count, seed=0, spread=2):
@@ -224,28 +235,14 @@ def sample_dominant_chain(n, m, count, seed=0, spread=2):
     guarantees every induction step sees a strictly positive integer
     parameter.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if n == 1:
-        return [(m - 1,)]  # no reflections to chain through
-    rng = random.Random(seed)
-    seen = set()
-    out = []
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > 40 * (len(out) + 1):
-            spread += 1  # sample space too small for the requested count
-            tries = 0
-        nu = (m - 1,) + tuple(rng.randint(0, spread) for _ in range(n - 1))
-        lam = nu
+
+    def draw(rng, spread):
+        lam = (m - 1,) + tuple(rng.randint(0, spread) for _ in range(n - 1))
         for i in range(2, n + 1):
             lam = dot_reflect(i, lam)
-        if lam in seen:
-            continue
-        seen.add(lam)
-        out.append(lam)
-    return out
+        return lam
+
+    return _distinct_weights(n, m, count, seed, spread, draw)
 
 
 # ----------------------------------------------------------------------------

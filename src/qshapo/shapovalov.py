@@ -54,6 +54,11 @@ class WeightError(ValueError):
     """A weight failed a construction's precondition."""
 
 
+class InconsistentResult(Exception):
+    """A construction produced a result its derivation rules out, so the
+    rewrite system or the code is inconsistent."""
+
+
 # ----------------------------------------------------------------------------
 # The closed sum form
 # ----------------------------------------------------------------------------
@@ -200,7 +205,7 @@ def theta_det(n: int, hw: HighestWeight) -> dict:
             chain = tuple(factors)
             for k in range(len(chain) - 1):
                 if chain[k][1] != chain[k + 1][0]:
-                    raise AssertionError("determinant term is not a chain")
+                    raise InconsistentResult("determinant term is not a chain")
             add_terms(out, [(chain, scalar if inv % 2 == 0 else -scalar)])
             return
         for row in range(1, n + 1):
@@ -301,7 +306,7 @@ def theta_inductive(
     )
     pi0 = coords.get(pi0_mono)
     if pi0 is None:
-        raise AssertionError("leading monomial missing from induction result")
+        raise InconsistentResult("leading monomial missing from induction result")
     return InductiveTheta(n, m, lam, chain, r_values, coords, pi0)
 
 
@@ -334,6 +339,48 @@ def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
 # Verification drivers
 # ----------------------------------------------------------------------------
 
+class Checks:
+    """A verification report, one entry {"check", "status", "witness"} per
+    check, in the order the checks are declared (a check first recorded
+    without a declaration is appended).
+
+    A check fails if any recorded outcome failed, and its entry shows the
+    witness of the last failure.  A check with no failure, including one
+    declared but never reached, passes with witness "0", or with the
+    witness given to ``show``.
+    """
+
+    def __init__(self, *names):
+        self._failed = {}  # name -> witness of the last failure, or None
+        self._shown = {}
+        self.declare(*names)
+
+    def declare(self, *names):
+        for name in names:
+            self._failed.setdefault(name, None)
+
+    def check(self, name, ok, witness="0") -> bool:
+        """Record one outcome of the check ``name``."""
+        self.declare(name)
+        if not ok:
+            self._failed[name] = witness
+        return ok
+
+    def show(self, name, witness):
+        """Set the witness that a passing ``name`` shows instead of "0"."""
+        self._shown[name] = witness
+
+    def report(self) -> list[dict]:
+        return [
+            {
+                "check": name,
+                "status": "pass" if bad is None else "fail",
+                "witness": self._shown.get(name, "0") if bad is None else bad,
+            }
+            for name, bad in self._failed.items()
+        ]
+
+
 def verify_hwv(
     n: int,
     m: int = 1,
@@ -353,7 +400,12 @@ def verify_hwv(
     """
     if rs is None:
         rs = get_rewrite_system(n)
-    report = []
+    checks = Checks()
+
+    def kills(k, vec, name):
+        e = act_e(k, vec, rs)
+        checks.check(name, e.is_zero(), e.witness())
+
     if mode == "symbolic":
         if m != 1:
             raise ValueError("symbolic verification is level-one only")
@@ -361,25 +413,11 @@ def verify_hwv(
         free = HighestWeight.symbolic(n)
         vec = theta_vector(base.evaluate(free), free, rs)
         for k in range(1, n):
-            e = act_e(k, vec, rs)
-            report.append(
-                {
-                    "check": f"e_{k} kills theta*v (symbolic, unconstrained)",
-                    "status": "pass" if e.is_zero() else "fail",
-                    "witness": e.witness(),
-                }
-            )
+            kills(k, vec, f"e_{k} kills theta*v (symbolic, unconstrained)")
         tied = HighestWeight.symbolic(n, hyperplane_m=1)
         vec_tied = theta_vector(base.evaluate(tied), tied, rs)
-        e = act_e(n, vec_tied, rs)
-        report.append(
-            {
-                "check": f"e_{n} kills theta*v (symbolic, on hyperplane)",
-                "status": "pass" if e.is_zero() else "fail",
-                "witness": e.witness(),
-            }
-        )
-        return report
+        kills(n, vec_tied, f"e_{n} kills theta*v (symbolic, on hyperplane)")
+        return checks.report()
     if mode != "sampled":
         raise ValueError("mode must be symbolic or sampled")
     from .roots import hyperplane_sample
@@ -393,15 +431,8 @@ def verify_hwv(
             coords = theta_power(n, m, w, rs)
         vec = theta_vector(coords, hw, rs)
         for k in range(1, n + 1):
-            e = act_e(k, vec, rs)
-            report.append(
-                {
-                    "check": f"e_{k} kills theta*v at lambda={','.join(map(str, w))}",
-                    "status": "pass" if e.is_zero() else "fail",
-                    "witness": e.witness(),
-                }
-            )
-    return report
+            kills(k, vec, f"e_{k} kills theta*v at lambda={','.join(map(str, w))}")
+    return checks.report()
 
 
 def compare_doot(
@@ -437,26 +468,21 @@ def compare_doot(
     sub = theta_det(n - 1, hw_mu)
     full = theta_det(n, hw_lam)
     F = (n,)
-    lhs = NCPoly.zero(n)
-    for pbw, c in sub.items():
-        lhs = lhs + expand_pbw(pbw, n).scale(c)
-    lhs = lhs.lmul_word(F * (p + 1))
-    rhs = NCPoly.zero(n)
-    for pbw, c in full.items():
-        rhs = rhs + expand_pbw(pbw, n).scale(c)
-    rhs = rhs.rmul_word(F * p).scale(RatQ.v_power(p + 1))
+    lhs = from_pbw(sub, n).lmul_word(F * (p + 1))
+    rhs = from_pbw(full, n).rmul_word(F * p).scale(RatQ.v_power(p + 1))
     det_ok = rs.normal_form(lhs) == rs.normal_form(rhs)
     c_last = h_eval(n - 1, hw_lam)
     c_last_expect = -(RatQ.q_power(-1) * RatQ.v_power(-p)) * qint(p + 1)
     scalars_ok = c_last == c_last_expect and all(
         h_eval(i, hw_lam) == h_eval(i, HighestWeight.numeric(mu)) for i in range(1, n - 1)
     )
-    return {
-        "check": f"rank comparison n={n} p={p} at mu={','.join(map(str, mu))}",
-        "status": "pass" if det_ok and scalars_ok else "fail",
-        "witness": "0" if det_ok and scalars_ok else "determinant or scalar mismatch",
-        "lambda": lam,
-    }
+    checks = Checks()
+    checks.check(
+        f"rank comparison n={n} p={p} at mu={','.join(map(str, mu))}",
+        det_ok and scalars_ok,
+        "determinant or scalar mismatch",
+    )
+    return {**checks.report()[0], "lambda": lam}
 
 
 def make_doot_weight(n: int, p: int, seed: int = 0, sample: int = 0):

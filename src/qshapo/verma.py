@@ -82,12 +82,6 @@ class HighestWeight:
             ws = ws.substitute_hyperplane(self.hyperplane_m)
         return ws
 
-    def canonical(self, scalar):
-        """Re-canonicalize a scalar under the hyperplane constraint."""
-        if self.mode == "symbolic" and self.hyperplane_m is not None:
-            return scalar.substitute_hyperplane(self.hyperplane_m)
-        return scalar
-
 
 class VermaVector:
     """Element of the Verma module: a finite combination of normal words

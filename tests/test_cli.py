@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from qshapo import cli
+from qshapo import cli, freealg
 from qshapo.cli import main
+from qshapo.shapovalov import InconsistentResult
+from qshapo.uqsl import NotRightDivisible
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +238,49 @@ def test_cache_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     again, status = cli.load_or_build(2, 6, tmp_path)
     assert status == "loaded" and again.rules == rs.rules
+
+
+# a well-formed n = 2 cache that lacks the rule with lead f2 f2 f1, so its
+# normal forms leave the PBW span
+DAMAGED_N2_CACHE = (
+    "qshapo-rws-v1\n"
+    "n=2 cap=10 rules=1\n"
+    "LEAD 2,1,1\n"
+    "  1,1,2 : -1\n"
+    "  1,2,1 : (q^4+1)/q^2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["theta", "--n", "2", "--m", "2", "--method", "power", "--lambda", "1,-1"],
+         "SingularSystem"),
+        (["verify", "--suite", "section44", "--n", "2"], "SingularSystem"),
+        (["verify", "--suite", "powers", "--n", "2"], "NilpotencyCapExceeded"),
+    ],
+)
+def test_damaged_cache_exits_4(capsys, tmp_path, monkeypatch, argv, error):
+    # the run registers the damaged system process-wide; keep it out of
+    # later tests
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    cli.cache_path(tmp_path, 2, freealg.default_cap(2)).write_text(DAMAGED_N2_CACHE)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"error: internal inconsistency ({error}): ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [NotRightDivisible, InconsistentResult])
+def test_inconsistency_errors_exit_4(capsys, monkeypatch, exc):
+    def broken(n):
+        raise exc("forced")
+
+    monkeypatch.setattr(cli, "theta_sum", broken)
+    code, _, err = run_cli(capsys, "theta", "--n", "2")
+    assert code == 4
+    assert err == f"error: internal inconsistency ({exc.__name__}): forced\n"
 
 
 def test_env_var_cache_dir(capsys, tmp_path, monkeypatch):

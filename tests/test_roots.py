@@ -132,6 +132,39 @@ def test_hyperplane_sample():
     assert hyperplane_sample(3, 1, 5, seed=9) == hyperplane_sample(3, 1, 5, seed=9)
 
 
+def test_sampling_sequences_are_pinned():
+    # sampled reports and the benchmark's digests depend on these exact
+    # sequences, so the order of the generator calls must not change; the
+    # last two cases exhaust the starting spread and widen it
+    assert hyperplane_sample(3, 1, 5, seed=0) == [
+        (3, 0, -5), (-3, -1, 2), (1, 0, -3), (0, 3, -5), (3, -1, -4)
+    ]
+    assert hyperplane_sample(3, 1, 5, seed=7) == [
+        (-1, -2, 1), (0, 2, -4), (-3, -3, 4), (3, 1, -6), (-3, -1, 2)
+    ]
+    assert hyperplane_sample(4, 2, 4, seed=123, spread=1) == [
+        (-1, 0, -1, 0), (0, 0, -1, -1), (-1, 0, 1, -2), (1, 0, 0, -3)
+    ]
+    assert sample_dominant_chain(3, 2, 4, seed=0) == [
+        (3, 1, -5), (2, 1, -4), (4, 1, -6), (4, 0, -5)
+    ]
+    assert sample_dominant_chain(3, 2, 4, seed=7) == [
+        (3, 0, -4), (3, 2, -6), (2, 0, -3), (4, 0, -5)
+    ]
+    assert sample_dominant_chain(4, 2, 3, seed=123, spread=1) == [
+        (2, 1, 0, -5), (3, 1, 0, -6), (2, 1, 1, -6)
+    ]
+    assert hyperplane_sample(2, 1, 12, seed=3, spread=1) == [
+        (-1, 0), (1, -2), (0, -1), (2, -3), (-2, 1), (-3, 2),
+        (3, -4), (-4, 3), (4, -5), (-5, 4), (5, -6), (6, -7),
+    ]
+    assert sample_dominant_chain(2, 1, 6, seed=3, spread=0) == [
+        (1, -2), (2, -3), (3, -4), (4, -5), (5, -6), (6, -7)
+    ]
+    assert hyperplane_sample(1, 3, 4, seed=0) == [(2,)]
+    assert sample_dominant_chain(1, 3, 4, seed=0) == [(2,)]
+
+
 def test_sample_dominant_chain_positivity():
     for n in range(2, 5):
         for m in (1, 2):

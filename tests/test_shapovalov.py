@@ -6,6 +6,7 @@ from qshapo.freealg import get_rewrite_system
 from qshapo.roots import dot_reflect, hyperplane_sample, sample_dominant_chain
 from qshapo.scalars import R_ONE, RatQ, WeightScalar, qint
 from qshapo.shapovalov import (
+    Checks,
     InductionPreconditionError,
     ShapoElement,
     WeightError,
@@ -279,3 +280,42 @@ def test_doot_scalar_side():
     assert h_eval(n - 1, hw) == -(Q(-1) * V(-p)) * qint(p + 1)
     for i in range(1, n - 1):
         assert h_eval(i, hw) == h_eval(i, HighestWeight.numeric(mu))
+
+
+def test_checks_report_the_last_failure_witness():
+    checks = Checks("a", "b")
+    checks.check("a", False, "first")
+    checks.check("a", True, "not shown")
+    checks.check("a", False, "second")
+    checks.check("b", False)
+    assert checks.report() == [
+        {"check": "a", "status": "fail", "witness": "second"},
+        {"check": "b", "status": "fail", "witness": "0"},
+    ]
+
+
+def test_checks_declared_but_unvisited_check_passes():
+    checks = Checks("never reached")
+    checks.check("reached", True, "not shown")
+    assert checks.report() == [
+        {"check": "never reached", "status": "pass", "witness": "0"},
+        {"check": "reached", "status": "pass", "witness": "0"},
+    ]
+
+
+def test_checks_entries_come_out_in_declaration_order():
+    checks = Checks("x", "y")
+    checks.check("z", False, "w")  # first recorded without a declaration
+    checks.declare("t", "y")  # declaring again keeps the first position
+    checks.check("y", False, "v")
+    checks.check("x", True)
+    assert [e["check"] for e in checks.report()] == ["x", "y", "z", "t"]
+
+
+def test_checks_show_a_witness_on_a_pass_only():
+    checks = Checks()
+    assert checks.check("nonzero", True, "unexpected zero")
+    checks.show("nonzero", "(1)*f1")
+    assert checks.report()[0] == {"check": "nonzero", "status": "pass", "witness": "(1)*f1"}
+    assert not checks.check("nonzero", False, "unexpected zero")
+    assert checks.report()[0]["witness"] == "unexpected zero"
