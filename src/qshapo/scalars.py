@@ -2,12 +2,18 @@
 
 Two scalar types live here:
 
-* ``RatQ`` -- a rational function in the deformation parameter q with
-  integer-polynomial numerator and denominator, kept in a canonical reduced
-  form so that equality is a plain data comparison.  The square v = q**2 is
-  used pervasively by the representation-theoretic formulas, so helpers for
-  v-powers, quantum integers [r]_v and Gaussian binomial coefficients are
-  provided alongside.
+* ``RatQ`` -- a rational function in the deformation parameter q, stored
+  as q**val * num/den with integer polynomials num and den whose constant
+  terms are nonzero, in a canonical reduced form so that equality is a
+  plain data comparison.  The power of q is kept out of the coefficient
+  tuples, so a Laurent polynomial (every rewrite-rule coefficient and
+  nearly every scalar of a numeric-weight computation) has den == (1,) and
+  adds and multiplies with no gcd at all.  True denominators, such as the
+  (q**4 - 1)**j that 1/(v - v**-1) brings in, go through Henrici's gcd
+  splitting, which only looks for the factors that can actually cancel.
+  The square v = q**2 is used pervasively by the representation-theoretic
+  formulas, so helpers for v-powers, quantum integers [r]_v and Gaussian
+  binomial coefficients are provided alongside.
 
 * ``WeightScalar`` -- a multivariate Laurent polynomial in formal symbols
   y_1..y_n with RatQ coefficients.  The symbol y_i stands for q raised to the
@@ -51,41 +57,42 @@ P_ONE: tuple[int, ...] = (1,)
 
 
 def _ptrim(c: list[int]) -> tuple[int, ...]:
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
+def _padd(a, b, k=0, s=1):
+    """a + s * q**k * b for k >= 0 and s = 1 or -1."""
     c = list(a)
-    for i, x in enumerate(b):
-        c[i] += x
-    return _ptrim(c)
-
-
-def _psub(a, b):
-    c = list(a) + [0] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        c[i] -= x
+    n = k + len(b)
+    if len(c) < n:
+        c += [0] * (n - len(c))
+    if s > 0:
+        for i, x in enumerate(b, k):
+            c[i] += x
+    else:
+        for i, x in enumerate(b, k):
+            c[i] -= x
     return _ptrim(c)
 
 
 def _pneg(a):
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def _pmul(a, b):
     if not a or not b:
         return P_ZERO
+    if len(b) == 1:
+        a, b = b, a
     if len(a) == 1:
         s = a[0]
+        if s == 1:
+            return b
+        if s == -1:
+            return _pneg(b)
         return tuple(s * x for x in b)
-    if len(b) == 1:
-        s = b[0]
-        return tuple(s * x for x in a)
     # Operands are mostly-zero tuples of v = q**2 powers, so the inner loop
     # runs over the nonzero coefficients of b only.
     nzb = [(j, y) for j, y in enumerate(b) if y]
@@ -97,19 +104,8 @@ def _pmul(a, b):
     return _ptrim(c)
 
 
-def _plow(a) -> int:
-    for i, x in enumerate(a):
-        if x:
-            return i
-    return 0
-
-
-def _pshift_down(a, k):
-    return tuple(a[k:]) if k else a
-
-
-def _pcontent(a) -> int:
-    g = 0
+def _pcontent(a, g=0) -> int:
+    """gcd of g and the coefficients of a."""
     for x in a:
         g = _igcd(g, x)
         if g == 1:
@@ -117,11 +113,13 @@ def _pcontent(a) -> int:
     return g
 
 
-def _pdiv_exact(a, b):
-    """Divide a by b in Z[q], asserting exactness."""
+def _pdiv(a, b):
+    """a/b in Z[q], or None when b does not divide a there."""
     if not a:
         return P_ZERO
     da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        return None
     lead = b[-1]
     r = list(a)
     out = [0] * (da - db + 1)
@@ -130,14 +128,22 @@ def _pdiv_exact(a, b):
         if top == 0:
             continue
         if top % lead:
-            raise ArithmeticError("inexact polynomial division")
+            return None
         c = top // lead
         out[k] = c
         for j, bc in enumerate(b):
             r[k + j] -= c * bc
     if any(r):
-        raise ArithmeticError("inexact polynomial division")
+        return None
     return _ptrim(out)
+
+
+def _peval(a, x: int) -> int:
+    """a(x), by Horner's rule."""
+    r = 0
+    for c in reversed(a):
+        r = r * x + c
+    return r
 
 
 def _pseudo_rem(a, b):
@@ -177,22 +183,35 @@ def _pgcd(a, b):
         return _pprimitive(b)
     if not b:
         return _pprimitive(a)
-    la, lb = _plow(a), _plow(b)
-    shift = min(la, lb)
-    a0, b0 = _pprimitive(_pshift_down(a, la)), _pprimitive(_pshift_down(b, lb))
-    if len(a0) == 1 or len(b0) == 1:
-        g: tuple[int, ...] = P_ONE
-    else:
-        x, y = a0, b0
-        if len(x) < len(y):
-            x, y = y, x
-        while y:
-            r = _pseudo_rem(x, y)
-            x, y = y, _pprimitive(r)
-        g = x
-    if shift:
-        g = (0,) * shift + g
-    return g
+    x, y = _pprimitive(a), _pprimitive(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        r = _pseudo_rem(x, y)
+        x, y = y, _pprimitive(r)
+    return x
+
+
+_EVAL_GAP = 1 << 20
+
+
+def _pcancel(a, b):
+    """a/g and b/g for the primitive gcd g of nonzero a and b.  A constant
+    is coprime to every polynomial, so g is then 1.
+
+    Before the gcd, a and b are evaluated at x = R + 2**20, where every
+    root of b lies within R = 1 + max|b_i| of 0.  A common factor h of
+    positive degree has |h(x)| >= 2**20 and divides both values, so a gcd
+    of the values below 2**20 proves g = 1."""
+    if len(a) == 1 or len(b) == 1:
+        return a, b
+    x = _EVAL_GAP + 1 + max(map(abs, b))
+    if _igcd(_peval(a, x), _peval(b, x)) < _EVAL_GAP:
+        return a, b
+    g = _pgcd(a, b)
+    if g == P_ONE:
+        return a, b
+    return _pdiv(a, g), _pdiv(b, g)
 
 
 def _pstr(a) -> str:
@@ -253,15 +272,24 @@ def _pparse(s: str) -> tuple[int, ...]:
 class RatQ:
     """A rational function in q over the integers, in canonical form.
 
-    Canonical form: numerator and denominator are coprime integer
-    polynomials, the denominator is nonzero with positive leading
-    coefficient, and the zero element is 0/1.  Two RatQ values are equal
-    exactly when their stored data agree.
+    The value is q**val * num(q)/den(q), stored as the triple
+    ``(val, num, den)`` of an integer and two integer polynomials:
+
+    * num and den have nonzero constant terms and are coprime;
+    * den has a positive leading coefficient, and the integer contents of
+      num and den are coprime;
+    * zero is ``(0, (), (1,))``.
+
+    So the power of q never sits in the coefficient tuples, and a Laurent
+    polynomial in q has ``den == (1,)``.  Two RatQ values are equal exactly
+    when their stored data agree.  ``dense()`` gives the value as one
+    numerator and one denominator polynomial, the power of q folded in.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("val", "num", "den")
 
     def __init__(self, num, den=P_ONE):
+        """num/den from integers or ascending coefficient sequences."""
         if isinstance(num, int):
             num = (num,) if num else P_ZERO
         if isinstance(den, int):
@@ -270,50 +298,42 @@ class RatQ:
         den = _ptrim(list(den))
         if not den:
             raise ZeroDivisionError("RatQ with zero denominator")
-        if not num:
-            self.num, self.den = P_ZERO, P_ONE
-            return
-        low_n, low_d = _plow(num), _plow(den)
-        shift = min(low_n, low_d)
-        if shift:
-            num, den = _pshift_down(num, shift), _pshift_down(den, shift)
-        cn, cd = _pcontent(num), _pcontent(den)
-        ig = _igcd(cn, cd)
-        if ig > 1:
-            num = tuple(x // ig for x in num)
-            den = tuple(x // ig for x in den)
-        # After the q-shift a monomial (one nonzero coefficient) is coprime
-        # to any polynomial, so the gcd is 1 and is skipped.
-        if num.count(0) < len(num) - 1 and den.count(0) < len(den) - 1:
-            g = _pgcd(num, den)
-            if len(g) > 1 or g != P_ONE:
-                num = _pdiv_exact(num, g)
-                den = _pdiv_exact(den, g)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        self.num, self.den = num, den
-
-    @classmethod
-    def _raw(cls, num, den):
-        self = object.__new__(cls)
-        self.num, self.den = num, den
-        return self
+        val = 0
+        if num:
+            i = j = 0
+            while not num[i]:
+                i += 1
+            while not den[j]:
+                j += 1
+            val = i - j
+            num, den = _pcancel(num[i:], den[j:])
+        else:
+            den = P_ONE
+        x = _unit_normal(val, num, den)
+        self.val, self.num, self.den = x.val, x.num, x.den
 
     @classmethod
     def from_int(cls, n: int) -> "RatQ":
-        return cls._raw((n,) if n else P_ZERO, P_ONE)
+        return _raw(0, (n,), P_ONE) if n else R_ZERO
 
     @classmethod
     def q_power(cls, k: int) -> "RatQ":
         """q**k for any integer k."""
-        if k >= 0:
-            return cls._raw((0,) * k + (1,), P_ONE)
-        return cls._raw(P_ONE, (0,) * (-k) + (1,))
+        return _raw(k, P_ONE, P_ONE)
 
     @classmethod
     def v_power(cls, k: int) -> "RatQ":
         """v**k with v = q**2."""
-        return cls.q_power(2 * k)
+        return _raw(2 * k, P_ONE, P_ONE)
+
+    def dense(self):
+        """(numerator, denominator) as coprime polynomials in q."""
+        v = self.val
+        if v > 0:
+            return (0,) * v + self.num, self.den
+        if v < 0:
+            return self.num, (0,) * -v + self.den
+        return self.num, self.den
 
     def is_zero(self) -> bool:
         return not self.num
@@ -332,16 +352,7 @@ class RatQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num:
-            return o
-        if not o.num:
-            return self
-        if self.den == o.den:
-            return RatQ(_padd(self.num, o.num), self.den)
-        return RatQ(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
-        )
+        return _sum(self, o, 1)
 
     __radd__ = __add__
 
@@ -349,35 +360,22 @@ class RatQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
-            return self
-        if not self.num:
-            return -o
-        if self.den == o.den:
-            return RatQ(_psub(self.num, o.num), self.den)
-        return RatQ(
-            _psub(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
-        )
+        return _sum(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(o, self, -1)
 
     def __neg__(self):
-        return RatQ._raw(_pneg(self.num), self.den)
+        return _raw(self.val, _pneg(self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
-            return R_ZERO
-        if self.den == P_ONE and o.den == P_ONE:
-            return RatQ._raw(_pmul(self.num, o.num), P_ONE)
-        return RatQ(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return _product(self, o)
 
     __rmul__ = __mul__
 
@@ -385,20 +383,20 @@ class RatQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero RatQ")
-        return RatQ(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return _product(self, o.inverse())
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _product(o, self.inverse())
 
     def inverse(self) -> "RatQ":
         if not self.num:
             raise ZeroDivisionError("inverse of zero RatQ")
-        return RatQ(self.den, self.num)
+        if self.num[-1] < 0:
+            return _raw(-self.val, _pneg(self.den), _pneg(self.num))
+        return _raw(-self.val, self.den, self.num)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -414,22 +412,25 @@ class RatQ:
 
     def __eq__(self, other):
         if isinstance(other, RatQ):
-            return self.num == other.num and self.den == other.den
+            return self.val == other.val and self.num == other.num and self.den == other.den
         if isinstance(other, int):
-            return self.den == P_ONE and self.num == ((other,) if other else P_ZERO)
+            return (
+                self.val == 0 and self.den == P_ONE and self.num == ((other,) if other else P_ZERO)
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.val, self.num, self.den))
 
     def __str__(self):
-        ns = _pstr(self.num)
-        if self.den == P_ONE:
+        num, den = self.dense()
+        ns = _pstr(num)
+        if den == P_ONE:
             return ns
-        if len([c for c in self.num if c]) > 1:
+        if len([c for c in num if c]) > 1:
             ns = f"({ns})"
-        ds = _pstr(self.den)
-        if len([c for c in self.den if c]) > 1:
+        ds = _pstr(den)
+        if len([c for c in den if c]) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -445,9 +446,99 @@ class RatQ:
         return cls(_pparse(s.strip("()")), P_ONE)
 
 
-R_ZERO = RatQ._raw(P_ZERO, P_ONE)
-R_ONE = RatQ._raw(P_ONE, P_ONE)
-R_Q = RatQ._raw((0, 1), P_ONE)
+_new = object.__new__
+
+
+def _raw(val, num, den) -> RatQ:
+    """The RatQ with the given triple, which must already be canonical."""
+    x = _new(RatQ)
+    x.val, x.num, x.den = val, num, den
+    return x
+
+
+def _unit_normal(val, num, den) -> RatQ:
+    """q**val * num/den for coprime num and den with nonzero constant terms:
+    divide out the common integer content and make den's leading
+    coefficient positive."""
+    if den != P_ONE:
+        g = _pcontent(num, _pcontent(den))
+        if den[-1] < 0:
+            g = -g
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den = tuple(x // g for x in den)
+    return _raw(val, num, den)
+
+
+def _sum(x: RatQ, y: RatQ, s: int) -> RatQ:
+    """x + s*y for s = 1 or -1.
+
+    Laurent polynomials add coefficientwise, aligned on their powers of q,
+    and low zeros of the sum move into val.  Otherwise this is Henrici's
+    sum: with g = gcd(b, d), a/b + c/d has numerator a*(d/g) + c*(b/g) over
+    (b/g)*(d/g)*g, and only gcd(numerator, g) can cancel.  When one
+    denominator divides the other, it is g, and no gcd is run for it."""
+    if not y.num:
+        return x
+    if not x.num:
+        return y if s > 0 else -y
+    b, d = x.den, y.den
+    if b == d:
+        g, a, c, bd = b, x.num, y.num, P_ONE
+    else:
+        if len(b) == 1 or len(d) == 1:
+            g = P_ONE
+        elif (dg := _pdiv(d, b)) is not None:
+            g, b, d = b, P_ONE, dg
+        elif (bg := _pdiv(b, d)) is not None:
+            g, b, d = d, bg, P_ONE
+        else:
+            g = _pgcd(b, d)
+            if g != P_ONE:
+                b, d = _pdiv(b, g), _pdiv(d, g)
+        a, c, bd = _pmul(x.num, d), _pmul(y.num, b), _pmul(b, d)
+    k = y.val - x.val
+    if k >= 0:
+        val, t = x.val, _padd(a, c, k, s)
+    elif s > 0:
+        val, t = y.val, _padd(c, a, -k)
+    else:
+        val, t = y.val, _padd(_pneg(c), a, -k)
+    if not t:
+        return R_ZERO
+    if not t[0]:
+        i = 1
+        while not t[i]:
+            i += 1
+        val, t = val + i, t[i:]
+    if g != P_ONE:
+        t, g = _pcancel(t, g)
+        bd = _pmul(bd, g)
+    return _unit_normal(val, t, bd)
+
+
+def _product(x: RatQ, y: RatQ) -> RatQ:
+    """x*y.  Laurent polynomials multiply their numerators and add their
+    valuations; ±q**k only shifts the valuation.  Otherwise this is Henrici's
+    product: (a/b)(c/d) cancels gcd(a, d) and gcd(c, b) first, so no gcd of
+    the product is needed."""
+    if not x.num or not y.num:
+        return R_ZERO
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if b == P_ONE and d == P_ONE:
+        return _raw(x.val + y.val, _pmul(a, c), P_ONE)
+    if b == P_ONE and a in _UNITS:
+        return _raw(x.val + y.val, _pmul(a, c), d)
+    if d == P_ONE and c in _UNITS:
+        return _raw(x.val + y.val, _pmul(c, a), b)
+    a, d = _pcancel(a, d)
+    c, b = _pcancel(c, b)
+    return _unit_normal(x.val + y.val, _pmul(a, c), _pmul(b, d))
+
+
+_UNITS = ((1,), (-1,))
+R_ZERO = _raw(0, P_ZERO, P_ONE)
+R_ONE = _raw(0, P_ONE, P_ONE)
 
 
 def qint(r: int) -> RatQ:

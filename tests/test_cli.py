@@ -147,6 +147,28 @@ def test_verify_powers_with_explicit_weight(capsys, tmp_path):
     assert any("not applicable" in s for s in names)
 
 
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_verify_powers_n1_reports_no_shift_check(capsys, tmp_path, m):
+    # at N = 1 every root vector contains f_1, so the formal shift identity
+    # has no arguments: it is left out of the report, not passed vacuously
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--suite", "powers", "--n", "1", "--m", m, "--cache-dir", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["all_pass"] is True
+    assert [c["check"] for c in obj["checks"]] == [
+        f"level-{m} element produces highest weight vectors",
+        f"level-{m} element lowers the weight by m*eta",
+        "induction leading coefficient is the predicted v power",
+        "normalized induction equals the "
+        + ("closed sum" if m == "1" else "level-2 product")
+        + " (1 weights)",
+        "theta F^p on the reflected weight is a highest weight vector",
+    ]
+
+
 def test_verify_negative_control_cli(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,

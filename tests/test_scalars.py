@@ -166,8 +166,9 @@ def test_ratq_differential_against_fraction_oracle():
     from fractions import Fraction
 
     def ev(x, q0):
-        num = sum(c * q0**k for k, c in enumerate(x.num))
-        den = sum(c * q0**k for k, c in enumerate(x.den))
+        num, den = x.dense()
+        num = sum(c * q0**k for k, c in enumerate(num))
+        den = sum(c * q0**k for k, c in enumerate(den))
         return Fraction(num, den)
 
     rng = random.Random(777)
@@ -318,20 +319,119 @@ def test_monomial_denominator_canonical_form(num, den):
 )
 def test_monomial_denominator_against_sympy(num, extra, c, k):
     # a monomial denominator, possibly times a factor sharing roots with num
-    q = sympy.Symbol("q")
+    den = _pmul((0,) * k + (c,), extra)
+    x = RatQ(num, den)
+    assert x.dense() == _sympy_canonical(_expr(num), _expr(den))
 
-    def expr(p):
-        return sum(int(x) * q**i for i, x in enumerate(p))
+
+def _expr(p):
+    """The polynomial with ascending coefficients p as a sympy expression."""
+    q = sympy.Symbol("q")
+    return sum(int(x) * q**i for i, x in enumerate(p))
+
+
+def _sympy_canonical(num, den):
+    """Dense canonical (num, den) of the sympy polynomials num/den."""
+    q = sympy.Symbol("q")
 
     def coeffs(p):
         return _trim(int(t) for t in reversed(p.all_coeffs()))
 
-    den = _pmul((0,) * k + (c,), extra)
-    x = RatQ(num, den)
     # cancel gives num/den = r * p/d with r rational; the canonical pair is
     # r.p*p over r.q*d without integer content, with positive leading den
-    r, p, d = sympy.Poly(expr(num), q).cancel(sympy.Poly(expr(den), q))
+    r, p, d = sympy.Poly(num, q).cancel(sympy.Poly(den, q))
     r = sympy.Rational(r)
     p, d = coeffs(p * r.p), coeffs(d * r.q)
+    if not p:
+        return (), (1,)
     g = gcd(*p, *d) * (1 if d[-1] > 0 else -1)
-    assert (x.num, x.den) == (tuple(t // g for t in p), tuple(t // g for t in d))
+    return tuple(t // g for t in p), tuple(t // g for t in d)
+
+
+# ----------------------------------------------------------------------------
+# Field laws and the canonical triple
+# ----------------------------------------------------------------------------
+
+# the factors of the denominators the library meets: q, q**4 - 1 (from
+# 1/(v - v**-1)) and q**2 + 1; drawn powers of them times a small random
+# polynomial give denominators that share factors, so sums take the Henrici
+# path (gcd of the denominators, then only gcd(numerator, g)) and products
+# cancel across (gcd(a, d) and gcd(c, b))
+_FACTORS = ((0, 1), (-1, 0, 0, 0, 1), (1, 0, 1))
+
+
+def _factored(powers, rest):
+    p = rest
+    for f, e in zip(_FACTORS, powers):
+        for _ in range(e):
+            p = _pmul(p, f)
+    return p
+
+
+_small_nonzero = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(_trim).filter(bool)
+_shared = st.builds(_factored, st.tuples(*[st.integers(0, 2)] * 3), _small_nonzero)
+_field_ratqs = st.builds(RatQ, st.one_of(st.just(()), _small_nonzero, _shared), _shared)
+
+
+def _assert_canonical(x):
+    val, num, den = x.val, x.num, x.den
+    if not num:
+        assert (val, num, den) == (0, (), (1,))
+        return
+    assert num[0] and num[-1] and den[0] and den[-1] > 0
+    assert _pgcd(num, den) == (1,)
+    assert gcd(_pcontent(num), _pcontent(den)) == 1
+
+
+def _results(a, b):
+    # (a + b) - b and (a * b) / b cancel a factor of the denominator that
+    # the first operation brought in
+    out = [a, -a, a + b, a - b, b - a, (a + b) - b, a * b, a * 3, 2 - a]
+    if b:
+        out += [a / b, (a * b) / b, b.inverse()]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_ratqs, _field_ratqs, _field_ratqs)
+def test_ratq_field_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a - a == R_ZERO
+    if a:
+        assert a * a.inverse() == R_ONE
+        assert (b / a) * a == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_ratqs, _field_ratqs)
+def test_ratq_results_are_canonical(a, b):
+    for x in _results(a, b):
+        _assert_canonical(x)
+        assert RatQ(*x.dense()) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_ratqs, _field_ratqs)
+def test_ratq_parse_round_trip(a, b):
+    for x in _results(a, b):
+        assert RatQ.parse(str(x)) == x
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy oracle not installed")
+@settings(max_examples=60, deadline=None)
+@given(_field_ratqs, _field_ratqs)
+def test_ratq_against_sympy(a, c):
+    # with b = c - a, the sum a + b must cancel the factors of a's
+    # denominator that b brought in
+    b = c - a
+    (an, ad), (bn, bd), (cn, cd) = (x.dense() for x in (a, b, c))
+    an, ad, bn, bd, cn, cd = map(_expr, (an, ad, bn, bd, cn, cd))
+    assert b.dense() == _sympy_canonical(cn * ad - an * cd, cd * ad)
+    assert (a + b).dense() == _sympy_canonical(an * bd + bn * ad, ad * bd)
+    assert (a * b).dense() == _sympy_canonical(an * bn, ad * bd)
+    if b:
+        assert (a / b).dense() == _sympy_canonical(an * bd, ad * bn)
