@@ -1,11 +1,15 @@
 """Command-line front end: compute elements, run verification suites, and
 manage the on-disk rewrite-system cache.
 
-Exit codes: 0 success, 1 a verification check failed, 2 invalid weight or
-arguments, 3 a computation exceeded the rewrite cap (the message names the
-cap needed), 4 an internal inconsistency (a singular PBW system, a failed
-right division, an ad_F iterate that does not vanish, or a construction
-result its derivation rules out; a damaged cache file can cause these).
+Exit codes: 0 success, 1 a verification check failed, 2 invalid weight
+(including a --lambda off the hyperplane (lam + rho, eta) = m where the
+element needs it) or arguments, 3 a computation exceeded the rewrite cap
+(the message names the cap needed), 4 an internal inconsistency (a singular
+PBW system, a failed right division, an ad_F iterate that does not vanish,
+or a construction result its derivation rules out).  A cache file that
+fails to parse, has the wrong header or leaves a Serre relation nonzero is
+rebuilt with a warning; one that is wrong in another way can still cause
+exit 4.
 Output is deterministic for a fixed argument vector (sampling is seeded,
 never wall-clock)."""
 
@@ -26,6 +30,7 @@ from .freealg import (
     RewriteSystem,
     complete,
     default_cap,
+    latex_document,
     serre_relations,
 )
 from .shapovalov import (
@@ -80,6 +85,8 @@ def cache_path(cache_dir: Path, n: int, cap: int) -> Path:
 def load_or_build(n: int, cap: int, cache_dir: Path):
     """Return (system, status) with status in built/loaded/rebuilt.
 
+    A loaded system is trusted only if its header matches and every Serre
+    relation reduces to 0 in it; otherwise it is rebuilt with a warning.
     The cache file is written to a temp file beside it and moved into place,
     so a concurrent run reads either the old file or the whole new one."""
     path = cache_path(cache_dir, n, cap)
@@ -87,9 +94,11 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
     if path.exists():
         try:
             rs = RewriteSystem.from_text(path.read_text())
-            if rs.n == n and rs.cap == cap:
-                return rs, "loaded"
-            raise CacheCorrupt("header mismatch")
+            if rs.n != n or rs.cap != cap:
+                raise CacheCorrupt("header mismatch")
+            if any(rs.normal_form(rel) for rel in serre_relations(n)):
+                raise CacheCorrupt("a Serre relation has a nonzero normal form")
+            return rs, "loaded"
         except CacheCorrupt as exc:
             print(f"warning: cache {path} is corrupt ({exc}); rebuilding", file=sys.stderr)
             status = "rebuilt"
@@ -138,11 +147,7 @@ def _render_evaluated(coords: dict, cfg: JobConfig) -> str:
         for pbw, c in items:
             fs = "".join(f"f_{{{i},{j}}}" for (i, j) in pbw) or "1"
             parts.append(f"\\left({c}\\right) {fs}")
-        body = " + ".join(parts)
-        return (
-            "\\documentclass{article}\n\\begin{document}\n"
-            f"\\[ {body} \\]\n\\end{{document}}\n"
-        )
+        return latex_document(" + ".join(parts))
     parts = []
     for pbw, c in items:
         fs = "".join(f"f[{i},{j}]" for (i, j) in pbw) or "1"

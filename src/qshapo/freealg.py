@@ -48,7 +48,8 @@ class NCPoly:
 
     Coefficients are RatQ by default but any commutative scalar type with
     +, -, * (including by RatQ on the left) and a truthy zero-test works;
-    Verma-module code reuses the same class with WeightScalar coefficients.
+    verma.VermaVector is this class with scalars of a weight as
+    coefficients.
     """
 
     __slots__ = ("n", "terms")
@@ -100,24 +101,30 @@ class NCPoly:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
+    def _new(self, terms) -> "NCPoly":
+        """An element of the same kind as self with the given terms (no zero
+        coefficients); +, -, unary - and scale build their results here, so
+        a subclass that carries more state overrides only this."""
+        return NCPoly._raw(self.n, terms)
+
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return NCPoly._raw(self.n, add_terms(dict(self.terms), other.terms.items()))
+        return self._new(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
         terms = add_terms(dict(self.terms), ((w, -c) for w, c in other.terms.items()))
-        return NCPoly._raw(self.n, terms)
+        return self._new(terms)
 
     def __neg__(self):
-        return NCPoly._raw(self.n, {w: -c for w, c in self.terms.items()})
+        return self._new({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NCPoly":
         if not c:
-            return NCPoly.zero(self.n)
-        return NCPoly._raw(self.n, {w: c * x for w, x in self.terms.items()})
+            return self._new({})
+        return self._new({w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
@@ -180,7 +187,7 @@ class NCPoly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"NCPoly({self})"
+        return f"{type(self).__name__}({self})"
 
 
 def word_multidegree(w, n: int) -> tuple[int, ...]:
@@ -192,6 +199,14 @@ def word_multidegree(w, n: int) -> tuple[int, ...]:
 
 def deglex_key(w):
     return (len(w), w)
+
+
+def latex_document(body: str) -> str:
+    """A standalone LaTeX document showing one displayed formula."""
+    return (
+        "\\documentclass{article}\n\\begin{document}\n"
+        f"\\[ {body} \\]\n\\end{{document}}\n"
+    )
 
 
 # ----------------------------------------------------------------------------

@@ -25,7 +25,7 @@ the determinant comparison identity that ties consecutive ranks together.
 
 from __future__ import annotations
 
-from .freealg import NCPoly, RewriteSystem, get_rewrite_system
+from .freealg import NCPoly, RewriteSystem, get_rewrite_system, latex_document
 from .roots import alpha, dot_reflect, enumerate_II, eta_vec, pairing, r_of
 from .scalars import R_ONE, RatQ, add_terms, qint
 from .uqsl import (
@@ -122,11 +122,7 @@ class ShapoElement:
             fs = "".join(f"f_{{{i},{j}}}" for (i, j) in pbw)
             fs += "".join(f"h_{{{i}}}" for i in hs)
             parts.append(fs if fs else "1")
-        body = " + ".join(parts)
-        return (
-            "\\documentclass{article}\n\\begin{document}\n"
-            f"\\[ {body} \\]\n\\end{{document}}\n"
-        )
+        return latex_document(" + ".join(parts))
 
 
 def theta_sum(n: int) -> ShapoElement:
@@ -143,40 +139,19 @@ def theta_sum(n: int) -> ShapoElement:
 
 def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVector:
     """Apply an evaluated element (PBW coordinates) to the highest weight
-    vector."""
-    out = VermaVector(hw, {})
+    vector: each PBW monomial's expansion is normal-formed on its own and
+    added into one sum."""
+    terms: dict = {}
     for pbw in sorted(coords):
         c = coords[pbw]
         part = vector_from_ncpoly(expand_pbw(pbw, hw.n), hw, rs)
-        out = out + part.scale(c)
-    return out
+        add_terms(terms, ((w, c * x) for w, x in part.terms.items()))
+    return VermaVector(hw, terms)
 
 
 # ----------------------------------------------------------------------------
 # The ordered determinant form
 # ----------------------------------------------------------------------------
-
-class ShapoMatrix:
-    """The almost-triangular matrix whose ordered determinant evaluates the
-    element: entry (r, c) is the root-vector label (r, c+1) on and above the
-    diagonal, the scalar marker -c_c on the subdiagonal, zero below."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("rank must be >= 1")
-        self.n = n
-
-    def entry(self, r: int, c: int):
-        if not (1 <= r <= self.n and 1 <= c <= self.n):
-            raise ValueError("matrix index out of range")
-        if r <= c:
-            return ("f", (r, c + 1))
-        if r == c + 1:
-            return ("c", c)
-        return None
-
 
 def theta_det(n: int, hw: HighestWeight) -> dict:
     """Complete left-to-right expansion of the almost-triangular matrix.
@@ -187,11 +162,21 @@ def theta_det(n: int, hw: HighestWeight) -> dict:
     root vectors is asserted to be a consecutive chain, i.e. an f_J, and the
     expansion lands directly in PBW coordinates.
     """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     if hw.n < n:
         raise WeightError("weight has too few pairings for this rank")
-    matrix = ShapoMatrix(n)
     cvals = [h_eval(i, hw) for i in range(1, n)]
     out: dict = {}
+
+    def entry(r, c):
+        """Entry (r, c): the root-vector label (r, c+1) on and above the
+        diagonal, the scalar marker -c_c on the subdiagonal, zero below."""
+        if r <= c:
+            return ("f", (r, c + 1))
+        if r == c + 1:
+            return ("c", c)
+        return None
 
     def rec(col, used, perm, factors, scalar):
         if col > n:
@@ -211,10 +196,10 @@ def theta_det(n: int, hw: HighestWeight) -> dict:
         for row in range(1, n + 1):
             if used >> row & 1:
                 continue
-            entry = matrix.entry(row, col)
-            if entry is None:
+            cell = entry(row, col)
+            if cell is None:
                 continue
-            kind, data = entry
+            kind, data = cell
             if kind == "f":
                 factors.append(data)
                 rec(col + 1, used | (1 << row), perm + [row], factors, scalar)
@@ -316,15 +301,19 @@ def theta_inductive(
 
 def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
     """Level-m element at lam as the ordered product of level-one
-    evaluations at lam - (m-1)eta, ..., lam - eta, lam (left to right)."""
+    evaluations at lam - (m-1)eta, ..., lam - eta, lam (left to right); at
+    m = 1 this is the evaluated closed sum.  Raises WeightError unless
+    (lam + rho, eta) = m."""
     lam = tuple(lam)
     if len(lam) != n:
         raise WeightError("weight has wrong rank")
     if sum(lam) != m - n:
         raise WeightError(f"weight must satisfy (lam + rho, eta) = {m}")
+    base = theta_sum(n)
+    if m == 1:
+        return base.evaluate(HighestWeight.numeric(lam))
     if rs is None:
         rs = get_rewrite_system(n)
-    base = theta_sum(n)
     eta = eta_vec(n)
     eta_pair = [pairing(eta, alpha(k, n)) for k in range(1, n + 1)]
     prod = NCPoly.one(n)
@@ -425,11 +414,7 @@ def verify_hwv(
     weights = [tuple(lam)] if lam is not None else hyperplane_sample(n, m, samples, seed)
     for w in weights:
         hw = HighestWeight.numeric(w)
-        if m == 1:
-            coords = theta_sum(n).evaluate(hw)
-        else:
-            coords = theta_power(n, m, w, rs)
-        vec = theta_vector(coords, hw, rs)
+        vec = theta_vector(theta_power(n, m, w, rs), hw, rs)
         for k in range(1, n + 1):
             kills(k, vec, f"e_{k} kills theta*v at lambda={','.join(map(str, w))}")
     return checks.report()

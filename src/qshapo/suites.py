@@ -502,7 +502,7 @@ def suite_powers(
     elements = {}
     for w in lams:
         hw = HighestWeight.numeric(w)
-        coords = theta_sum(n).evaluate(hw) if m == 1 else theta_power(n, m, w, rs)
+        coords = theta_power(n, m, w, rs)
         elements[w] = coords
         vec = theta_vector(coords, hw, rs)
         checks.check(hwv_name, is_hwv(vec, rs), f"lambda={w}")

@@ -389,7 +389,7 @@ def divide_right_F(W: NCPoly, d: int, beta: int, rs: RewriteSystem) -> NCPoly:
         raise NotRightDivisible("multidegree lacks the required F letters")
     basis = rs.normal_words(tuple(mu))
     F = (beta,) * d
-    cols = [rs._nf_word(b + F) for b in basis]
+    cols = [rs.normal_form(NCPoly.word(b + F, W.n)).terms for b in basis]
     res = solve_linear(cols, rs.normal_form(W).terms)
     if res[0] == "singular":
         raise SingularSystem("right-division basis became dependent")

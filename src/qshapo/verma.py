@@ -9,16 +9,21 @@ optional hyperplane constraint (lam + rho, eta) = m is applied by eagerly
 eliminating y_N, which turns "vanishes on the hyperplane" into literal
 vanishing of canonical forms.
 
-Vectors of the module are stored on the normal-word basis of the quotient
-algebra applied to the highest weight vector.  The raising action is
-computed purely from the defining commutation relation by pushing e_i
-through the word letter by letter; none of the derived commutation formulas
-feed the implementation, so they stay available as independent test oracles.
+M(lam) is free of rank one over the lowering subalgebra, so a vector of the
+module is a polynomial in normal form (an NCPoly on the normal-word basis of
+the quotient algebra) whose coefficients are scalars of the weight, applied
+to the highest weight vector.  VermaVector is that NCPoly plus its weight;
+it inherits the arithmetic.  Every left action ends in vector_from_ncpoly,
+the one place where a polynomial is put in normal form and read as a
+vector.  The raising action is computed purely from the defining
+commutation relation by pushing e_i through the word letter by letter; none
+of the derived commutation formulas feed the implementation, so they stay
+available as independent test oracles.
 """
 
 from __future__ import annotations
 
-from .freealg import NCPoly, RewriteSystem, word_multidegree
+from .freealg import NCPoly, RewriteSystem, latex_document
 from .roots import cartan_entry, sigma_vec
 from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar, add_terms
 from .uqsl import H_cartan, h_cartan
@@ -66,8 +71,9 @@ class HighestWeight:
             return R_ONE
         return WeightScalar.one(self.n)
 
-    def coerce(self, c: RatQ):
-        if self.mode == "numeric":
+    def coerce(self, c):
+        """A scalar of this weight; a WeightScalar passes through unchanged."""
+        if self.mode == "numeric" or isinstance(c, WeightScalar):
             return c
         return WeightScalar.const(self.n, c)
 
@@ -83,55 +89,30 @@ class HighestWeight:
         return ws
 
 
-class VermaVector:
-    """Element of the Verma module: a finite combination of normal words
-    applied to the highest weight vector."""
+class VermaVector(NCPoly):
+    """Element of the Verma module: a polynomial in normal form in the
+    lowering generators, applied to the highest weight vector ``hw``.  The
+    arithmetic is NCPoly's; its results carry ``hw`` through ``_new``."""
 
-    __slots__ = ("hw", "terms")
+    __slots__ = ("hw",)
 
     def __init__(self, hw: HighestWeight, terms=None):
+        super().__init__(hw.n, terms)
         self.hw = hw
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    clean[w] = c
-        self.terms = clean
+
+    def _new(self, terms) -> "VermaVector":
+        out = object.__new__(VermaVector)
+        out.n, out.terms, out.hw = self.n, terms, self.hw
+        return out
 
     @classmethod
     def highest(cls, hw: HighestWeight) -> "VermaVector":
         return cls(hw, {(): hw.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        return VermaVector(self.hw, add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "VermaVector":
-        if isinstance(c, int):
-            c = RatQ.from_int(c)
-        return VermaVector(self.hw, {w: c * x for w, x in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        return self.terms == other.terms
-
     def weight_offset(self):
-        """The multidegree nu with vector weight lam - nu (all terms agree)."""
-        offs = {word_multidegree(w, self.hw.n) for w in self.terms}
-        if len(offs) > 1:
-            raise ValueError("vector is not weight-homogeneous")
-        return offs.pop() if offs else None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        """The multidegree nu with vector weight lam - nu (all terms agree),
+        or None for the zero vector."""
+        return self.multidegree() if self.terms else None
 
     def __str__(self):
         if not self.terms:
@@ -142,9 +123,6 @@ class VermaVector:
             parts.append(f"({c})*{ws}v" if ws else f"({c})*v")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"VermaVector({self})"
-
     def witness(self) -> str:
         """The first term in deglex order, as a report witness ("0" if none)."""
         if not self.terms:
@@ -154,32 +132,26 @@ class VermaVector:
         return f"({c})*{ws}"
 
     def to_json_obj(self) -> dict:
-        off = None if self.is_zero() else list(self.weight_offset())
+        off = self.weight_offset()
         return {
-            "weight_offset": off,
+            "weight_offset": None if off is None else list(off),
             "terms": {
                 ",".join(map(str, w)): str(c) for w, c in self.sorted_terms()
             },
         }
 
     def to_latex(self) -> str:
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for w, c in self.sorted_terms():
-                ws = "".join(f"f_{{{i}}}" for i in w)
-                parts.append(f"\\left({c}\\right) {ws} v_\\lambda")
-            body = " + ".join(parts)
-        return (
-            "\\documentclass{article}\n\\begin{document}\n"
-            f"\\[ {body} \\]\n\\end{{document}}\n"
-        )
+        parts = []
+        for w, c in self.sorted_terms():
+            ws = "".join(f"f_{{{i}}}" for i in w)
+            parts.append(f"\\left({c}\\right) {ws} v_\\lambda")
+        return latex_document(" + ".join(parts) or "0")
 
 
 def vector_from_ncpoly(p: NCPoly, hw: HighestWeight, rs: RewriteSystem) -> VermaVector:
     """Apply a polynomial in the lowering generators to the highest weight
-    vector, normal-forming the words."""
+    vector: the normal form of p, with its coefficients read as scalars of
+    the weight.  Every left action of the module goes through here."""
     nf = rs.normal_form(p)
     return VermaVector(hw, {w: hw.coerce(c) for w, c in nf.terms.items()})
 
@@ -190,10 +162,7 @@ def vector_from_ncpoly(p: NCPoly, hw: HighestWeight, rs: RewriteSystem) -> Verma
 
 def act_f(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     """Left multiplication by f_i followed by normal form."""
-    out = add_terms(
-        {}, ((x, c * cx) for w, c in vec.terms.items() for x, cx in rs._nf_word((i,) + w).items())
-    )
-    return VermaVector(vec.hw, out)
+    return act_poly(NCPoly.letter(i, vec.n), vec, rs)
 
 
 def act_k(gamma, vec: VermaVector) -> VermaVector:
@@ -226,34 +195,24 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     hw = vec.hw
     Yp = hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(hw.n)))
     Ym = hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(hw.n)))
-    out: dict = {}
-    for w, c in vec.terms.items():
-        # suffix pairings, scanned right to left
-        for pos in range(len(w) - 1, -1, -1):
-            if w[pos] != i:
-                continue
-            s = sum(cartan_entry(i, w[k]) for k in range(pos + 1, len(w)))
-            scal = (Yp * RatQ.v_power(-s) - Ym * RatQ.v_power(s)) * c
-            if not scal:
-                continue
-            rest = w[:pos] + w[pos + 1 :]
-            add_terms(out, ((x, scal * cx) for x, cx in rs._nf_word(rest).items()))
-    # the common factor 1/(v - 1/v), applied once per output coefficient
-    return VermaVector(hw, {x: acc * _VMV_INV for x, acc in out.items()})
+
+    def shortened():
+        for w, c in vec.terms.items():
+            for pos, letter in enumerate(w):
+                if letter == i:
+                    s = sum(cartan_entry(i, x) for x in w[pos + 1 :])
+                    scal = Yp * RatQ.v_power(-s) - Ym * RatQ.v_power(s)
+                    yield w[:pos] + w[pos + 1 :], scal * c
+
+    short = NCPoly._raw(vec.n, add_terms({}, shortened()))
+    # the common factor 1/(v - 1/v) goes on after the normal form, so the
+    # products inside it keep Laurent coefficients
+    return vector_from_ncpoly(short, hw, rs).scale(_VMV_INV)
 
 
 def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     """Left action of a polynomial in the lowering generators."""
-    out = add_terms(
-        {},
-        (
-            (x, (cu * cx) * c)
-            for u, cu in p.terms.items()
-            for w, c in vec.terms.items()
-            for x, cx in rs._nf_word(u + w).items()
-        ),
-    )
-    return VermaVector(vec.hw, out)
+    return vector_from_ncpoly(p * vec, vec.hw, rs)
 
 
 def is_hwv(vec: VermaVector, rs: RewriteSystem) -> bool:

@@ -6,8 +6,9 @@ import pytest
 
 from qshapo import cli, freealg
 from qshapo.cli import main
-from qshapo.shapovalov import InconsistentResult
-from qshapo.uqsl import NotRightDivisible
+from qshapo.freealg import RewriteSystem, serre_relations
+from qshapo.shapovalov import InconsistentResult, theta_power
+from qshapo.uqsl import NilpotencyCapExceeded, NotRightDivisible, SingularSystem
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,28 @@ def test_verify_powers_with_explicit_weight(capsys, tmp_path):
     assert any("not applicable" in s for s in names)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["hwv", "--mode", "sampled", "--lambda", "1,2"], 2),
+        (["powers", "--lambda", "1,-1"], 2),
+        (["hwv", "--mode", "sampled", "--lambda", "0,-1"], 0),
+        (["powers", "--lambda", "0,-1"], 0),
+    ],
+)
+def test_verify_weight_off_hyperplane_exit_2(capsys, tmp_path, argv, code):
+    # at level one, as at higher levels, the element needs (lam + rho, eta) = m
+    got, out, err = run_cli(
+        capsys, "verify", "--suite", *argv, "--n", "2", "--cache-dir", str(tmp_path)
+    )
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == "error: weight must satisfy (lam + rho, eta) = 1\n"
+    else:
+        assert json.loads(out)["all_pass"] is True
+
+
 @pytest.mark.parametrize("m", ["1", "2"])
 def test_verify_powers_n1_reports_no_shift_check(capsys, tmp_path, m):
     # at N = 1 every root vector contains f_1, so the formal shift identity
@@ -274,27 +297,50 @@ DAMAGED_N2_CACHE = (
 
 
 @pytest.mark.parametrize(
-    "argv, error",
+    "argv",
     [
-        (["theta", "--n", "2", "--m", "2", "--method", "power", "--lambda", "1,-1"],
-         "SingularSystem"),
-        (["verify", "--suite", "section44", "--n", "2"], "SingularSystem"),
-        (["verify", "--suite", "powers", "--n", "2"], "NilpotencyCapExceeded"),
+        ["theta", "--n", "2", "--m", "2", "--method", "power", "--lambda", "1,-1"],
+        ["verify", "--suite", "section44", "--n", "2"],
+        ["verify", "--suite", "powers", "--n", "2"],
     ],
 )
-def test_damaged_cache_exits_4(capsys, tmp_path, monkeypatch, argv, error):
-    # the run registers the damaged system process-wide; keep it out of
-    # later tests
+def test_damaged_cache_rebuilds(capsys, tmp_path, monkeypatch, argv):
+    # the damaged file fails the Serre check on load, so the run warns,
+    # rebuilds it and prints what a run on a fresh cache prints; each run
+    # registers its system process-wide, so keep them out of later tests
+    cap = freealg.default_cap(2)
+    damaged = tmp_path / "damaged"
+    damaged.mkdir()
+    cli.cache_path(damaged, 2, cap).write_text(DAMAGED_N2_CACHE)
     monkeypatch.setattr(freealg, "_SYSTEMS", {})
-    cli.cache_path(tmp_path, 2, freealg.default_cap(2)).write_text(DAMAGED_N2_CACHE)
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert code == 4
-    assert out == ""
-    assert err.startswith(f"error: internal inconsistency ({error}): ")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(damaged))
+    assert code == 0
+    assert err.startswith("warning: cache ")
+    assert "Serre relation" in err and err.endswith("; rebuilding\n")
     assert err.count("\n") == 1
+    assert cli.load_or_build(2, cap, damaged)[1] == "loaded"
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    code, fresh, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))
+    assert (code, err) == (0, "")
+    assert out == fresh
 
 
-@pytest.mark.parametrize("exc", [NotRightDivisible, InconsistentResult])
+def test_serre_check_flags_only_the_damaged_system():
+    damaged = RewriteSystem.from_text(DAMAGED_N2_CACHE)
+    assert sum(1 for rel in serre_relations(2) if damaged.normal_form(rel)) == 1
+    for n in range(2, 6):
+        rs = freealg.get_rewrite_system(n)
+        assert not any(rs.normal_form(rel) for rel in serre_relations(n))
+
+
+def test_damaged_system_is_singular_for_theta_power():
+    with pytest.raises(SingularSystem):
+        theta_power(2, 2, (1, -1), RewriteSystem.from_text(DAMAGED_N2_CACHE))
+
+
+@pytest.mark.parametrize(
+    "exc", [NotRightDivisible, InconsistentResult, SingularSystem, NilpotencyCapExceeded]
+)
 def test_inconsistency_errors_exit_4(capsys, monkeypatch, exc):
     def broken(n):
         raise exc("forced")

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshapo.freealg import (
     CacheCorrupt,
@@ -16,7 +18,7 @@ from qshapo.freealg import (
     serre_relations,
 )
 from qshapo.roots import kostant_count
-from qshapo.scalars import R_ONE, RatQ
+from qshapo.scalars import R_ONE, V_MINUS_VINV, RatQ
 
 
 def test_serre_relation_counts():
@@ -158,6 +160,37 @@ def test_normal_form_is_multiplicative():
             assert rs.normal_form(p * q) == rs.normal_form(
                 rs.normal_form(p) * rs.normal_form(q)
             )
+
+
+# scalars with and without a true denominator
+_coeffs = st.builds(
+    lambda k, e, d: RatQ.from_int(k) * RatQ.v_power(e) * d,
+    st.integers(-3, 3).filter(bool),
+    st.integers(-2, 2),
+    st.sampled_from([R_ONE, V_MINUS_VINV.inverse()]),
+)
+
+
+@st.composite
+def _homogeneous(draw, n, max_degree=4):
+    """A polynomial whose words all have one drawn multidegree."""
+    letters = draw(st.lists(st.integers(1, n), min_size=1, max_size=max_degree))
+    words = draw(st.lists(st.permutations(letters).map(tuple), min_size=1, max_size=4))
+    return NCPoly(n, {w: draw(_coeffs) for w in words})
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_normal_form_linear_and_multiplicative_on_homogeneous(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    nf = get_rewrite_system(n).normal_form
+    a = data.draw(_homogeneous(n))
+    # b shares a's words half the time, so that sums cancel
+    b = data.draw(st.one_of(_homogeneous(n), st.just(a).map(lambda p: -p)))
+    c = data.draw(_coeffs)
+    assert nf(a + b.scale(c)) == nf(a) + nf(b).scale(c)
+    d = data.draw(_homogeneous(n))
+    assert nf(a * d) == nf(nf(a) * nf(d))
 
 
 def test_quotient_zero_test_vs_explicit_member():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshapo.freealg import NCPoly, get_rewrite_system
 from qshapo.scalars import R_ONE, RatQ, WeightScalar, qint
@@ -102,6 +104,14 @@ def test_act_e_two_step_ladder():
         assert got == qint(2) * qint(lam[0] - 1)
 
 
+def _commutator_rhs(i, j, vec):
+    """delta_ij (K_i - K_i^-1)/(v - 1/v) applied to vec."""
+    if i != j:
+        return VermaVector(vec.hw, {})
+    g = tuple(2 if k == i - 1 else 0 for k in range(vec.n))
+    return (act_k(g, vec) - act_k(tuple(-x for x in g), vec)).scale(VMV.inverse())
+
+
 def test_defining_relation_operator_identity():
     rng = random.Random(9)
     n = 3
@@ -113,14 +123,50 @@ def test_defining_relation_operator_identity():
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 lhs = act_e(i, act_f(j, vec, rs), rs) - act_f(j, act_e(i, vec, rs), rs)
-                if i == j:
-                    g = tuple(2 if k == i - 1 else 0 for k in range(n))
-                    rhs = (act_k(g, vec) - act_k(tuple(-x for x in g), vec)).scale(
-                        VMV.inverse()
-                    )
-                else:
-                    rhs = VermaVector(hw, {})
-                assert (lhs - rhs).is_zero(), (word, i, j)
+                assert (lhs - _commutator_rhs(i, j, vec)).is_zero(), (word, i, j)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_defining_relation_at_numeric_weights(data):
+    n = data.draw(st.integers(2, 4))
+    rs = get_rewrite_system(n)
+    pairings = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    hw = HighestWeight.numeric(pairings)
+    words = data.draw(
+        st.lists(st.lists(st.integers(1, n), max_size=5).map(tuple), min_size=1, max_size=3)
+    )
+    coeffs = [RatQ.from_int(k) * V(k) for k in range(1, len(words) + 1)]
+    vec = vector_from_ncpoly(NCPoly(n, dict(zip(words, coeffs))), hw, rs)
+    i = data.draw(st.integers(1, n))
+    j = data.draw(st.integers(1, n))
+    lhs = act_e(i, act_f(j, vec, rs), rs) - act_f(j, act_e(i, vec, rs), rs)
+    assert lhs == _commutator_rhs(i, j, vec), (hw.pairings, words, i, j)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from(["numeric", "symbolic"]),
+    st.lists(st.lists(st.integers(1, 2), max_size=3).map(tuple), min_size=1, max_size=4),
+    st.integers(-2, 2),
+)
+def test_vector_arithmetic_keeps_the_weight(mode, words, k):
+    rs = get_rewrite_system(2)
+    hw = HighestWeight.numeric((1, -2)) if mode == "numeric" else HighestWeight.symbolic(2)
+    half = len(words) // 2
+    a = vector_from_ncpoly(NCPoly(2, {w: V(1) for w in words[: half + 1]}), hw, rs)
+    b = vector_from_ncpoly(NCPoly(2, {w: Q(-1) for w in words[half:]}), hw, rs)
+    c = RatQ.from_int(k)
+    pa, pb = NCPoly(2, a.terms), NCPoly(2, b.terms)
+    for got, expect in [
+        (a + b, pa + pb),
+        (a - b, pa - pb),
+        (a - a, pa - pa),
+        (-a, -pa),
+        (a.scale(c), pa.scale(c)),
+    ]:
+        assert type(got) is VermaVector and got.hw is hw
+        assert got.terms == expect.terms
 
 
 def test_weight_bookkeeping_under_k():
