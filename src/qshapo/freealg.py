@@ -258,7 +258,8 @@ class RewriteSystem:
         self.rules: dict[tuple, NCPoly] = {}
         self._lead_lengths: tuple[int, ...] = ()
         self._nf_cache: dict[tuple, dict] = {}
-        # multidegree -> (PBW monomials, their normal forms); filled by uqsl
+        # multidegree -> uqsl.PBWColumns (the PBW monomials, their normal
+        # forms and leading words); filled by uqsl
         self._pbw_cache: dict[tuple, tuple] = {}
 
     # -- rule bookkeeping ------------------------------------------------

@@ -30,9 +30,9 @@ from .roots import alpha, dot_reflect, enumerate_II, eta_vec, pairing, r_of
 from .scalars import R_ONE, RatQ, add_terms, qint
 from .uqsl import (
     H_cartan,
-    expand_pbw,
     f_monomial_of_index_set,
     from_pbw,
+    pbw_normal_form,
     psi,
     to_pbw,
 )
@@ -42,7 +42,6 @@ from .verma import (
     act_e,
     cartan_eval,
     h_eval,
-    vector_from_ncpoly,
 )
 
 
@@ -139,13 +138,13 @@ def theta_sum(n: int) -> ShapoElement:
 
 def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVector:
     """Apply an evaluated element (PBW coordinates) to the highest weight
-    vector: each PBW monomial's expansion is normal-formed on its own and
-    added into one sum."""
+    vector: each PBW monomial's normal form is read from the PBW column
+    cache of rs, scaled by its coordinate and added into one sum.  The
+    monomials must be in sorted PBW form."""
     terms: dict = {}
     for pbw in sorted(coords):
         c = coords[pbw]
-        part = vector_from_ncpoly(expand_pbw(pbw, hw.n), hw, rs)
-        add_terms(terms, ((w, c * x) for w, x in part.terms.items()))
+        add_terms(terms, ((w, hw.coerce(c * x)) for w, x in pbw_normal_form(pbw, rs).items()))
     return VermaVector(hw, terms)
 
 
@@ -316,11 +315,14 @@ def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
         rs = get_rewrite_system(n)
     eta = eta_vec(n)
     eta_pair = [pairing(eta, alpha(k, n)) for k in range(1, n + 1)]
+    # normal-forming each factor and each partial product keeps the product
+    # on the normal words of its multidegree; the free product would grow
+    # to as many as (N!)**m words
     prod = NCPoly.one(n)
     for j in range(m - 1, -1, -1):
         shifted = tuple(lam[k] - j * eta_pair[k] for k in range(n))
         coords = base.evaluate(HighestWeight.numeric(shifted))
-        prod = prod * from_pbw(coords, n)
+        prod = rs.normal_form(prod * rs.normal_form(from_pbw(coords, n)))
     return to_pbw(prod, rs)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freealg import NCPoly, RewriteSystem, deglex_key
+from .freealg import NCPoly, RewriteSystem, deglex_key, word_multidegree
 from .roots import alpha, cartan_entry, kostant_partitions, pairing
 from .scalars import (
     R_ZERO,
@@ -92,7 +92,8 @@ def pbw_monomials(mu, n: int) -> list[tuple[tuple[int, int], ...]]:
 # ----------------------------------------------------------------------------
 
 def solve_linear(cols: list[dict], rhs: dict):
-    """Solve sum_c x_c * cols[c] = rhs over RatQ.
+    """Solve sum_c x_c * cols[c] = rhs over RatQ by Gauss-Jordan elimination
+    (right division by powers of F; PBW coordinates need no solve).
 
     Returns ("ok", xs), ("singular",) when the columns are dependent, or
     ("inconsistent",) when rhs is outside the column span.
@@ -133,45 +134,98 @@ def solve_linear(cols: list[dict], rhs: dict):
     return ("ok", b[:k])
 
 
-def _pbw_basis_columns(mu, rs: RewriteSystem):
-    """PBW monomials of multidegree mu and their normal forms, cached on rs
-    so that the columns can never outlive or cross to another system."""
+class PBWColumns:
+    """The PBW monomials of one multidegree and their normal forms.
+
+    ``monos`` lists the monomials and ``cols`` their normal forms (dicts word
+    -> RatQ), column c belonging to monos[c]; ``index`` maps a monomial to its
+    column.  ``leads`` holds (deglex-leading word, column, inverse of the
+    leading coefficient) for every column, largest leading word first.  The
+    leading words are distinct, so the columns are triangular.
+    """
+
+    __slots__ = ("monos", "cols", "index", "leads")
+
+    def __init__(self, monos, cols, leads):
+        self.monos = monos
+        self.cols = cols
+        self.index = {M: c for c, M in enumerate(monos)}
+        self.leads = leads
+
+
+def _pbw_basis_columns(mu, rs: RewriteSystem) -> PBWColumns:
+    """The PBW columns of multidegree mu, cached on rs so that they can never
+    outlive or cross to another system.  Each column is built factor by
+    factor, every partial product normal-formed, so no product leaves the
+    normal words.  Raises SingularSystem unless the columns have distinct
+    leading words (Lyndon-word triangularity of the PBW basis)."""
     key = tuple(mu)
     got = rs._pbw_cache.get(key)
     if got is None:
-        monos = pbw_monomials(mu, rs.n)
-        cols = [rs.normal_form(expand_pbw(M, rs.n)).terms for M in monos]
-        got = (monos, cols)
+        n = rs.n
+        monos = pbw_monomials(mu, n)
+        cols = []
+        leads = {}
+        for c, M in enumerate(monos):
+            prod = NCPoly.one(n)
+            for (i, j) in M:
+                prod = rs.normal_form(prod * jimbo(i, j, n))
+            lead = prod.leading_word() if prod.terms else None
+            if lead is None or lead in leads:
+                raise SingularSystem(f"PBW basis matrix singular at multidegree {key}")
+            leads[lead] = (c, prod.terms[lead].inverse())
+            cols.append(prod.terms)
+        order = sorted(leads, key=deglex_key, reverse=True)
+        got = PBWColumns(monos, cols, [(w, *leads[w]) for w in order])
         rs._pbw_cache[key] = got
     return got
+
+
+def pbw_normal_form(M, rs: RewriteSystem) -> dict:
+    """Normal form (dict word -> RatQ) of the PBW monomial M, read from the
+    column cache; M must be in the sorted form pbw_monomials gives."""
+    mu = word_multidegree([k for (i, j) in M for k in range(i, j)], rs.n)
+    basis = _pbw_basis_columns(mu, rs)
+    c = basis.index.get(M)
+    if c is None:
+        raise ValueError(f"{M} is not a sorted PBW monomial")
+    return basis.cols[c]
 
 
 def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
     """Coordinates of a homogeneous element in the PBW basis.
 
-    Found by expanding every PBW monomial of the right multidegree through
-    the rewriting engine and solving the resulting linear system; a singular
-    system would mean the rewriting engine contradicts the PBW count and is
-    reported loudly.
+    The PBW columns of the element's multidegree are triangular, so one pass
+    over their leading words from the largest down reads the coordinates:
+    each leading word left in the remainder fixes its column's coefficient,
+    and that multiple of the column is subtracted.  A word left over at the
+    end means the element lies outside the PBW span, i.e. the rewriting
+    engine contradicts the PBW theorem, which is reported loudly.
     """
     nf = rs.normal_form(p)
     if nf.is_zero():
         return {}
     mu = nf.multidegree()
-    monos, cols = _pbw_basis_columns(mu, rs)
-    res = solve_linear(cols, nf.terms)
-    if res[0] == "singular":
-        raise SingularSystem(f"PBW basis matrix singular at multidegree {mu}")
-    if res[0] == "inconsistent":
+    basis = _pbw_basis_columns(mu, rs)
+    rest = dict(nf.terms)
+    xs = {}
+    for w, c, inv in basis.leads:
+        r = rest.get(w)
+        if r is None:
+            continue
+        x = xs[c] = r * inv
+        add_terms(rest, ((u, -(x * y)) for u, y in basis.cols[c].items()))
+    if rest:
         raise SingularSystem(f"element outside PBW span at multidegree {mu}")
-    return {M: c for M, c in zip(monos, res[1]) if c}
+    return {basis.monos[c]: xs[c] for c in sorted(xs)}
 
 
 def from_pbw(coords: dict, n: int) -> NCPoly:
-    out = NCPoly.zero(n)
+    """The free-algebra expansion of an element given in PBW coordinates."""
+    terms: dict = {}
     for M, c in coords.items():
-        out = out + expand_pbw(M, n).scale(c)
-    return out
+        add_terms(terms, ((w, c * x) for w, x in expand_pbw(M, n).terms.items()))
+    return NCPoly._raw(n, terms)
 
 
 # ----------------------------------------------------------------------------

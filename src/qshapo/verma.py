@@ -13,9 +13,11 @@ M(lam) is free of rank one over the lowering subalgebra, so a vector of the
 module is a polynomial in normal form (an NCPoly on the normal-word basis of
 the quotient algebra) whose coefficients are scalars of the weight, applied
 to the highest weight vector.  VermaVector is that NCPoly plus its weight;
-it inherits the arithmetic.  Every left action ends in vector_from_ncpoly,
-the one place where a polynomial is put in normal form and read as a
-vector.  The raising action is computed purely from the defining
+it inherits the arithmetic.  Every left action of a polynomial ends in
+vector_from_ncpoly, the one place where a polynomial is put in normal form
+and read as a vector; shapovalov.theta_vector applies PBW coordinates
+instead, reading each PBW monomial's normal form from the PBW column cache
+of uqsl.  The raising action is computed purely from the defining
 commutation relation by pushing e_i through the word letter by letter; none
 of the derived commutation formulas feed the implementation, so they stay
 available as independent test oracles.
@@ -151,7 +153,7 @@ class VermaVector(NCPoly):
 def vector_from_ncpoly(p: NCPoly, hw: HighestWeight, rs: RewriteSystem) -> VermaVector:
     """Apply a polynomial in the lowering generators to the highest weight
     vector: the normal form of p, with its coefficients read as scalars of
-    the weight.  Every left action of the module goes through here."""
+    the weight.  Every left action of a polynomial goes through here."""
     nf = rs.normal_form(p)
     return VermaVector(hw, {w: hw.coerce(c) for w, c in nf.terms.items()})
 

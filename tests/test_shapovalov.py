@@ -2,8 +2,15 @@
 
 import pytest
 
-from qshapo.freealg import get_rewrite_system
-from qshapo.roots import dot_reflect, hyperplane_sample, sample_dominant_chain
+from qshapo.freealg import NCPoly, get_rewrite_system
+from qshapo.roots import (
+    alpha,
+    dot_reflect,
+    eta_vec,
+    hyperplane_sample,
+    pairing,
+    sample_dominant_chain,
+)
 from qshapo.scalars import R_ONE, RatQ, WeightScalar, qint
 from qshapo.shapovalov import (
     Checks,
@@ -19,7 +26,7 @@ from qshapo.shapovalov import (
     theta_vector,
     verify_hwv,
 )
-from qshapo.uqsl import H_cartan
+from qshapo.uqsl import H_cartan, from_pbw, to_pbw
 from qshapo.verma import HighestWeight, act_e, cartan_eval, h_eval, is_hwv
 
 V = RatQ.v_power
@@ -161,6 +168,27 @@ def test_theta_power_level_one_is_sum():
     for lam in hyperplane_sample(n, 1, 4, seed=3):
         tp = theta_power(n, 1, lam, rs)
         assert tp == theta_sum(n).evaluate(HighestWeight.numeric(lam))
+
+
+def _power_by_free_product(n, m, lam, rs):
+    """theta_power's product of shifted level-one evaluations multiplied out
+    in the free algebra and normal-formed once, at the end."""
+    base = theta_sum(n)
+    eta_pair = [pairing(eta_vec(n), alpha(k, n)) for k in range(1, n + 1)]
+    prod = NCPoly.one(n)
+    for j in range(m - 1, -1, -1):
+        shifted = tuple(lam[k] - j * eta_pair[k] for k in range(n))
+        prod = prod * from_pbw(base.evaluate(HighestWeight.numeric(shifted)), n)
+    return to_pbw(prod, rs)
+
+
+@pytest.mark.parametrize(
+    "n, m, cap, count", [(3, 3, None, 2), (4, 2, None, 2), (4, 3, 12, 1)]
+)
+def test_theta_power_equals_the_unreduced_product(n, m, cap, count):
+    rs = get_rewrite_system(n, cap)
+    for lam in hyperplane_sample(n, m, count, seed=5, spread=2):
+        assert theta_power(n, m, lam, rs) == _power_by_free_product(n, m, lam, rs)
 
 
 def test_theta_power_highest_weight_and_induction_match():

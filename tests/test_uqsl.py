@@ -28,6 +28,7 @@ from qshapo.uqsl import (
     jimbo,
     leibniz_check,
     pbw_monomials,
+    pbw_normal_form,
     psi,
     psi_loc,
     sigma_aut,
@@ -99,6 +100,67 @@ def test_to_pbw_examples():
     assert to_pbw(NCPoly.zero(2), rs) == {}
     # from_pbw inverts
     assert rs.normal_form(from_pbw(coords, 2)) == rs.normal_form(p)
+
+
+def _leading_coefficient_is_unit(x):
+    """x == +-q**k for some k."""
+    return x in (Q(x.val), -Q(x.val))
+
+
+def test_pbw_leads_are_the_normal_words():
+    # Lyndon-word triangularity: the deglex-leading words of the PBW columns
+    # are exactly the normal words, each with a unit coefficient +-q**k
+    for n in (2, 3, 4, 5):
+        rs = get_rewrite_system(n)
+        degrees = [mu for mu in itertools.product(range(7), repeat=n) if 0 < sum(mu) <= 6]
+        degrees += {3: [(3,) * 3], 4: [(2,) * 4], 5: [(2,) * 5]}.get(n, [])
+        for mu in degrees:
+            basis = _pbw_basis_columns(mu, rs)
+            leads = [w for w, _, _ in basis.leads]
+            assert leads == sorted(leads, key=deglex_key, reverse=True)
+            assert sorted(leads) == rs.normal_words(mu), (n, mu)
+            for w, c, inv in basis.leads:
+                assert max(basis.cols[c], key=deglex_key) == w
+                assert inv * basis.cols[c][w] == R_ONE
+                assert _leading_coefficient_is_unit(basis.cols[c][w]), (n, mu, w)
+
+
+def test_pbw_normal_form_reads_the_cache():
+    rs = get_rewrite_system(3)
+    basis = _pbw_basis_columns((2, 1, 1), rs)
+    for c, M in enumerate(pbw_monomials((2, 1, 1), 3)):
+        assert pbw_normal_form(M, rs) is basis.cols[c]
+        assert basis.cols[c] == rs.normal_form(expand_pbw(M, 3)).terms
+    assert pbw_normal_form((), rs) == {(): R_ONE}
+    with pytest.raises(ValueError):
+        pbw_normal_form(((2, 3), (1, 2)), rs)  # not in sorted order
+
+
+@st.composite
+def _homogeneous_polys(draw):
+    """A random polynomial whose words all rearrange one multiset of
+    letters, at N = 2..4."""
+    n = draw(st.integers(2, 4))
+    letters = draw(st.lists(st.integers(1, n), min_size=1, max_size=5))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        terms[tuple(draw(st.permutations(letters)))] = draw(_nonzero_entries)
+    return NCPoly(n, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_homogeneous_polys())
+def test_to_pbw_matches_solve_linear(p):
+    rs = get_rewrite_system(p.n)
+    nf = rs.normal_form(p)
+    got = to_pbw(p, rs)
+    if nf.is_zero():
+        assert got == {}
+        return
+    basis = _pbw_basis_columns(nf.multidegree(), rs)
+    status, xs = solve_linear(basis.cols, nf.terms)
+    assert status == "ok"
+    assert got == {M: x for M, x in zip(basis.monos, xs) if x}
 
 
 # ----------------------------------------------------------------------------
@@ -431,7 +493,9 @@ def test_pbw_cache_is_per_system():
         mu = (2, 1) + (0,) * (n - 2)
         monos = pbw_monomials(mu, n)
         want = [rs.normal_form(expand_pbw(M, n)).terms for M in monos]
-        assert _pbw_basis_columns(mu, rs) == (monos, want)
+        entry = _pbw_basis_columns(mu, rs)
+        assert entry.monos == monos
+        assert entry.cols == want
         assert set(rs._pbw_cache) == {mu}
         del rs
         gc.collect()
