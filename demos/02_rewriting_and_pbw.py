@@ -3,8 +3,9 @@
 The negative part of quantized sl(N+1) is the free algebra on f_1..f_N
 modulo the q-Serre relations.  We orient those relations as rewrite rules
 under the degree-lexicographic order and complete them by resolving overlap
-ambiguities degree by degree; up to the chosen degree cap, normal forms are
-then canonical, so "equal in the algebra" becomes "same normal form".
+ambiguities degree by degree; through the degree completed so far, normal
+forms are then canonical, so "equal in the algebra" becomes "same normal
+form".  A longer word extends the completion to its own length.
 """
 
 from qshapo.freealg import NCPoly, complete, get_rewrite_system, serre_relations

@@ -1,8 +1,8 @@
 """qshapo: exact Shapovalov-element computations for quantized sl(N+1).
 
 The package builds the negative part of the quantized enveloping algebra of
-sl(N+1) over the exact field Q(q), decides equality there with a
-degree-truncated rewriting system certified confluent up to a cap, runs
+sl(N+1) over the exact field Q(q), decides equality there with a rewriting
+system that completes itself through the degree each word needs, runs
 Verma modules over symbolic or numeric highest weights, and constructs
 Shapovalov elements three independent ways (closed sum, ordered
 noncommutative determinant, and the conjugation-operator rank induction),

@@ -3,13 +3,13 @@ manage the on-disk rewrite-system cache.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid weight
 (including a --lambda off the hyperplane (lam + rho, eta) = m where the
-element needs it) or arguments, 3 a computation exceeded the rewrite cap
-(the message names the cap needed), 4 an internal inconsistency (a singular
-PBW system, a failed right division, an ad_F iterate that does not vanish,
-or a construction result its derivation rules out).  A cache file that
-fails to parse, has the wrong header or leaves a Serre relation nonzero is
-rebuilt with a warning; one that is wrong in another way can still cause
-exit 4.
+element needs it) or arguments, 3 a computation needs completion beyond the
+budget DEFAULT_CAP_BUDGET (the message names the degree and the budget), 4
+an internal inconsistency (a singular PBW system, a failed right division,
+an ad_F iterate that does not vanish, or a construction result its
+derivation rules out).  A cache file that fails to parse, has the wrong
+header or leaves a Serre relation nonzero is rebuilt with a warning; one
+that is wrong in another way can still cause exit 4.
 Output is deterministic for a fixed argument vector (sampling is seeded,
 never wall-clock)."""
 
@@ -61,7 +61,6 @@ class JobConfig:
     fmt: str = "text"
     method: str = "sum"
     suite: str | None = None
-    cap: int | None = None
     cache_dir: str | None = None
 
 
@@ -83,7 +82,8 @@ def cache_path(cache_dir: Path, n: int, cap: int) -> Path:
 
 
 def load_or_build(n: int, cap: int, cache_dir: Path):
-    """Return (system, status) with status in built/loaded/rebuilt.
+    """Return (system, status) with status in built/loaded/rebuilt.  The
+    cap is the system's initial degree; the system extends itself beyond it.
 
     A loaded system is trusted only if its header matches and every Serre
     relation reduces to 0 in it; otherwise it is rebuilt with a warning.
@@ -157,8 +157,6 @@ def _render_evaluated(coords: dict, cfg: JobConfig) -> str:
 
 
 def cmd_theta(cfg: JobConfig) -> int:
-    cache_dir = resolve_cache_dir(cfg.cache_dir)
-    cap = cfg.cap if cfg.cap is not None else default_cap(cfg.n)
     if cfg.lam is not None and len(cfg.lam) != cfg.n:
         print(f"error: lambda must have {cfg.n} entries", file=sys.stderr)
         return 2
@@ -187,7 +185,7 @@ def cmd_theta(cfg: JobConfig) -> int:
         if cfg.lam is None:
             print("error: this method needs --lambda", file=sys.stderr)
             return 2
-        rs = _register_system(cfg.n, cap, cache_dir)
+        rs = _register_system(cfg.n, default_cap(cfg.n), resolve_cache_dir(cfg.cache_dir))
         if cfg.method == "inductive":
             coords = theta_inductive(cfg.n, cfg.m, cfg.lam, rs).normalized()
         else:
@@ -232,7 +230,7 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 def cmd_cache(cfg: JobConfig) -> int:
     cache_dir = resolve_cache_dir(cfg.cache_dir)
-    cap = cfg.cap if cfg.cap is not None else default_cap(cfg.n)
+    cap = default_cap(cfg.n)
     rs, status = load_or_build(cfg.n, cap, cache_dir)
     path = cache_path(cache_dir, cfg.n, cap)
     if status == "loaded":
@@ -268,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
     t.add_argument("--format", dest="fmt", choices=["text", "json", "latex"], default="text")
-    t.add_argument("--cap", type=int, default=None)
     t.add_argument("--cache-dir", default=None)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -283,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cache", help="build or inspect the rewrite-system cache")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--cap", type=int, default=None)
     c.add_argument("--cache-dir", default=None)
     return ap
 

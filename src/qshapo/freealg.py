@@ -6,10 +6,11 @@ Words are tuples of letters in 1..N; a polynomial is a finite map from words
 to scalars.  The monomial order is degree-lexicographic with f_1 < ... < f_N,
 comparing letters left to right, so tuple comparison on (len, word) realizes
 it directly.  The Serre relations are homogeneous in the multidegree (the
-letter-count vector), every rewrite preserves multidegree, and completion is
-truncated at a degree cap: all overlap ambiguities of degree <= cap are
-resolved, which certifies that normal forms are canonical in those degrees.
-Zero-testing in the quotient is, by definition, normal_form(p) == 0.
+letter-count vector), every rewrite preserves multidegree, and completion
+through degree D resolves all overlap ambiguities of degree <= D, which
+certifies that normal forms are canonical in those degrees.  A system
+extends its completion to the length of any longer word it meets, up to the
+budget DEFAULT_CAP_BUDGET.  Zero-testing in the quotient is normal_form(p) == 0.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ DEFAULT_CAP_BUDGET = 16
 
 
 class CapExceeded(Exception):
-    """A word exceeded the certified degree cap of a rewrite system."""
+    """A computation needs completion beyond the budget DEFAULT_CAP_BUDGET."""
 
-    def __init__(self, needed: int, cap: int):
+    def __init__(self, needed: int):
         self.needed = needed
-        self.cap = cap
         super().__init__(
-            f"degree {needed} exceeds the rewrite cap {cap}; "
-            f"rebuild the system with cap >= {needed}"
+            f"degree {needed} exceeds the completion budget {DEFAULT_CAP_BUDGET}"
         )
 
 
@@ -244,12 +243,13 @@ def serre_relations(n: int) -> list[NCPoly]:
 # ----------------------------------------------------------------------------
 
 class RewriteSystem:
-    """Confluent-up-to-cap rewriting rules for the q-Serre quotient.
+    """Rewriting rules for the q-Serre quotient, confluent through degree cap.
 
     ``rules`` maps a leading word to its replacement polynomial; replacements
     are multidegree-homogeneous with every word strictly smaller in deglex.
-    Instances are immutable once completed; normal_form is pure and caches
-    single-word reductions.
+    ``cap`` is the degree completed so far; a longer word first extends the
+    completion to its length.  That adds only rules with longer leads, so
+    normal forms are pure and cached ones (and PBW columns) stay valid.
     """
 
     def __init__(self, n: int, cap: int):
@@ -282,14 +282,13 @@ class RewriteSystem:
 
     def _nf_word(self, w) -> dict:
         """Normal form of a single word as a dict word -> RatQ (cached).
-        Words beyond the cap are refused: reductions there are not covered
-        by the confluence certificate."""
-        cache = self._nf_cache
-        got = cache.get(w)
+        A word beyond the cap first extends the completion to its length."""
+        got = self._nf_cache.get(w)
         if got is not None:
             return got
         if len(w) > self.cap:
-            raise CapExceeded(len(w), self.cap)
+            self._extend(len(w))
+        cache = self._nf_cache  # extension replaces the dict
         stack = [w]
         while stack:
             cur = stack[-1]
@@ -316,8 +315,7 @@ class RewriteSystem:
         return cache[w]
 
     def normal_form(self, p: NCPoly) -> NCPoly:
-        """Canonical representative of p in the quotient; a word longer than
-        the cap raises CapExceeded (from _nf_word)."""
+        """Canonical representative of p in the quotient."""
         terms: dict = {}
         for w, c in p.terms.items():
             add_terms(terms, ((x, c * cx) for x, cx in self._nf_word(w).items()))
@@ -331,7 +329,7 @@ class RewriteSystem:
     def normal_words(self, mu) -> list[tuple]:
         """All normal words of the given multidegree, sorted in deglex."""
         if sum(mu) > self.cap:
-            raise CapExceeded(sum(mu), self.cap)
+            self._extend(sum(mu))
         out = []
 
         def rec(prefix, rem):
@@ -362,6 +360,72 @@ class RewriteSystem:
         if any(x < 0 for x in mu):
             raise ValueError("multidegree must be nonnegative")
         return len(self.normal_words(mu))
+
+    # -- completion --------------------------------------------------------
+
+    def _add_rule(self, p: NCPoly, queue: list):
+        """Orient p into a rule and queue its overlaps of degree <= cap."""
+        lead, rhs = _make_rule(p)
+        # retire any rule whose lead the new lead divides, and re-reduce it
+        stale = [
+            old
+            for old in self.rules
+            if len(old) >= len(lead)
+            and any(old[k : k + len(lead)] == lead for k in range(len(old) - len(lead) + 1))
+        ]
+        retired = [NCPoly(self.n, {old: R_ONE}) - self.rules.pop(old) for old in stale]
+        self.rules[lead] = rhs
+        self._refresh_lengths()
+        self._nf_cache = {}
+        for other in self.rules:
+            pairs = [(lead, other)] if other == lead else [(lead, other), (other, lead)]
+            for la, lb in pairs:
+                for w in _overlaps(la, lb):
+                    if len(w) <= self.cap:
+                        heapq.heappush(queue, (len(w), w, la, lb))
+        for p_old in retired:
+            q = self.normal_form(p_old)
+            if q:
+                self._add_rule(q, queue)
+
+    def _resolve(self, queue: list):
+        """Resolve the queued overlaps (len, word, lead_a, lead_b) in (degree,
+        word) order, adding a rule for each one that does not close, then
+        tail-reduce every replacement for a canonical, serializable system."""
+        while queue:
+            _, w, la, lb = heapq.heappop(queue)
+            rule_a, rule_b = self.rules.get(la), self.rules.get(lb)
+            if rule_a is None or rule_b is None:
+                continue  # a participant was retired
+            # w = la + suffix = prefix + lb
+            left = self.normal_form(rule_a.rmul_word(w[len(la) :]))
+            right = self.normal_form(rule_b.lmul_word(w[: len(w) - len(lb)]))
+            diff = left - right
+            if diff:
+                self._add_rule(diff, queue)
+        self._nf_cache = {}
+        for lead in list(self.rules):
+            self.rules[lead] = self.normal_form(self.rules[lead])
+        self._nf_cache = {}
+
+    def _extend(self, degree: int):
+        """Complete through `degree`.  Completion through cap resolved every
+        overlap of degree <= cap, so only the overlaps of the current leads
+        with degree in (cap, degree] are new; the rules alone determine
+        them, so a system read from a cache file extends the same way."""
+        if degree > DEFAULT_CAP_BUDGET:
+            raise CapExceeded(degree)
+        # raise the cap first: resolving reduces words of up to `degree` letters
+        done, self.cap = self.cap, degree
+        queue = [
+            (len(w), w, la, lb)
+            for la in self.rules
+            for lb in self.rules
+            for w in _overlaps(la, lb)
+            if done < len(w) <= degree
+        ]
+        heapq.heapify(queue)
+        self._resolve(queue)
 
     # -- serialization ---------------------------------------------------
 
@@ -425,91 +489,34 @@ def _make_rule(p: NCPoly):
     return lead, NCPoly(p.n, {w: -(inv * x) for w, x in rest.items()})
 
 
-def complete(relations: list[NCPoly], degree_cap: int, n: int | None = None) -> RewriteSystem:
-    """Overlap completion of a homogeneous two-sided ideal, truncated by degree.
+def _overlaps(la, lb):
+    """The words la + lb[k:] in which a proper suffix of la is a proper
+    prefix of lb."""
+    for k in range(1, min(len(la), len(lb))):
+        if la[-k:] == lb[:k]:
+            yield la + lb[k:]
 
-    Processes overlap ambiguities in increasing (degree, word) order; any
-    ambiguity whose overlap word exceeds the cap is discarded, so the result
-    is confluent for all words of degree <= degree_cap.  Raises CapExceeded
-    when asked for a cap beyond the hard budget DEFAULT_CAP_BUDGET.
+
+def complete(relations: list[NCPoly], degree_cap: int, n: int | None = None) -> RewriteSystem:
+    """Overlap completion of a homogeneous two-sided ideal through degree
+    degree_cap, the system's initial degree (or its longest relation's).
+
+    Resolves every overlap ambiguity of degree <= degree_cap in increasing
+    (degree, word) order; the system extends itself past that on demand.
+    Raises CapExceeded beyond the budget DEFAULT_CAP_BUDGET.
     """
     if degree_cap > DEFAULT_CAP_BUDGET:
-        raise CapExceeded(degree_cap, DEFAULT_CAP_BUDGET)
-    if not relations:
-        return RewriteSystem(n if n is not None else 1, degree_cap)
-    n = relations[0].n
+        raise CapExceeded(degree_cap)
     relations = [rel for rel in relations if not rel.is_zero()]
+    rs = RewriteSystem(relations[0].n if relations else n or 1, degree_cap)
     for rel in relations:
         rel.multidegree()  # homogeneity check
-        if rel.degree() > degree_cap:
-            raise CapExceeded(rel.degree(), degree_cap)
-    if not relations:
-        return RewriteSystem(n, degree_cap)
-    rs = RewriteSystem(n, degree_cap)
-    queue: list = []  # (len, overlap word, lead_a, lead_b, split)
-
-    def add_overlaps(lead):
-        for other in rs.rules:
-            # suffix of `lead` meets prefix of `other`
-            for k in range(1, min(len(lead), len(other))):
-                if lead[-k:] == other[:k]:
-                    w = lead + other[k:]
-                    if len(w) <= degree_cap:
-                        heapq.heappush(queue, (len(w), w, lead, other))
-            if other == lead:
-                continue  # self-overlaps already covered above
-            for k in range(1, min(len(lead), len(other))):
-                if other[-k:] == lead[:k]:
-                    w = other + lead[k:]
-                    if len(w) <= degree_cap:
-                        heapq.heappush(queue, (len(w), w, other, lead))
-
-    def add_rule(p: NCPoly):
-        lead, rhs = _make_rule(p)
-        # retire any rule whose lead the new lead divides, and re-reduce it
-        stale = [
-            old
-            for old in rs.rules
-            if len(old) >= len(lead)
-            and any(old[k : k + len(lead)] == lead for k in range(len(old) - len(lead) + 1))
-        ]
-        retired = []
-        for old in stale:
-            retired.append(NCPoly(n, {old: R_ONE}) - rs.rules.pop(old))
-        rs.rules[lead] = rhs
-        rs._refresh_lengths()
-        rs._nf_cache = {}
-        add_overlaps(lead)
-        for p_old in retired:
-            q = rs.normal_form(p_old)
-            if q:
-                add_rule(q)
-
+    queue: list = []
     for rel in sorted(relations, key=lambda p: deglex_key(p.leading_word())):
         q = rs.normal_form(rel)
         if q:
-            add_rule(q)
-
-    while queue:
-        _, w, la, lb = heapq.heappop(queue)
-        rule_a = rs.rules.get(la)
-        rule_b = rs.rules.get(lb)
-        if rule_a is None or rule_b is None:
-            continue  # a participant was retired
-        # w = la + suffix = prefix + lb
-        suffix = w[len(la) :]
-        prefix = w[: len(w) - len(lb)]
-        left = rs.normal_form(rule_a.rmul_word(suffix))
-        right = rs.normal_form(rule_b.lmul_word(prefix))
-        diff = left - right
-        if diff:
-            add_rule(diff)
-
-    # tail-reduce replacements for a canonical, serializable system
-    rs._nf_cache = {}
-    for lead in list(rs.rules):
-        rs.rules[lead] = rs.normal_form(rs.rules[lead])
-    rs._nf_cache = {}
+            rs._add_rule(q, queue)
+    rs._resolve(queue)
     return rs
 
 
@@ -532,14 +539,11 @@ def audit_confluence(rs: RewriteSystem) -> list[tuple]:
                 failures.append((la, la, lb))
     for la in leads:
         for lb in leads:
-            for k in range(1, min(len(la), len(lb))):
-                if la[-k:] != lb[:k]:
-                    continue
-                w = la + lb[k:]
+            for w in _overlaps(la, lb):
                 if len(w) > rs.cap:
                     continue
-                left = rs.normal_form(rs.rules[la].rmul_word(lb[k:]))
-                right = rs.normal_form(rs.rules[lb].lmul_word(la[: len(la) - k]))
+                left = rs.normal_form(rs.rules[la].rmul_word(w[len(la) :]))
+                right = rs.normal_form(rs.rules[lb].lmul_word(w[: len(w) - len(lb)]))
                 if left != right:
                     failures.append((w, la, lb))
     return failures
@@ -549,7 +553,7 @@ def audit_confluence(rs: RewriteSystem) -> list[tuple]:
 # Shared, cached systems
 # ----------------------------------------------------------------------------
 
-# caps sized for the deepest computation each rank sees in the test suites
+# initial completion degrees; a system extends itself past them on demand
 DEFAULT_CAPS = {1: 10, 2: 10, 3: 10, 4: 10, 5: 10}
 
 _SYSTEMS: dict[tuple[int, int], RewriteSystem] = {}
@@ -560,7 +564,7 @@ def default_cap(n: int) -> int:
 
 
 def get_rewrite_system(n: int, cap: int | None = None) -> RewriteSystem:
-    """Process-wide cache of completed systems keyed by (rank, cap)."""
+    """Process-wide cache of completed systems keyed by (rank, initial degree)."""
     if cap is None:
         cap = default_cap(n)
     key = (n, cap)

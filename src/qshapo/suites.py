@@ -84,17 +84,16 @@ def _chain(I, n):
 # Commutation-relation suite
 # ----------------------------------------------------------------------------
 
-def _tails(n, heavy: bool, max_height: int):
+def _tails(n, heavy: bool):
     """Trailing PBW factors used to probe operator identities: the empty
-    tail, every single root vector, and (when heavy) all root-vector pairs,
-    capped in height so that products stay inside the rewrite cap."""
-    tails = [()]
-    roots = [r for r in positive_roots(n) if r[1] - r[0] <= max_height]
-    tails += [(r,) for r in roots]
+    tail, every single root vector, and (when heavy) the root-vector pairs
+    of height at most 4."""
+    roots = positive_roots(n)
+    tails = [()] + [(r,) for r in roots]
     if heavy:
         for a, b in itertools.combinations_with_replacement(roots, 2):
             mono = tuple(sorted((a, b)))
-            if sum(x[1] - x[0] for x in mono) <= min(4, max_height):
+            if sum(x[1] - x[0] for x in mono) <= 4:
                 tails.append(mono)
     return tails
 
@@ -110,11 +109,7 @@ def suite_section2(n: int, heavy: bool = False) -> list[dict]:
     """
     rs = get_rewrite_system(n)
     hw = HighestWeight.symbolic(n)
-    # the longest left factor is a height-n root vector; keep room for it
-    bases = [
-        (X, vector_from_ncpoly(expand_pbw(X, n), hw, rs))
-        for X in _tails(n, heavy, max_height=rs.cap - n)
-    ]
+    bases = [(X, vector_from_ncpoly(expand_pbw(X, n), hw, rs)) for X in _tails(n, heavy)]
     commute = "e_l commutes with f_ij for l not in {i, j-1}"
     upper_rule = "[e_i, f_ib] = q f_(i+1)b k_i^2"
     lower_rule = "[e_i, f_a(i+1)] = -1/q f_ai k_i^-2"
@@ -367,8 +362,6 @@ def suite_calculus(n: int, seed: int = 0) -> list[dict]:
     us += [rand_hom(3) for _ in range(3)]
     for u in us:
         for ell in range(0, 6):
-            if ell + u.degree() > rs.cap:
-                continue
             brute = rs.normal_form(NCPoly.word((beta,) * ell, n) * u)
             checks.check(name, rs.normal_form(fell_u_expand(ell, u, beta)) == brute)
 
@@ -420,8 +413,6 @@ def suite_section44(n: int, pmax: int = 3, doot: bool = True, seed: int = 0) -> 
         c_val = stretch_coeff(p)
         for J in enumerate_JJ(n):
             fJ = _chain(J, n)
-            if p + 1 + fJ.degree() > rs.cap:
-                continue
             J1, J2 = ends(J)
             lhs = rs.normal_form(fJ.lmul_word(F * (p + 1)))
             rhs = (_chain(J1, n) + _chain(J2, n).scale(c_val)).rmul_word(F * p).scale(V(p + 1))
@@ -434,8 +425,6 @@ def suite_section44(n: int, pmax: int = 3, doot: bool = True, seed: int = 0) -> 
     fJ = _chain(J, n)
     J1, J2 = ends(J)
     for p in range(1, pmax + 1):
-        if p + 1 + fJ.degree() > rs.cap:
-            continue
         coords = to_pbw(rs.normal_form(fJ.lmul_word(F * (p + 1))), rs)
         J1chain = f_monomial_of_index_set(J1) + ((n, n + 1),) * p
         J2chain = tuple(sorted(f_monomial_of_index_set(J2) + ((n, n + 1),) * p))
@@ -536,20 +525,29 @@ def suite_powers(
         )
 
     # submodule picture: theta times F^p on the reflected weight is again a
-    # highest weight vector, checked in the larger Verma module
+    # highest weight vector, checked in the larger Verma module; past the
+    # completed degree it would first extend the system (+21% time on the
+    # benchmark's level-m workload), so there it does not run and the
+    # report names those weights
     name = "theta F^p on the reflected weight is a highest weight vector"
-    checks.declare(name)
+    not_run = []
     for w, res in inductions:
         p = res.r_values[-1] if res.r_values else 0
         if p == 0 or n < 2:
             continue
         mu = res.chain[n - 1]
         theta_poly = from_pbw(res.coords, n)
-        if theta_poly.degree() + p > rs.cap:
+        degree = theta_poly.degree() + p
+        if degree > rs.cap:
+            not_run.append(f"lambda={w} (degree {degree} > completed degree {rs.cap})")
             continue
         hw_mu = HighestWeight.numeric(mu)
         vec = vector_from_ncpoly(theta_poly.rmul_word((n,) * p), hw_mu, rs)
         checks.check(name, is_hwv(vec, rs), f"lambda={w} p={p}")
+    if not_run:
+        checks.declare("theta F^p check not run at " + "; ".join(not_run))
+    else:
+        checks.declare(name)
     return checks.report()
 
 
@@ -612,7 +610,7 @@ SUITES = {
     "powers": lambda n, m, lam, samples, seed, **_: suite_powers(
         n, m, samples=samples, seed=seed, lam=lam
     ),
-    "pbw": lambda n, **_: suite_pbw(n, cap=min(8, get_rewrite_system(n).cap)),
+    "pbw": lambda n, **_: suite_pbw(n),
 }
 
 

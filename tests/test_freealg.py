@@ -103,11 +103,55 @@ def test_confluence_audit():
 
 
 def test_cap_errors():
-    rs = get_rewrite_system(2)
-    with pytest.raises(CapExceeded):
-        rs.normal_form(NCPoly(2, {(1,) * (rs.cap + 1): R_ONE}))
+    # a word past the completed degree extends the system to its length
+    rs = complete(serre_relations(2), 6, n=2)
+    word = NCPoly(2, {(2, 1) * 4: R_ONE})
+    assert rs.normal_form(word) == complete(serre_relations(2), 8, n=2).normal_form(word)
+    assert rs.cap == 8
     with pytest.raises(CapExceeded):
         complete(serre_relations(2), 40)
+
+
+@pytest.mark.parametrize(
+    "n, start, degree, trigger",
+    [
+        (2, 6, 14, "word"),
+        (3, 6, 12, "words"),
+        (4, 6, 12, "word"),
+        (4, 10, 14, "words"),
+        # one degree up: only the overlaps of exactly the new degree are new
+        (3, 4, 5, "word"),
+        (4, 6, 7, "words"),
+    ],
+)
+def test_extension_equals_direct_completion(n, start, degree, trigger):
+    # a system read from a file extends from its rules alone to the same
+    # rules that a completion straight to the larger degree finds
+    rs = RewriteSystem.from_text(complete(serre_relations(n), start, n=n).to_text())
+    if trigger == "word":
+        rs.normal_form(NCPoly(n, {tuple(k % n + 1 for k in range(degree)): R_ONE}))
+    else:
+        rs.normal_words((degree - n + 1,) + (1,) * (n - 1))
+    assert rs.cap == degree
+    assert rs.to_text() == complete(serre_relations(n), degree, n=n).to_text()
+    assert audit_confluence(rs) == []
+
+
+def test_caches_stay_valid_across_an_extension():
+    from qshapo.uqsl import jimbo, to_pbw
+
+    rs = complete(serre_relations(3), 6, n=3)
+    short = NCPoly(3, {(3, 2, 1, 3, 2, 1): R_ONE})
+    element = rs.normal_form(jimbo(1, 4, 3) * jimbo(1, 3, 3))
+    nf_before, pbw_before = rs.normal_form(short), to_pbw(element, rs)
+    long = (3, 2, 1) * 3
+    got = rs.normal_form(NCPoly(3, {long: R_ONE}))
+    assert rs.cap == 9
+    assert long in rs._nf_cache  # cached in the dict the extension left
+    direct = complete(serre_relations(3), 9, n=3)
+    assert got == direct.normal_form(NCPoly(3, {long: R_ONE}))
+    assert rs.normal_form(short) == nf_before == direct.normal_form(short)
+    assert to_pbw(element, rs) == pbw_before == to_pbw(element, direct)
 
 
 def test_serialization_round_trip():

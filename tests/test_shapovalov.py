@@ -2,7 +2,7 @@
 
 import pytest
 
-from qshapo.freealg import NCPoly, get_rewrite_system
+from qshapo.freealg import NCPoly, complete, get_rewrite_system, serre_relations
 from qshapo.roots import (
     alpha,
     dot_reflect,
@@ -204,6 +204,18 @@ def test_theta_power_highest_weight_and_induction_match():
             pi0 = tuple(sorted([(i, i + 1) for i in range(1, n + 1)] * m))
             inv = tp[pi0].inverse()
             assert {M: c * inv for M, c in tp.items()} == ind.normalized()
+
+
+def test_theta_power_past_the_initial_degree_matches_the_induction():
+    # the level-6 element at N = 2 has degree 12, and the induction reaches
+    # degree 14; the system completes itself that far from degree 6
+    rs = complete(serre_relations(2), 6, n=2)
+    lam = (7, -3)
+    tp = theta_power(2, 6, lam, rs)
+    ind = theta_inductive(2, 6, lam, rs)
+    assert rs.cap == 14
+    inv = tp[((1, 2),) * 6 + ((2, 3),) * 6].inverse()
+    assert {M: c * inv for M, c in tp.items()} == ind.normalized()
 
 
 def test_theta_times_F_power_is_hwv_in_bigger_module():
