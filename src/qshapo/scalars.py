@@ -8,9 +8,13 @@ Two scalar types live here:
   plain data comparison.  The power of q is kept out of the coefficient
   tuples, so a Laurent polynomial (every rewrite-rule coefficient and
   nearly every scalar of a numeric-weight computation) has den == (1,) and
-  adds and multiplies with no gcd at all.  True denominators, such as the
-  (q**4 - 1)**j that 1/(v - v**-1) brings in, go through Henrici's gcd
-  splitting, which only looks for the factors that can actually cancel.
+  adds and multiplies with no gcd at all.  True denominators go through
+  Henrici's gcd splitting, which only looks for the factors that can
+  actually cancel.  The (q**4 - 1)**j that 1/(v - v**-1) brings into a
+  symbolic-weight computation are cleared before a Q(q)-linear map runs:
+  ``common_denominator`` finds one multiple D of them, ``clear_denominator``
+  makes each input Laurent by exact division, and the outputs are
+  multiplied back by 1/D once.
   The square v = q**2 is used pervasively by the representation-theoretic
   formulas, so helpers for v-powers, quantum integers [r]_v and Gaussian
   binomial coefficients are provided alongside.
@@ -753,6 +757,48 @@ class WeightScalar:
 
     def __repr__(self):
         return f"WeightScalar({self})"
+
+
+# ----------------------------------------------------------------------------
+# Clearing denominators before a Q(q)-linear computation
+# ----------------------------------------------------------------------------
+
+def common_denominator(coeffs) -> tuple[int, ...]:
+    """A common multiple D in Z[q] of the denominators of the given RatQ or
+    WeightScalar values: their lcm up to an integer factor, and (1,) when
+    every value is a Laurent polynomial.  A denominator that divides D, or
+    that D divides, costs one exact division; a gcd runs only for a pair
+    where neither divides the other."""
+    D = P_ONE
+    seen = {P_ONE}
+    for c in coeffs:
+        for x in c.terms.values() if isinstance(c, WeightScalar) else (c,):
+            d = x.den
+            if d in seen:
+                continue
+            seen.add(d)
+            if _pdiv(d, D) is not None:
+                D = d
+            elif _pdiv(D, d) is None:
+                D = _pmul(D, _pdiv(d, _pgcd(D, d)))
+    return D
+
+
+def clear_denominator(c, D):
+    """D*c for a RatQ or WeightScalar c whose denominators all divide D: a
+    Laurent value, made by exact division with no gcd.  A linear map applied
+    to the cleared values and multiplied back by RatQ(1, D) gives its value
+    on the originals."""
+    if D == P_ONE:
+        return c
+    if isinstance(c, WeightScalar):
+        out = WeightScalar.__new__(WeightScalar)
+        out.n, out.prefix = c.n, c.prefix
+        out.terms = {e: clear_denominator(x, D) for e, x in c.terms.items()}
+        return out
+    if c.den == D:
+        return _raw(c.val, c.num, P_ONE)
+    return _raw(c.val, _pmul(c.num, D if c.den == P_ONE else _pdiv(D, c.den)), P_ONE)
 
 
 def qbinom_formal(i: int, prefix: str = "t") -> WeightScalar:

@@ -27,7 +27,15 @@ from __future__ import annotations
 
 from .freealg import NCPoly, RewriteSystem, get_rewrite_system, latex_document
 from .roots import alpha, dot_reflect, enumerate_II, eta_vec, pairing, r_of
-from .scalars import R_ONE, RatQ, add_terms, qint
+from .scalars import (
+    P_ONE,
+    R_ONE,
+    RatQ,
+    add_terms,
+    clear_denominator,
+    common_denominator,
+    qint,
+)
 from .uqsl import (
     H_cartan,
     f_monomial_of_index_set,
@@ -140,12 +148,19 @@ def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVec
     """Apply an evaluated element (PBW coordinates) to the highest weight
     vector: each PBW monomial's normal form is read from the PBW column
     cache of rs, scaled by its coordinate and added into one sum.  The
-    monomials must be in sorted PBW form."""
+    monomials must be in sorted PBW form.
+
+    The map is Q(q)-linear, so the coordinates are first multiplied by a
+    common denominator D (the (q**4 - 1)**j of the h_i at a symbolic
+    weight), the sum runs in Laurent arithmetic with no gcd, and each
+    output coefficient is multiplied back by 1/D once."""
+    D = common_denominator(coords.values())
     terms: dict = {}
     for pbw in sorted(coords):
-        c = coords[pbw]
+        c = clear_denominator(coords[pbw], D)
         add_terms(terms, ((w, hw.coerce(c * x)) for w, x in pbw_normal_form(pbw, rs).items()))
-    return VermaVector(hw, terms)
+    vec = VermaVector(hw, terms)
+    return vec if D == P_ONE else vec.scale(RatQ(1, D))
 
 
 # ----------------------------------------------------------------------------

@@ -27,7 +27,15 @@ from __future__ import annotations
 
 from .freealg import NCPoly, RewriteSystem, latex_document
 from .roots import cartan_entry, sigma_vec
-from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar, add_terms
+from .scalars import (
+    R_ONE,
+    V_MINUS_VINV,
+    RatQ,
+    WeightScalar,
+    add_terms,
+    clear_denominator,
+    common_denominator,
+)
 from .uqsl import H_cartan, h_cartan
 
 _VMV_INV = V_MINUS_VINV.inverse()
@@ -193,13 +201,21 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     (Y * v**-s - Y**-1 * v**s) / (v - 1/v) where Y = q**(2(lam, alpha_i))
     and s is the pairing of alpha_i with the multidegree of the suffix to
     the right of the deleted letter.
+
+    The action is Q(q)-linear, so the coefficients of vec are first
+    multiplied by a common denominator D: the shortened-word products and
+    the normal form then see only Laurent coefficients and run no gcd.  The
+    factor 1/D goes back on at the end together with 1/(v - 1/v), one
+    product per output coefficient and none for a zero result.
     """
     hw = vec.hw
+    D = common_denominator(vec.terms.values())
     Yp = hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(hw.n)))
     Ym = hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(hw.n)))
 
     def shortened():
         for w, c in vec.terms.items():
+            c = clear_denominator(c, D)
             for pos, letter in enumerate(w):
                 if letter == i:
                     s = sum(cartan_entry(i, x) for x in w[pos + 1 :])
@@ -207,9 +223,7 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
                     yield w[:pos] + w[pos + 1 :], scal * c
 
     short = NCPoly._raw(vec.n, add_terms({}, shortened()))
-    # the common factor 1/(v - 1/v) goes on after the normal form, so the
-    # products inside it keep Laurent coefficients
-    return vector_from_ncpoly(short, hw, rs).scale(_VMV_INV)
+    return vector_from_ncpoly(short, hw, rs).scale(_VMV_INV / RatQ(D))
 
 
 def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:

@@ -13,9 +13,12 @@ from qshapo.scalars import (
     RatQ,
     WeightScalar,
     _pcontent,
+    _pdiv,
     _pgcd,
     _pmul,
     add_terms,
+    clear_denominator,
+    common_denominator,
     qbinom,
     qbinom_formal,
     qint,
@@ -435,3 +438,98 @@ def test_ratq_against_sympy(a, c):
     assert (a * b).dense() == _sympy_canonical(an * bn, ad * bd)
     if b:
         assert (a / b).dense() == _sympy_canonical(an * bd, ad * bn)
+
+
+# ----------------------------------------------------------------------------
+# Common denominators: clear, compute in Laurent arithmetic, restore
+# ----------------------------------------------------------------------------
+
+Q4M1 = (-1, 0, 0, 0, 1)  # q**4 - 1, the denominator 1/(v - 1/v) brings in
+COPRIME = (1, 1, 0, 1)  # 1 + q + q**3, coprime to q**4 - 1
+
+
+def _ppow(a, j):
+    out = (1,)
+    for _ in range(j):
+        out = _pmul(out, a)
+    return out
+
+
+def _assert_clears(coeffs, D):
+    """D is a multiple of every denominator, each cleared value is a
+    Laurent polynomial, and multiplying back by 1/D gives the value."""
+    back = RatQ(1, D)
+    for c in coeffs:
+        xs = c.terms.values() if isinstance(c, WeightScalar) else [c]
+        assert all(_pdiv(D, x.den) is not None for x in xs)
+        cleared = clear_denominator(c, D)
+        ys = cleared.terms.values() if isinstance(c, WeightScalar) else [cleared]
+        assert all(y.den == (1,) for y in ys)
+        assert cleared * back == c
+
+
+def test_common_denominator_of_nothing_or_laurent_values_is_one():
+    assert common_denominator([]) == (1,)
+    laurent = [R_ONE, RatQ.q_power(-3), RatQ((2, 0, -1)), -RatQ.v_power(5)]
+    assert common_denominator(laurent) == (1,)
+    for c in laurent:
+        assert clear_denominator(c, (1,)) is c
+
+
+def test_common_denominator_of_a_divisibility_chain_runs_no_gcd(monkeypatch):
+    # q**k / (q**4 - 1)**j, the shape of the h_i products at a symbolic weight
+    coeffs = [RatQ((0,) * k + (1,), _ppow(Q4M1, j))
+              for k, j in [(1, 2), (0, 1), (3, 4), (2, 3), (0, 4), (5, 0)]]
+
+    def no_gcd(*args):
+        raise AssertionError("gcd run on a divisibility chain")
+
+    import qshapo.scalars as scalars
+
+    monkeypatch.setattr(scalars, "_pgcd", no_gcd)
+    monkeypatch.setattr(scalars, "_pcancel", no_gcd)
+    D = common_denominator(coeffs)
+    assert D == _ppow(Q4M1, 4)
+    cleared = [clear_denominator(c, D) for c in coeffs]
+    monkeypatch.undo()
+    assert all(x.den == (1,) for x in cleared)
+    _assert_clears(coeffs, D)
+
+
+def test_common_denominator_of_a_coprime_pair_is_their_product():
+    coeffs = [RatQ((1,), Q4M1), RatQ((0, 3), COPRIME), RatQ((2, 1), _pmul(Q4M1, Q4M1))]
+    D = common_denominator(coeffs)
+    assert D == _pmul(_pmul(Q4M1, Q4M1), COPRIME)
+    _assert_clears(coeffs, D)
+
+
+def test_common_denominator_skips_zero_coefficients():
+    coeffs = [R_ZERO, RatQ((1,), Q4M1), R_ZERO]
+    D = common_denominator(coeffs)
+    assert D == Q4M1
+    assert clear_denominator(R_ZERO, D) == R_ZERO
+    _assert_clears(coeffs, D)
+
+
+def test_common_denominator_of_weight_scalars():
+    a = WeightScalar(2, {(1, 0): RatQ((1,), Q4M1), (0, -2): RatQ.q_power(3)})
+    b = WeightScalar(2, {(0, 0): RatQ((0, 0, 1), _pmul(Q4M1, COPRIME))})
+    coeffs = [a, RatQ((1,), _pmul(Q4M1, Q4M1)), b, WeightScalar.zero(2)]
+    D = common_denominator(coeffs)
+    assert D == _pmul(_pmul(Q4M1, Q4M1), COPRIME)
+    _assert_clears(coeffs, D)
+    cleared = clear_denominator(a, D)
+    assert (cleared.n, cleared.prefix, set(cleared.terms)) == (2, "y", set(a.terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_field_ratqs, max_size=5))
+def test_clear_and_restore_round_trip(coeffs):
+    D = common_denominator(coeffs)
+    _assert_clears(coeffs, D)
+    # the result of a linear map on the cleared values, restored, is the
+    # map on the originals
+    total = R_ZERO
+    for c in coeffs:
+        total = total + clear_denominator(c, D)
+    assert total * RatQ(1, D) == sum(coeffs, R_ZERO)

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshapo.freealg import NCPoly, get_rewrite_system
-from qshapo.scalars import R_ONE, RatQ, WeightScalar, qint
-from qshapo.uqsl import expand_pbw, h_cartan, jimbo
+from qshapo.roots import cartan_entry
+from qshapo.scalars import R_ONE, RatQ, WeightScalar, add_terms, qint
+from qshapo.shapovalov import theta_sum, theta_vector
+from qshapo.uqsl import expand_pbw, h_cartan, jimbo, pbw_monomials, pbw_normal_form
 from qshapo.verma import (
     HighestWeight,
     H_eval,
@@ -321,3 +323,117 @@ def test_hyperplane_constraint_mode():
     rs = get_rewrite_system(2)
     vec = vector_from_ncpoly(expand_pbw(((1, 3),), 2), hw, rs)
     assert all(e[1] == 0 for w, c in vec.terms.items() for e in c.terms)
+
+
+# ----------------------------------------------------------------------------
+# act_e and theta_vector against their formulas with the denominators kept
+# ----------------------------------------------------------------------------
+
+def act_e_unhoisted(i, vec, rs):
+    """The raising action with every coefficient carried as it is: each
+    shortened word scaled by (Y v**-s - Y**-1 v**s)/(v - 1/v) directly."""
+    hw = vec.hw
+    Yp = hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(hw.n)))
+    Ym = hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(hw.n)))
+    short = {}
+    for w, c in vec.terms.items():
+        for pos, letter in enumerate(w):
+            if letter == i:
+                s = sum(cartan_entry(i, x) for x in w[pos + 1:])
+                scal = (Yp * V(-s) - Ym * V(s)) * VMV.inverse()
+                add_terms(short, [(w[:pos] + w[pos + 1:], scal * c)])
+    return vector_from_ncpoly(NCPoly(vec.n, short), hw, rs)
+
+
+def theta_vector_unhoisted(coords, hw, rs):
+    terms = {}
+    for pbw, c in coords.items():
+        add_terms(terms, ((w, hw.coerce(c * x)) for w, x in pbw_normal_form(pbw, rs).items()))
+    return VermaVector(hw, terms)
+
+
+Q4M1 = (-1, 0, 0, 0, 1)  # q**4 - 1
+COPRIME = (1, 1, 0, 1)  # 1 + q + q**3
+
+
+@st.composite
+def mixed_ratqs(draw):
+    """q**k * a/b with b a power of q**4 - 1, that power times a coprime
+    factor, or 1."""
+    j = draw(st.integers(0, 3))
+    den = RatQ(Q4M1) ** j
+    if draw(st.booleans()):
+        den = den * RatQ(COPRIME)
+    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+    return RatQ(tuple(num)) * Q(draw(st.integers(-3, 3))) / den
+
+
+@st.composite
+def weight_and_scalars(draw):
+    """A weight of rank 2..4 (numeric, symbolic or on the hyperplane) and a
+    strategy for scalars of that weight with mixed denominators."""
+    n = draw(st.integers(2, 4))
+    mode = draw(st.sampled_from(["numeric", "symbolic", "hyperplane"]))
+    if mode == "numeric":
+        hw = HighestWeight.numeric(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        return n, hw, mixed_ratqs()
+    hw = HighestWeight.symbolic(n, hyperplane_m=1 if mode == "hyperplane" else None)
+
+    @st.composite
+    def scalar(draw2):
+        exps = draw2(st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple),
+            min_size=1, max_size=3,
+        ))
+        out = hw.zero()
+        for e in exps:
+            out = out + hw.k_eigen(e) * draw2(mixed_ratqs())
+        return out
+
+    return n, hw, scalar()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_act_e_matches_the_unhoisted_formula(data):
+    n, hw, scalars = data.draw(weight_and_scalars())
+    rs = get_rewrite_system(n)
+    words = data.draw(
+        st.lists(st.lists(st.integers(1, n), max_size=4).map(tuple), min_size=1, max_size=4)
+    )
+    p = NCPoly(n, {w: data.draw(scalars) for w in words})
+    vec = vector_from_ncpoly(p, hw, rs)
+    for i in range(1, n + 1):
+        assert act_e(i, vec, rs) == act_e_unhoisted(i, vec, rs), (hw.mode, words, i)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_theta_vector_matches_the_unhoisted_sum(data):
+    n, hw, scalars = data.draw(weight_and_scalars())
+    rs = get_rewrite_system(n)
+    mu = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    monos = pbw_monomials(mu, n)
+    chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    coords = {M: data.draw(scalars) for M in chosen}
+    assert theta_vector(coords, hw, rs) == theta_vector_unhoisted(coords, hw, rs), (mu, coords)
+
+
+def test_raising_the_free_theta_vector_pins_the_divided_back_witness():
+    # e_3 does not kill theta*v at the unconstrained weight of N = 3; the
+    # nonzero result is the one output of act_e that is multiplied back by
+    # its common denominator, so its canonical form is pinned here
+    rs = get_rewrite_system(3)
+    free = HighestWeight.symbolic(3)
+    vec = theta_vector(theta_sum(3).evaluate(free), free, rs)
+    e = act_e(3, vec, rs)
+    a = (
+        "(-1/(q^14-2q^10+q^6))*y1^-8*y2^-4*y3^-2 + (1/(q^14-2q^10+q^6))*y1^-4*y2^-4*y3^-2"
+        " + (q^2/(q^8-2q^4+1))*y1^-4*y3^2 + (-q^2/(q^8-2q^4+1))*y3^2"
+    )
+    b = (
+        "(1/(q^16-2q^12+q^8))*y1^-8*y2^-4*y3^-2 + (-1/(q^12-2q^8+q^4))*y1^-4*y2^-4*y3^-2"
+        " + (-1/(q^8-2q^4+1))*y1^-4*y3^2 + (q^4/(q^8-2q^4+1))*y3^2"
+    )
+    assert [(w, str(c)) for w, c in e.sorted_terms()] == [((1, 2), a), ((2, 1), b)]
+    assert str(e) == f"({a})*f1*f2v + ({b})*f2*f1v"
