@@ -9,7 +9,7 @@ raising direction leaves a nonzero witness there.
 
 from qshapo.freealg import get_rewrite_system
 from qshapo.roots import sample_dominant_chain
-from qshapo.shapovalov import theta_inductive, theta_power, theta_sum, theta_vector
+from qshapo.shapovalov import pi0_monomial, theta_inductive, theta_power, theta_vector
 from qshapo.suites import run_suite
 from qshapo.verma import HighestWeight, act_e, is_hwv
 
@@ -25,8 +25,7 @@ print("  product of level-one factors is a highest weight vector:", is_hwv(vec, 
 print("  its weight sits m*eta below the top:", vec.weight_offset())
 
 ind = theta_inductive(n, m, lam, rs)
-pi0 = tuple(sorted([(i, i + 1) for i in range(1, n + 1)] * m))
-inv = tp[pi0].inverse()
+inv = tp[pi0_monomial(n, m)].inverse()
 print(
     "  normalized product == normalized induction:",
     {M: c * inv for M, c in tp.items()} == ind.normalized(),

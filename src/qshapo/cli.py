@@ -3,15 +3,14 @@ manage the on-disk rewrite-system cache.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid weight
 (including a --lambda off the hyperplane (lam + rho, eta) = m where the
-element needs it) or arguments, 3 a computation needs completion beyond the
-budget DEFAULT_CAP_BUDGET (the message names the degree and the budget), 4
-an internal inconsistency (a singular PBW system, a failed right division,
-an ad_F iterate that does not vanish, or a construction result its
-derivation rules out).  A cache file that fails to parse, has the wrong
-header or leaves a Serre relation nonzero is rebuilt with a warning; one
-that is wrong in another way can still cause exit 4.
-Output is deterministic for a fixed argument vector (sampling is seeded,
-never wall-clock)."""
+element needs it) or arguments, 4 an internal inconsistency (a singular PBW
+system, a failed right division, an ad_F iterate that does not vanish, or a
+construction result its derivation rules out).  No degree is refused: the
+rewriting system completes itself as far as a computation needs.  A cache
+file that fails to parse, has the wrong header or leaves a Serre relation
+nonzero is rebuilt with a warning; one that is wrong in another way can
+still cause exit 4.  Output is deterministic for a fixed argument vector
+(sampling is seeded, never wall-clock)."""
 
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ from pathlib import Path
 from . import freealg
 from .freealg import (
     CacheCorrupt,
-    CapExceeded,
     RewriteSystem,
     complete,
     default_cap,
@@ -118,10 +116,10 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
 
 
 def _register_system(n: int, cap: int, cache_dir: Path) -> RewriteSystem:
-    """Load (or build) the system and make it the process-wide default so
-    downstream code picks it up."""
+    """Load (or build) the system and make it the rank's process-wide
+    system so downstream code picks it up."""
     rs, _ = load_or_build(n, cap, cache_dir)
-    freealg._SYSTEMS[(n, cap)] = rs
+    freealg._SYSTEMS[n] = rs
     return rs
 
 
@@ -296,9 +294,6 @@ def main(argv=None) -> int:
             return cmd_verify(cfg)
         if cfg.command == "cache":
             return cmd_cache(cfg)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (WeightError, InductionPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

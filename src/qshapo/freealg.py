@@ -9,8 +9,9 @@ it directly.  The Serre relations are homogeneous in the multidegree (the
 letter-count vector), every rewrite preserves multidegree, and completion
 through degree D resolves all overlap ambiguities of degree <= D, which
 certifies that normal forms are canonical in those degrees.  A system
-extends its completion to the length of any longer word it meets, up to the
-budget DEFAULT_CAP_BUDGET.  Zero-testing in the quotient is normal_form(p) == 0.
+extends its completion to the length of any longer word it meets; no degree
+is refused, only the cost grows with it.  Zero-testing in the quotient is
+normal_form(p) == 0.
 """
 
 from __future__ import annotations
@@ -21,17 +22,6 @@ from io import StringIO
 from .scalars import R_ONE, RatQ, add_terms
 
 FORMAT_VERSION = "qshapo-rws-v1"
-DEFAULT_CAP_BUDGET = 16
-
-
-class CapExceeded(Exception):
-    """A computation needs completion beyond the budget DEFAULT_CAP_BUDGET."""
-
-    def __init__(self, needed: int):
-        self.needed = needed
-        super().__init__(
-            f"degree {needed} exceeds the completion budget {DEFAULT_CAP_BUDGET}"
-        )
 
 
 class CacheCorrupt(Exception):
@@ -413,8 +403,6 @@ class RewriteSystem:
         overlap of degree <= cap, so only the overlaps of the current leads
         with degree in (cap, degree] are new; the rules alone determine
         them, so a system read from a cache file extends the same way."""
-        if degree > DEFAULT_CAP_BUDGET:
-            raise CapExceeded(degree)
         # raise the cap first: resolving reduces words of up to `degree` letters
         done, self.cap = self.cap, degree
         queue = [
@@ -503,10 +491,7 @@ def complete(relations: list[NCPoly], degree_cap: int, n: int | None = None) -> 
 
     Resolves every overlap ambiguity of degree <= degree_cap in increasing
     (degree, word) order; the system extends itself past that on demand.
-    Raises CapExceeded beyond the budget DEFAULT_CAP_BUDGET.
     """
-    if degree_cap > DEFAULT_CAP_BUDGET:
-        raise CapExceeded(degree_cap)
     relations = [rel for rel in relations if not rel.is_zero()]
     rs = RewriteSystem(relations[0].n if relations else n or 1, degree_cap)
     for rel in relations:
@@ -556,7 +541,7 @@ def audit_confluence(rs: RewriteSystem) -> list[tuple]:
 # initial completion degrees; a system extends itself past them on demand
 DEFAULT_CAPS = {1: 10, 2: 10, 3: 10, 4: 10, 5: 10}
 
-_SYSTEMS: dict[tuple[int, int], RewriteSystem] = {}
+_SYSTEMS: dict[int, RewriteSystem] = {}
 
 
 def default_cap(n: int) -> int:
@@ -564,12 +549,14 @@ def default_cap(n: int) -> int:
 
 
 def get_rewrite_system(n: int, cap: int | None = None) -> RewriteSystem:
-    """Process-wide cache of completed systems keyed by (rank, initial degree)."""
-    if cap is None:
-        cap = default_cap(n)
-    key = (n, cap)
-    rs = _SYSTEMS.get(key)
+    """The rank's process-wide system: completed through `cap` (default
+    default_cap(n)) when the rank is new, otherwise extended in place to at
+    least `cap`, so one process holds one completion (and one set of
+    normal-form and PBW caches) per rank."""
+    rs = _SYSTEMS.get(n)
     if rs is None:
-        rs = complete(serre_relations(n), cap)
-        _SYSTEMS[key] = rs
+        cap = default_cap(n) if cap is None else cap
+        rs = _SYSTEMS[n] = complete(serre_relations(n), cap, n=n)
+    elif cap is not None and cap > rs.cap:
+        rs._extend(cap)
     return rs

@@ -595,6 +595,14 @@ class WeightScalar:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _raw(cls, n, terms, prefix):
+        """A WeightScalar holding `terms` as given: no check and no copy, so
+        the terms must have the right length and no zero coefficient."""
+        self = object.__new__(cls)
+        self.n, self.terms, self.prefix = n, terms, prefix
+        return self
+
+    @classmethod
     def zero(cls, n: int, prefix: str = "y") -> "WeightScalar":
         return cls(n, {}, prefix)
 
@@ -625,18 +633,13 @@ class WeightScalar:
             return NotImplemented
         self._assert_compatible(other)
         terms = add_terms(dict(self.terms), other.terms.items())
-        out = WeightScalar.__new__(WeightScalar)
-        out.n, out.terms, out.prefix = self.n, terms, self.prefix
-        return out
+        return WeightScalar._raw(self.n, terms, self.prefix)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = WeightScalar.__new__(WeightScalar)
-        out.n = self.n
-        out.prefix = self.prefix
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        terms = {e: -c for e, c in self.terms.items()}
+        return WeightScalar._raw(self.n, terms, self.prefix)
 
     def __sub__(self, other):
         if isinstance(other, (RatQ, int)):
@@ -654,10 +657,8 @@ class WeightScalar:
                 other = RatQ.from_int(other)
             if not other.num:
                 return WeightScalar.zero(self.n, self.prefix)
-            out = WeightScalar.__new__(WeightScalar)
-            out.n, out.prefix = self.n, self.prefix
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            terms = {e: c * other for e, c in self.terms.items()}
+            return WeightScalar._raw(self.n, terms, self.prefix)
         if not isinstance(other, WeightScalar):
             return NotImplemented
         self._assert_compatible(other)
@@ -669,9 +670,7 @@ class WeightScalar:
                 for e2, c2 in other.terms.items()
             ),
         )
-        out = WeightScalar.__new__(WeightScalar)
-        out.n, out.terms, out.prefix = self.n, terms, self.prefix
-        return out
+        return WeightScalar._raw(self.n, terms, self.prefix)
 
     __rmul__ = __mul__
 
@@ -728,10 +727,7 @@ class WeightScalar:
                     e = tuple(x - d for x in e[: n - 1]) + (0,)
                 yield e, c
 
-        terms = add_terms({}, moved())
-        out = WeightScalar.__new__(WeightScalar)
-        out.n, out.terms, out.prefix = n, terms, self.prefix
-        return out
+        return WeightScalar._raw(n, add_terms({}, moved()), self.prefix)
 
     # -- rendering -----------------------------------------------------------
 
@@ -792,10 +788,8 @@ def clear_denominator(c, D):
     if D == P_ONE:
         return c
     if isinstance(c, WeightScalar):
-        out = WeightScalar.__new__(WeightScalar)
-        out.n, out.prefix = c.n, c.prefix
-        out.terms = {e: clear_denominator(x, D) for e, x in c.terms.items()}
-        return out
+        terms = {e: clear_denominator(x, D) for e, x in c.terms.items()}
+        return WeightScalar._raw(c.n, terms, c.prefix)
     if c.den == D:
         return _raw(c.val, c.num, P_ONE)
     return _raw(c.val, _pmul(c.num, D if c.den == P_ONE else _pdiv(D, c.den)), P_ONE)

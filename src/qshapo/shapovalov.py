@@ -66,6 +66,12 @@ class InconsistentResult(Exception):
     rewrite system or the code is inconsistent."""
 
 
+def pi0_monomial(n: int, m: int) -> tuple:
+    """The sorted PBW monomial f_{1,2}^m ... f_{N,N+1}^m, whose coefficient
+    normalizes a level-m element."""
+    return tuple((i, i + 1) for i in range(1, n + 1) for _ in range(m))
+
+
 # ----------------------------------------------------------------------------
 # The closed sum form
 # ----------------------------------------------------------------------------
@@ -94,9 +100,6 @@ class ShapoElement:
             if c:
                 out[pbw] = c
         return out
-
-    def pi0_monomial(self):
-        return tuple((i, i + 1) for i in range(1, self.n + 1)) * self.m
 
     # -- rendering --------------------------------------------------------
 
@@ -300,10 +303,7 @@ def theta_inductive(
         lifted = conj.lmul_poly(NCPoly.word((i,) * m, n))
         theta = lifted.to_ncpoly(rs)  # NotRightDivisible here = genuine bug
     coords = to_pbw(theta, rs)
-    pi0_mono = tuple(
-        sorted(((i, i + 1) for i in range(1, n + 1) for _ in range(m)))
-    )
-    pi0 = coords.get(pi0_mono)
+    pi0 = coords.get(pi0_monomial(n, m))
     if pi0 is None:
         raise InconsistentResult("leading monomial missing from induction result")
     return InductiveTheta(n, m, lam, chain, r_values, coords, pi0)

@@ -36,6 +36,7 @@ from .shapovalov import (
     InductionPreconditionError,
     compare_doot,
     make_doot_weight,
+    pi0_monomial,
     theta_inductive,
     theta_power,
     theta_sum,
@@ -510,12 +511,11 @@ def suite_powers(
         other = "closed sum" if m == 1 else f"level-{m} product"
         match_name = f"normalized induction equals the {other} ({len(inductions)} weights)"
         checks.declare(pi0_name, match_name)
-        pi0_mono = tuple(sorted([(i, i + 1) for i in range(1, n + 1)] * m))
         for w, res in inductions:
             checks.check(pi0_name, res.pi0 == res.predicted_pi0(), f"lambda={w}")
             expect = elements[w]
             if m > 1:
-                inv = expect[pi0_mono].inverse()
+                inv = expect[pi0_monomial(n, m)].inverse()
                 expect = {M: c * inv for M, c in expect.items()}
             checks.check(match_name, res.normalized() == expect, f"lambda={w}")
     if skipped:

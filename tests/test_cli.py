@@ -99,15 +99,16 @@ def test_theta_inductive_matches_sum_via_cli(capsys, tmp_path):
     assert a == b
 
 
-def test_cap_exhaustion_exit_3(capsys, tmp_path):
-    # the level-9 element at N = 2 has degree 18, past the completion budget
-    code, _, err = run_cli(
+def test_theta_power_of_degree_18_exits_0(capsys, tmp_path):
+    # the level-9 element at N = 2 has degree 18; the system completes
+    # itself that far from its cached degree 10, and no degree is refused
+    code, out, err = run_cli(
         capsys,
         "theta", "--n", "2", "--m", "9", "--method", "power", "--lambda", "5,2",
         "--cache-dir", str(tmp_path),
     )
-    assert code == 3
-    assert err == "error: degree 18 exceeds the completion budget 16\n"
+    assert (code, err) == (0, "")
+    assert out.startswith("(q^72)·" + "f[1,2]" * 9 + "f[2,3]" * 9 + " + ")
 
 
 def test_verify_hwv_cli(capsys, tmp_path):

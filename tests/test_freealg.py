@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshapo import freealg
 from qshapo.freealg import (
     CacheCorrupt,
-    CapExceeded,
     NCPoly,
     RewriteSystem,
     audit_confluence,
@@ -108,8 +108,22 @@ def test_cap_errors():
     word = NCPoly(2, {(2, 1) * 4: R_ONE})
     assert rs.normal_form(word) == complete(serre_relations(2), 8, n=2).normal_form(word)
     assert rs.cap == 8
-    with pytest.raises(CapExceeded):
-        complete(serre_relations(2), 40)
+    # no degree is refused: past the completed leads, completion adds nothing
+    far = complete(serre_relations(2), 40)
+    assert far.cap == 40
+    assert far.rules == complete(serre_relations(2), 6, n=2).rules
+
+
+def test_one_system_per_rank(monkeypatch):
+    # a larger degree extends the rank's system in place; a smaller one
+    # leaves it as it is
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    rs = get_rewrite_system(3)
+    assert rs is get_rewrite_system(3, 12)
+    assert rs.cap == 12
+    assert rs.to_text() == complete(serre_relations(3), 12, n=3).to_text()
+    assert get_rewrite_system(3, 6) is rs and rs.cap == 12
+    assert list(freealg._SYSTEMS) == [3]
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from qshapo.shapovalov import (
     WeightError,
     compare_doot,
     make_doot_weight,
+    pi0_monomial,
     theta_det,
     theta_inductive,
     theta_power,
@@ -51,7 +52,7 @@ def test_theta_sum_structure():
     # normalization: the all-simple chain carries the identity Cartan part
     for n in range(1, 6):
         t = theta_sum(n)
-        lead = [H for pbw, _, H in t.terms if pbw == t.pi0_monomial()]
+        lead = [H for pbw, _, H in t.terms if pbw == pi0_monomial(n, 1)]
         assert len(lead) == 1
         assert lead[0] == WeightScalar.one(n, "k")
 
@@ -97,7 +98,7 @@ def test_theta_det_pi0_coefficient_is_one():
     for n in range(1, 6):
         hw = HighestWeight.symbolic(n)
         got = theta_det(n, hw)
-        assert got[theta_sum(n).pi0_monomial()] == hw.one()
+        assert got[pi0_monomial(n, 1)] == hw.one()
 
 
 def test_theta_vector_weight():
@@ -183,7 +184,9 @@ def _power_by_free_product(n, m, lam, rs):
 
 
 @pytest.mark.parametrize(
-    "n, m, cap, count", [(3, 3, None, 2), (4, 2, None, 2), (4, 3, 12, 1)]
+    "n, m, cap, count",
+    # (2, 9) has degree 18: the system completes itself that far
+    [(3, 3, None, 2), (4, 2, None, 2), (4, 3, 12, 1), (2, 9, None, 1)],
 )
 def test_theta_power_equals_the_unreduced_product(n, m, cap, count):
     rs = get_rewrite_system(n, cap)
@@ -201,8 +204,7 @@ def test_theta_power_highest_weight_and_induction_match():
             assert is_hwv(vec, rs)
             assert vec.weight_offset() == tuple(m for _ in range(n))
             ind = theta_inductive(n, m, lam, rs)
-            pi0 = tuple(sorted([(i, i + 1) for i in range(1, n + 1)] * m))
-            inv = tp[pi0].inverse()
+            inv = tp[pi0_monomial(n, m)].inverse()
             assert {M: c * inv for M, c in tp.items()} == ind.normalized()
 
 
@@ -214,7 +216,7 @@ def test_theta_power_past_the_initial_degree_matches_the_induction():
     tp = theta_power(2, 6, lam, rs)
     ind = theta_inductive(2, 6, lam, rs)
     assert rs.cap == 14
-    inv = tp[((1, 2),) * 6 + ((2, 3),) * 6].inverse()
+    inv = tp[pi0_monomial(2, 6)].inverse()
     assert {M: c * inv for M, c in tp.items()} == ind.normalized()
 
 

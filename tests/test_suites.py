@@ -15,7 +15,7 @@ def test_suite_powers_level_three():
 def test_suite_powers_names_the_f_power_checks_it_does_not_run(monkeypatch):
     # at this weight p = 4, so theta F^p has degree 12, past the default
     # degree 10 of N = 4: the check does not run and must not pass vacuously
-    monkeypatch.setitem(freealg._SYSTEMS, (4, 10), complete(serre_relations(4), 10, n=4))
+    monkeypatch.setitem(freealg._SYSTEMS, 4, complete(serre_relations(4), 10, n=4))
     report = suite_powers(4, 2, lam=(2, 1, 0, -5))
     names = [entry["check"] for entry in report]
     assert F_P not in names
