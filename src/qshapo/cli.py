@@ -7,10 +7,11 @@ element needs it) or arguments, 4 an internal inconsistency (a singular PBW
 system, a failed right division, an ad_F iterate that does not vanish, or a
 construction result its derivation rules out).  No degree is refused: the
 rewriting system completes itself as far as a computation needs.  A cache
-file that fails to parse, has the wrong header or leaves a Serre relation
-nonzero is rebuilt with a warning; one that is wrong in another way can
-still cause exit 4.  Output is deterministic for a fixed argument vector
-(sampling is seeded, never wall-clock)."""
+file that fails to parse, has the wrong header, has one leading word inside
+another or leaves a Serre relation nonzero is rebuilt with a warning; one
+that is wrong in another way can still cause exit 4.  Output is
+deterministic for a fixed argument vector (sampling is seeded, never
+wall-clock)."""
 
 from __future__ import annotations
 
@@ -83,8 +84,9 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
     """Return (system, status) with status in built/loaded/rebuilt.  The
     cap is the system's initial degree; the system extends itself beyond it.
 
-    A loaded system is trusted only if its header matches and every Serre
-    relation reduces to 0 in it; otherwise it is rebuilt with a warning.
+    A loaded system is trusted only if it passes the checks of
+    RewriteSystem.from_text, its header matches and every Serre relation
+    reduces to 0 in it; otherwise it is rebuilt with a warning.
     The cache file is written to a temp file beside it and moved into place,
     so a concurrent run reads either the old file or the whole new one."""
     path = cache_path(cache_dir, n, cap)

@@ -12,6 +12,13 @@ certifies that normal forms are canonical in those degrees.  A system
 extends its completion to the length of any longer word it meets; no degree
 is refused, only the cost grows with it.  Zero-testing in the quotient is
 normal_form(p) == 0.
+
+No lead is a factor of another, so one Aho-Corasick automaton over the leads
+(Aho and Corasick, CACM 18, 1975) finds the leftmost reducible factor of a
+word in one left-to-right scan, and prunes the enumeration of normal words
+as it grows them.  Single-word normal forms are cached as dicts that are
+shared between words (a commutation rewrite stores its child's dict) and
+never mutated once cached.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from io import StringIO
 from .scalars import R_ONE, RatQ, add_terms
 
 FORMAT_VERSION = "qshapo-rws-v1"
+R_MINUS_ONE = -R_ONE
 
 
 class CacheCorrupt(Exception):
@@ -240,13 +248,26 @@ class RewriteSystem:
     ``cap`` is the degree completed so far; a longer word first extends the
     completion to its length.  That adds only rules with longer leads, so
     normal forms are pure and cached ones (and PBW columns) stay valid.
+
+    No lead is a factor of another (completion retires any lead a new one
+    divides, and ``from_text`` refuses a file that breaks this).  So a lead
+    is never a proper prefix of another, and ``_delta``, the Aho-Corasick
+    automaton over the leads, needs no state past a lead: its states are the
+    proper prefixes of leads, 0 the empty one, and ``_delta[s][a]`` is the
+    state after reading letter a, or -k when that letter completes a lead of
+    k letters.  The first lead to end in a word is then also the leftmost.
+    ``_rhs`` holds each replacement as (word, coefficient, unit) triples,
+    unit being 1 or -1 for a coefficient of +-1 and 0 otherwise.  A dict in
+    ``_nf_cache`` may be shared by several words and is never mutated;
+    ``normal_form``, its only reader, builds a new dict.
     """
 
     def __init__(self, n: int, cap: int):
         self.n = n
         self.cap = cap
         self.rules: dict[tuple, NCPoly] = {}
-        self._lead_lengths: tuple[int, ...] = ()
+        self._delta: list[list[int]] = [[0] * (n + 1)]
+        self._rhs: dict[tuple, tuple] = {}
         self._nf_cache: dict[tuple, dict] = {}
         # multidegree -> uqsl.PBWColumns (the PBW monomials, their normal
         # forms and leading words); filled by uqsl
@@ -254,54 +275,99 @@ class RewriteSystem:
 
     # -- rule bookkeeping ------------------------------------------------
 
-    def _refresh_lengths(self):
-        self._lead_lengths = tuple(sorted({len(w) for w in self.rules}))
+    def _refresh_automaton(self):
+        """Rebuild ``_delta`` and ``_rhs`` from the rules."""
+        trie: list[dict] = [{}]
+        for lead in self.rules:
+            s = 0
+            for a in lead[:-1]:
+                nxt = trie[s].get(a)
+                if nxt is None:
+                    nxt = trie[s][a] = len(trie)
+                    trie.append({})
+                s = nxt
+            trie[s][lead[-1]] = -len(lead)
+        # breadth first: a state's row is its failure state's row with its
+        # own trie edges on top, and a child's failure state is where its
+        # parent's failure state steps on the child's letter
+        delta = [None] * len(trie)
+        fail = [0] * len(trie)
+        queue = [0]
+        for s in queue:
+            row = list(delta[fail[s]]) if s else [0] * (self.n + 1)
+            for a, child in trie[s].items():
+                row[a] = child
+                if child > 0:
+                    fail[child] = delta[fail[s]][a] if s else 0
+                    queue.append(child)
+            delta[s] = row
+        self._delta = delta
+        self._rhs = {
+            lead: tuple((u, c, 1 if c == R_ONE else -1 if c == R_MINUS_ONE else 0)
+                        for u, c in rhs.terms.items())
+            for lead, rhs in self.rules.items()
+        }
 
     def _first_reduction(self, w):
         """Leftmost position and lead length of a reducible factor, else None."""
-        lw = len(w)
-        for pos in range(lw):
-            for ln in self._lead_lengths:
-                if pos + ln > lw:
-                    break
-                if w[pos : pos + ln] in self.rules:
-                    return pos, ln
+        delta = self._delta
+        s = 0
+        for end, a in enumerate(w, 1):
+            s = delta[s][a]
+            if s < 0:
+                return end + s, -s
         return None
 
     # -- normal forms ------------------------------------------------------
 
     def _nf_word(self, w) -> dict:
-        """Normal form of a single word as a dict word -> RatQ (cached).
-        A word beyond the cap first extends the completion to its length."""
+        """Normal form of a single word as a dict word -> RatQ (cached, and
+        never to be mutated).  A word beyond the cap first extends the
+        completion to its length."""
         got = self._nf_cache.get(w)
         if got is not None:
             return got
         if len(w) > self.cap:
             self._extend(len(w))
         cache = self._nf_cache  # extension replaces the dict
+        # word -> its rewrite, once its children are queued
+        pending: dict[tuple, list] = {}
         stack = [w]
         while stack:
             cur = stack[-1]
             if cur in cache:
                 stack.pop()
                 continue
-            hit = self._first_reduction(cur)
-            if hit is None:
-                cache[cur] = {cur: R_ONE}
-                stack.pop()
-                continue
-            pos, ln = hit
-            pre, post = cur[:pos], cur[pos + ln :]
-            rhs = self.rules[cur[pos : pos + ln]]
-            children = [(pre + u + post, c) for u, c in rhs.terms.items()]
-            missing = [u for u, _ in children if u not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            cache[cur] = add_terms(
-                {}, ((x, c * cx) for u, c in children for x, cx in cache[u].items())
-            )
+            children = pending.get(cur)
+            if children is None:
+                hit = self._first_reduction(cur)
+                if hit is None:
+                    cache[cur] = {cur: R_ONE}
+                    stack.pop()
+                    continue
+                pos, ln = hit
+                pre, post = cur[:pos], cur[pos + ln :]
+                rhs = self._rhs[cur[pos : pos + ln]]
+                children = [(pre + u + post, c, unit) for u, c, unit in rhs]
+                missing = [u for u, _, _ in children if u not in cache]
+                if missing:
+                    pending[cur] = children
+                    stack.extend(missing)
+                    continue
             stack.pop()
+            if len(children) == 1 and children[0][2] == 1:
+                cache[cur] = cache[children[0][0]]  # a commutation: share the dict
+                continue
+            acc: dict = {}
+            for u, c, unit in children:
+                sub = cache[u].items()
+                if unit == 1:
+                    add_terms(acc, sub)
+                elif unit == -1:
+                    add_terms(acc, ((x, -cx) for x, cx in sub))
+                else:
+                    add_terms(acc, ((x, c * cx) for x, cx in sub))
+            cache[cur] = acc
         return cache[w]
 
     def normal_form(self, p: NCPoly) -> NCPoly:
@@ -321,27 +387,23 @@ class RewriteSystem:
         if sum(mu) > self.cap:
             self._extend(sum(mu))
         out = []
+        delta = self._delta
 
-        def rec(prefix, rem):
-            if all(x == 0 for x in rem):
+        def rec(state, prefix, rem):
+            if not any(rem):
                 out.append(tuple(prefix))
                 return
+            row = delta[state]
             for i in range(1, self.n + 1):
-                if rem[i - 1]:
+                # prune as soon as a lead ends here
+                if rem[i - 1] and row[i] >= 0:
                     prefix.append(i)
-                    # prune as soon as the suffix ending here is reducible
-                    ok = True
-                    for ln in self._lead_lengths:
-                        if ln <= len(prefix) and tuple(prefix[-ln:]) in self.rules:
-                            ok = False
-                            break
-                    if ok:
-                        rem[i - 1] -= 1
-                        rec(prefix, rem)
-                        rem[i - 1] += 1
+                    rem[i - 1] -= 1
+                    rec(row[i], prefix, rem)
+                    rem[i - 1] += 1
                     prefix.pop()
 
-        rec([], list(mu))
+        rec(0, [], list(mu))
         return out
 
     def dim_weight_space(self, mu) -> int:
@@ -357,15 +419,10 @@ class RewriteSystem:
         """Orient p into a rule and queue its overlaps of degree <= cap."""
         lead, rhs = _make_rule(p)
         # retire any rule whose lead the new lead divides, and re-reduce it
-        stale = [
-            old
-            for old in self.rules
-            if len(old) >= len(lead)
-            and any(old[k : k + len(lead)] == lead for k in range(len(old) - len(lead) + 1))
-        ]
+        stale = [old for old in self.rules if _is_factor(lead, old)]
         retired = [NCPoly(self.n, {old: R_ONE}) - self.rules.pop(old) for old in stale]
         self.rules[lead] = rhs
-        self._refresh_lengths()
+        self._refresh_automaton()
         self._nf_cache = {}
         for other in self.rules:
             pairs = [(lead, other)] if other == lead else [(lead, other), (other, lead)]
@@ -429,6 +486,9 @@ class RewriteSystem:
 
     @classmethod
     def from_text(cls, text: str) -> "RewriteSystem":
+        """The system that to_text wrote.  Raises CacheCorrupt when the text
+        does not parse, uses a letter outside 1..n, has one lead that is a
+        factor of another, or has a rule out of order or not homogeneous."""
         lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != FORMAT_VERSION:
             raise CacheCorrupt("unknown format version")
@@ -455,12 +515,18 @@ class RewriteSystem:
             raise CacheCorrupt(f"parse failure: {exc}") from exc
         if len(rs.rules) != nrules:
             raise CacheCorrupt("rule count mismatch")
+        words = [w for lead, rhs in rs.rules.items() for w in (lead, *rhs.terms)]
+        if any(not 1 <= a <= n for w in words for a in w):
+            raise CacheCorrupt("letter out of range")
+        # the automaton needs it, and completion never leaves one
+        if _nested_leads(list(rs.rules)):
+            raise CacheCorrupt("one lead is a factor of another")
         for lead, rhs in rs.rules.items():
             mu = word_multidegree(lead, n)
             for w in rhs.terms:
                 if word_multidegree(w, n) != mu or deglex_key(w) >= deglex_key(lead):
                     raise CacheCorrupt("rule violates order/homogeneity")
-        rs._refresh_lengths()
+        rs._refresh_automaton()
         return rs
 
 
@@ -475,6 +541,17 @@ def _make_rule(p: NCPoly):
     rest = {w: x for w, x in p.terms.items() if w != lead}
     inv = c.inverse()
     return lead, NCPoly(p.n, {w: -(inv * x) for w, x in rest.items()})
+
+
+def _is_factor(u, w):
+    """True when u occurs in w as a run of consecutive letters."""
+    return any(w[k : k + len(u)] == u for k in range(len(w) - len(u) + 1))
+
+
+def _nested_leads(leads):
+    """The pairs (la, lb) of distinct leads where lb is a factor of la, in
+    the order of `leads`."""
+    return [(la, lb) for la in leads for lb in leads if la != lb and _is_factor(lb, la)]
 
 
 def _overlaps(la, lb):
@@ -512,16 +589,10 @@ def audit_confluence(rs: RewriteSystem) -> list[tuple]:
     is locally -- hence, by the diamond lemma, globally -- confluent on
     words within the cap).
     """
-    failures = []
     leads = sorted(rs.rules, key=deglex_key)
     # overlap ambiguities are the only ones to check provided no lead
     # contains another as a factor; assert that invariant first
-    for la in leads:
-        for lb in leads:
-            if la is lb or len(lb) > len(la):
-                continue
-            if any(la[k : k + len(lb)] == lb for k in range(len(la) - len(lb) + 1)):
-                failures.append((la, la, lb))
+    failures = [(la, la, lb) for la, lb in _nested_leads(leads)]
     for la in leads:
         for lb in leads:
             for w in _overlaps(la, lb):

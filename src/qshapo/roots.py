@@ -264,7 +264,8 @@ def root_vector(ij: tuple[int, int], n: int) -> tuple[int, ...]:
 def kostant_partitions(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All multisets of positive roots summing to mu, each returned as a
     lexicographically sorted tuple of intervals.  Brute-force recursion over
-    the interval list; this is the independent counting oracle for basis
+    the interval list; kostant_count runs the same recursion without
+    building the partitions, as the independent counting oracle for basis
     dimensions in the quotient algebra."""
     n = len(mu)
     roots = positive_roots(n)
@@ -293,4 +294,28 @@ def kostant_partitions(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...]
 
 
 def kostant_count(mu) -> int:
-    return len(kostant_partitions(tuple(mu)))
+    """The number of Kostant partitions of mu, counted without building them."""
+    mu = tuple(mu)
+    if any(x < 0 for x in mu):
+        return 0
+    return _count_partitions(mu, 0)
+
+
+@lru_cache(maxsize=None)
+def _count_partitions(rem: tuple[int, ...], idx: int) -> int:
+    """The number of multisets of the roots positive_roots(n)[idx:] that sum
+    to rem; the memo is shared by every weight of a rank."""
+    vecs = _root_vectors(len(rem))
+    if idx == len(vecs):
+        return 0 if any(rem) else 1
+    vec = vecs[idx]
+    total = 0
+    while all(x >= 0 for x in rem):
+        total += _count_partitions(rem, idx + 1)
+        rem = tuple(r - v for r, v in zip(rem, vec))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _root_vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(root_vector(ij, n) for ij in positive_roots(n))

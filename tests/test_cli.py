@@ -320,6 +320,36 @@ def test_damaged_cache_rebuilds(capsys, tmp_path, monkeypatch, argv):
     assert out == fresh
 
 
+# a valid n = 2 cache plus a well-formed rule whose lead f2 f2 f1 f1
+# contains the lead f2 f2 f1; every Serre relation still reduces to 0
+NESTED_N2_CACHE = (
+    "qshapo-rws-v1\n"
+    "n=2 cap=10 rules=3\n"
+    "LEAD 2,1,1\n"
+    "  1,1,2 : -1\n"
+    "  1,2,1 : (q^4+1)/q^2\n"
+    "LEAD 2,2,1\n"
+    "  1,2,2 : -1\n"
+    "  2,1,2 : (q^4+1)/q^2\n"
+    "LEAD 2,2,1,1\n"
+    "  1,2,1,2 : 1\n"
+)
+
+
+def test_nested_leads_cache_rebuilds(capsys, tmp_path, monkeypatch):
+    cap = freealg.default_cap(2)
+    path = cli.cache_path(tmp_path, 2, cap)
+    path.write_text(NESTED_N2_CACHE)
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    code, out, err = run_cli(capsys, "cache", "--n", "2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.startswith("rebuilt: 2 rules")
+    reason = "one lead is a factor of another"
+    assert err == f"warning: cache {path} is corrupt ({reason}); rebuilding\n"
+    assert path.read_text() == freealg.complete(serre_relations(2), cap, n=2).to_text()
+    assert cli.load_or_build(2, cap, tmp_path)[1] == "loaded"
+
+
 def test_serre_check_flags_only_the_damaged_system():
     damaged = RewriteSystem.from_text(DAMAGED_N2_CACHE)
     assert sum(1 for rel in serre_relations(2) if damaged.normal_form(rel)) == 1

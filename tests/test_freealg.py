@@ -1,5 +1,6 @@
 """Rewriting engine: Serre relations, completion, normal forms, dimensions."""
 
+import functools
 import itertools
 import random
 
@@ -18,7 +19,7 @@ from qshapo.freealg import (
     serre_relations,
 )
 from qshapo.roots import kostant_count
-from qshapo.scalars import R_ONE, V_MINUS_VINV, RatQ
+from qshapo.scalars import R_ONE, V_MINUS_VINV, RatQ, add_terms
 
 
 def test_serre_relation_counts():
@@ -189,6 +190,9 @@ def test_serialization_rejects_corruption():
     mangled = text.replace(" : ", " :: ", 1)
     with pytest.raises(CacheCorrupt):
         RewriteSystem.from_text(mangled)
+    for bad in ("LEAD 3,1,1", "LEAD 0,1,1"):
+        with pytest.raises(CacheCorrupt, match="letter out of range"):
+            RewriteSystem.from_text(text.replace("LEAD 2,1,1", bad))
 
 
 def test_normal_form_is_multiplicative():
@@ -261,3 +265,156 @@ def test_quotient_zero_test_vs_explicit_member():
                 left = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 2)))
                 right = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 2)))
                 assert rs.normal_form(rel.lmul_word(left).rmul_word(right)).is_zero()
+
+
+# ----------------------------------------------------------------------------
+# The reduction kernel against direct oracles
+# ----------------------------------------------------------------------------
+
+def _slicing_first_reduction(rules, w):
+    """Leftmost reducible factor found by trying every lead length at every
+    position: the scan the automaton replaced."""
+    lengths = sorted({len(lead) for lead in rules})
+    for pos in range(len(w)):
+        for ln in lengths:
+            if pos + ln > len(w):
+                break
+            if w[pos : pos + ln] in rules:
+                return pos, ln
+    return None
+
+
+def _reduce_without_cache(rs, w):
+    """Normal form of w by rewriting leftmost factors until none is left,
+    one path at a time and with no cache."""
+    out: dict = {}
+    todo = [(w, R_ONE)]
+    while todo:
+        u, c = todo.pop()
+        hit = _slicing_first_reduction(rs.rules, u)
+        if hit is None:
+            add_terms(out, [(u, c)])
+            continue
+        pos, ln = hit
+        for v, d in rs.rules[u[pos : pos + ln]].terms.items():
+            todo.append((u[:pos] + v + u[pos + ln :], c * d))
+    return out
+
+
+def _mixed_relations():
+    """Relations whose rules have every kind of coefficient the kernel
+    tells apart: f2 f1 -> -f1 f2, f3 f1 -> v f1 f3, and a cubic rule whose
+    first term has coefficient 1 and whose second has -1."""
+    v = RatQ.v_power(1)
+    return [
+        NCPoly(3, {(2, 1): R_ONE, (1, 2): R_ONE}),
+        NCPoly(3, {(3, 1): R_ONE, (1, 3): -v}),
+        NCPoly(3, {(3, 3, 2): R_ONE, (2, 3, 3): -R_ONE, (3, 2, 3): R_ONE}),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_systems(rank):
+    """The completed system (through degree 8) of rank `rank`, or of the
+    mixed relations for rank "mixed", and one system for every rule set its
+    completion passed through on the way."""
+    n, relations = (3, _mixed_relations()) if rank == "mixed" else (rank, serre_relations(rank))
+    snapshots = []
+    refresh = RewriteSystem._refresh_automaton
+
+    def record(self):
+        refresh(self)
+        snapshots.append(dict(self.rules))
+
+    # the completion reduces by the slicing scan, so that these systems do
+    # not depend on the automaton under test
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_refresh_automaton", record)
+        mp.setattr(RewriteSystem, "_first_reduction",
+                   lambda self, w: _slicing_first_reduction(self.rules, w))
+        done = complete(relations, 8, n=n)
+    systems = []
+    for rules in [done.rules, *snapshots]:
+        rs = RewriteSystem(n, 8)
+        rs.rules = dict(rules)
+        rs._refresh_automaton()
+        systems.append(rs)
+    return systems
+
+
+@st.composite
+def _system_and_word(draw, ranks=(2, 3, 4, 5, 6, "mixed"), max_len=8):
+    """A completed or half-completed system and a word for it, half the time
+    with one of its leads planted in the middle."""
+    rs = draw(st.sampled_from(_kernel_systems(draw(st.sampled_from(ranks)))))
+    letters = st.lists(st.integers(1, rs.n), max_size=max_len).map(tuple)
+    w = draw(letters)
+    if rs.rules and draw(st.booleans()):
+        lead = draw(st.sampled_from(sorted(rs.rules)))
+        w = (w[: len(w) // 2] + lead + w[len(w) // 2 :])[:max_len]
+    return rs, w
+
+
+@settings(deadline=None, max_examples=300)
+@given(_system_and_word(max_len=16))
+def test_automaton_finds_the_leftmost_reduction(case):
+    rs, w = case
+    assert rs._first_reduction(w) == _slicing_first_reduction(rs.rules, w)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_system_and_word(ranks=(2, 3, 4, "mixed"), max_len=7))
+def test_nf_word_matches_a_cache_free_reduction(case):
+    # the systems keep their caches from one example to the next, so later
+    # words meet cached and shared dicts
+    rs, w = case
+    assert rs._nf_word(w) == _reduce_without_cache(rs, w)
+
+
+@pytest.mark.parametrize("rank", [3, "mixed"])
+def test_filling_the_cache_changes_no_cached_normal_form(rank):
+    # a cached dict may be shared by several words, so rewriting one word
+    # must leave the dicts of the words it reduces to as they were
+    rs = RewriteSystem(3, 8)
+    rs.rules = dict(_kernel_systems(rank)[0].rules)
+    rs._refresh_automaton()
+    for w in itertools.product((1, 2, 3), repeat=6):
+        rs._nf_word(w)
+    for w, got in rs._nf_cache.items():
+        assert got == _reduce_without_cache(rs, w), w
+
+
+@st.composite
+def _system_and_multidegree(draw):
+    rs = draw(st.sampled_from(_kernel_systems(draw(st.sampled_from((2, 3, 4, "mixed"))))))
+    counts = st.lists(st.integers(0, 3), min_size=rs.n, max_size=rs.n)
+    mu = draw(counts.filter(lambda m: sum(m) <= 6))
+    return rs, tuple(mu)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_system_and_multidegree())
+def test_normal_words_are_the_irreducible_words(case):
+    rs, mu = case
+    letters = [i for i in range(1, rs.n + 1) for _ in range(mu[i - 1])]
+    words = sorted(set(itertools.permutations(letters)))
+    want = [w for w in words if _slicing_first_reduction(rs.rules, w) is None]
+    assert rs.normal_words(mu) == want
+
+
+def test_mutating_a_normal_form_leaves_the_cache_alone():
+    # f3 f1 -> f1 f3 shares the dict of f1 f3, and f2 f2 f1 -> ... - f1 f2 f2
+    # reads a child's dict through a coefficient of -1
+    words = [(1, 3), (3, 1), (3, 1, 2), (1, 2, 2), (2, 2, 1), (3, 2, 2, 1), (2, 1)]
+    rs = complete(serre_relations(3), 6, n=3)
+    want = {w: rs.normal_form(NCPoly(3, {w: R_ONE})) for w in words}
+    for w in words:
+        got = rs.normal_form(NCPoly(3, {w: R_ONE}))
+        for x in got.terms:
+            got.terms[x] = R_ONE
+        got.terms[(9,)] = R_ONE
+    fresh = complete(serre_relations(3), 6, n=3)
+    for w in words:
+        p = NCPoly(3, {w: R_ONE})
+        assert rs.normal_form(p) == want[w] == fresh.normal_form(p)
+

@@ -184,6 +184,8 @@ def test_kostant_small_counts():
     assert kostant_count((1, 1)) == 2
     assert kostant_count((1, 1, 1)) == 4
     assert kostant_count((2, 1)) == 2
+    assert kostant_count((0, 0)) == 1
+    assert kostant_count([1, -1]) == 0
     # partitions themselves sum back to the weight
     for part in kostant_partitions((2, 2)):
         total = [0, 0]
@@ -197,3 +199,11 @@ def test_in_II():
     assert in_II((1, 4), 3)
     assert not in_II((1, 3), 3)
     assert not in_II((2, 4), 3)
+
+
+def test_kostant_count_counts_the_partitions():
+    for n in range(1, 5):
+        for h in range(7):
+            for mu in itertools.product(range(h + 1), repeat=n):
+                if sum(mu) == h:
+                    assert kostant_count(mu) == len(kostant_partitions(mu)), mu
