@@ -8,8 +8,9 @@ system, a failed right division, an ad_F iterate that does not vanish, or a
 construction result its derivation rules out).  No degree is refused: the
 rewriting system completes itself as far as a computation needs.  A cache
 file that fails to parse, has the wrong header, has one leading word inside
-another or leaves a Serre relation nonzero is rebuilt with a warning; one
-that is wrong in another way can still cause exit 4.  Output is
+another, leaves a Serre relation nonzero or has other than p_N(d) normal
+words in a degree d up to its cap is rebuilt with a warning; one that is
+wrong in another way can still cause exit 4.  Output is
 deterministic for a fixed argument vector (sampling is seeded, never
 wall-clock)."""
 
@@ -21,6 +22,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import freealg
@@ -32,6 +34,7 @@ from .freealg import (
     latex_document,
     serre_relations,
 )
+from .roots import pbw_dimension
 from .shapovalov import (
     InconsistentResult,
     InductionPreconditionError,
@@ -85,8 +88,10 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
     cap is the system's initial degree; the system extends itself beyond it.
 
     A loaded system is trusted only if it passes the checks of
-    RewriteSystem.from_text, its header matches and every Serre relation
-    reduces to 0 in it; otherwise it is rebuilt with a warning.
+    RewriteSystem.from_text, its header matches, every Serre relation
+    reduces to 0 in it and each degree d <= cap has p_N(d) normal words;
+    otherwise it is rebuilt with a warning.  A built system carries the
+    dimensions p_N(d), a loaded one does not (see RewriteSystem).
     The cache file is written to a temp file beside it and moved into place,
     so a concurrent run reads either the old file or the whole new one."""
     path = cache_path(cache_dir, n, cap)
@@ -98,11 +103,15 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
                 raise CacheCorrupt("header mismatch")
             if any(rs.normal_form(rel) for rel in serre_relations(n)):
                 raise CacheCorrupt("a Serre relation has a nonzero normal form")
+            for d in range(1, cap + 1):
+                got, want = rs.count_normal_words(d), pbw_dimension(n, d)
+                if got != want:
+                    raise CacheCorrupt(f"{got} normal words in degree {d}, not {want}")
             return rs, "loaded"
         except CacheCorrupt as exc:
             print(f"warning: cache {path} is corrupt ({exc}); rebuilding", file=sys.stderr)
             status = "rebuilt"
-    rs = complete(serre_relations(n), cap, n=n)
+    rs = complete(serre_relations(n), cap, n=n, dimensions=partial(pbw_dimension, n))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = tempfile.NamedTemporaryFile(
         "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False

@@ -13,6 +13,16 @@ extends its completion to the length of any longer word it meets; no degree
 is refused, only the cost grows with it.  Zero-testing in the quotient is
 normal_form(p) == 0.
 
+A count can stand in for the overlaps of a degree.  Every rule lies in the
+ideal, so the normal words of degree d span the degree-d part of the
+quotient and number at least its dimension, which for the q-Serre ideal is
+p_N(d) by the PBW theorem (roots.pbw_dimension).  When they number exactly
+that they are a basis, so the difference of an overlap of degree d, in the
+ideal and in their span, is 0 (Bergman's diamond lemma, Adv. Math. 29,
+1978): a system completed from the Serre relations with their dimensions
+skips that degree's overlaps.  audit_confluence still resolves every
+overlap: it is the independent check.
+
 No lead is a factor of another, so one Aho-Corasick automaton over the leads
 (Aho and Corasick, CACM 18, 1975) finds the leftmost reducible factor of a
 word in one left-to-right scan, and prunes the enumeration of normal words
@@ -24,8 +34,10 @@ never mutated once cached.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from io import StringIO
 
+from .roots import pbw_dimension
 from .scalars import R_ONE, RatQ, add_terms
 
 FORMAT_VERSION = "qshapo-rws-v1"
@@ -260,11 +272,19 @@ class RewriteSystem:
     unit being 1 or -1 for a coefficient of +-1 and 0 otherwise.  A dict in
     ``_nf_cache`` may be shared by several words and is never mutated;
     ``normal_form``, its only reader, builds a new dict.
+
+    ``dimensions`` is None, or maps a degree to the dimension of the
+    quotient's part of that degree; completion then skips every degree
+    whose normal words (``count_normal_words``) number it.  Only a system
+    completed here from relations with known dimensions carries it; one
+    read by ``from_text`` does not, since nothing shows a file's rules lie
+    in the ideal, and it resolves every overlap when it extends.
     """
 
-    def __init__(self, n: int, cap: int):
+    def __init__(self, n: int, cap: int, dimensions=None):
         self.n = n
         self.cap = cap
+        self.dimensions = dimensions
         self.rules: dict[tuple, NCPoly] = {}
         self._delta: list[list[int]] = [[0] * (n + 1)]
         self._rhs: dict[tuple, tuple] = {}
@@ -413,6 +433,23 @@ class RewriteSystem:
             raise ValueError("multidegree must be nonnegative")
         return len(self.normal_words(mu))
 
+    def count_normal_words(self, degree: int) -> int:
+        """The number of words of length `degree` that no rule reduces, under
+        the rules as they stand (the system is not extended): the walks of
+        that length from state 0 through the non-negative states of
+        ``_delta``."""
+        delta = self._delta
+        walks = [1] + [0] * (len(delta) - 1)
+        for _ in range(degree):
+            nxt = [0] * len(delta)
+            for s, k in enumerate(walks):
+                if k:
+                    for t in delta[s][1:]:
+                        if t >= 0:
+                            nxt[t] += k
+            walks = nxt
+        return sum(walks)
+
     # -- completion --------------------------------------------------------
 
     def _add_rule(self, p: NCPoly, queue: list):
@@ -438,8 +475,21 @@ class RewriteSystem:
     def _resolve(self, queue: list):
         """Resolve the queued overlaps (len, word, lead_a, lead_b) in (degree,
         word) order, adding a rule for each one that does not close, then
-        tail-reduce every replacement for a canonical, serializable system."""
+        tail-reduce every replacement for a canonical, serializable system.
+
+        A system that carries its quotient's dimensions drops the queued
+        overlaps of each degree whose normal words already number its
+        dimension (see the module docstring), counting again after each
+        new rule."""
+        counted = None  # a degree found short since the last new rule
         while queue:
+            d = queue[0][0]
+            if self.dimensions is not None and d != counted:
+                if self.count_normal_words(d) == self.dimensions(d):
+                    while queue and queue[0][0] == d:
+                        heapq.heappop(queue)
+                    continue
+                counted = d
             _, w, la, lb = heapq.heappop(queue)
             rule_a, rule_b = self.rules.get(la), self.rules.get(lb)
             if rule_a is None or rule_b is None:
@@ -450,6 +500,7 @@ class RewriteSystem:
             diff = left - right
             if diff:
                 self._add_rule(diff, queue)
+                counted = None
         self._nf_cache = {}
         for lead in list(self.rules):
             self.rules[lead] = self.normal_form(self.rules[lead])
@@ -562,15 +613,21 @@ def _overlaps(la, lb):
             yield la + lb[k:]
 
 
-def complete(relations: list[NCPoly], degree_cap: int, n: int | None = None) -> RewriteSystem:
+def complete(
+    relations: list[NCPoly], degree_cap: int, n: int | None = None, *, dimensions=None
+) -> RewriteSystem:
     """Overlap completion of a homogeneous two-sided ideal through degree
     degree_cap, the system's initial degree (or its longest relation's).
 
     Resolves every overlap ambiguity of degree <= degree_cap in increasing
     (degree, word) order; the system extends itself past that on demand.
+    `dimensions`, if given, maps a degree d to the dimension of the
+    quotient's degree-d part; the system keeps it and skips every degree
+    whose normal words number it (see RewriteSystem._resolve).  Only a map
+    known to hold for these relations may be passed.
     """
     relations = [rel for rel in relations if not rel.is_zero()]
-    rs = RewriteSystem(relations[0].n if relations else n or 1, degree_cap)
+    rs = RewriteSystem(relations[0].n if relations else n or 1, degree_cap, dimensions)
     for rel in relations:
         rel.multidegree()  # homogeneity check
     queue: list = []
@@ -627,7 +684,9 @@ def get_rewrite_system(n: int, cap: int | None = None) -> RewriteSystem:
     rs = _SYSTEMS.get(n)
     if rs is None:
         cap = default_cap(n) if cap is None else cap
-        rs = _SYSTEMS[n] = complete(serre_relations(n), cap, n=n)
+        rs = _SYSTEMS[n] = complete(
+            serre_relations(n), cap, n=n, dimensions=partial(pbw_dimension, n)
+        )
     elif cap is not None and cap > rs.cap:
         rs._extend(cap)
     return rs

@@ -319,3 +319,14 @@ def _count_partitions(rem: tuple[int, ...], idx: int) -> int:
 @lru_cache(maxsize=None)
 def _root_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(root_vector(ij, n) for ij in positive_roots(n))
+
+
+def pbw_dimension(n: int, d: int) -> int:
+    """p_N(d), the coefficient of t^d in prod over positive roots beta of
+    1/(1 - t^(ht beta)): by the PBW theorem the dimension of the degree-d
+    part of U_q(n^-), the sum of kostant_count(mu) over |mu| = d."""
+    coeffs = [1] + [0] * d
+    for i, j in positive_roots(n):
+        for k in range(j - i, d + 1):
+            coeffs[k] += coeffs[k - (j - i)]
+    return coeffs[d]

@@ -350,6 +350,49 @@ def test_nested_leads_cache_rebuilds(capsys, tmp_path, monkeypatch):
     assert cli.load_or_build(2, cap, tmp_path)[1] == "loaded"
 
 
+# the n = 3 cache without its rule of degree 5, LEAD 3,2,3,2,1: every Serre
+# relation still reduces to 0, but degree 5 has a normal word too many
+SHORT_N3_CACHE = (
+    "qshapo-rws-v1\n"
+    "n=3 cap=10 rules=6\n"
+    "LEAD 3,1\n"
+    "  1,3 : 1\n"
+    "LEAD 2,1,1\n"
+    "  1,1,2 : -1\n"
+    "  1,2,1 : (q^4+1)/q^2\n"
+    "LEAD 2,2,1\n"
+    "  1,2,2 : -1\n"
+    "  2,1,2 : (q^4+1)/q^2\n"
+    "LEAD 3,2,2\n"
+    "  2,2,3 : -1\n"
+    "  2,3,2 : (q^4+1)/q^2\n"
+    "LEAD 3,3,2\n"
+    "  2,3,3 : -1\n"
+    "  3,2,3 : (q^4+1)/q^2\n"
+    "LEAD 3,2,1,2\n"
+    "  1,2,3,2 : 1\n"
+    "  2,1,2,3 : -1\n"
+    "  2,3,2,1 : 1\n"
+)
+
+
+def test_count_check_rebuilds_a_cache_short_of_a_rule(capsys, tmp_path, monkeypatch):
+    short = RewriteSystem.from_text(SHORT_N3_CACHE)
+    assert not any(short.normal_form(rel) for rel in serre_relations(3))
+    cap = freealg.default_cap(3)
+    path = cli.cache_path(tmp_path, 3, cap)
+    path.write_text(SHORT_N3_CACHE)
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    code, out, err = run_cli(capsys, "cache", "--n", "3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.startswith("rebuilt: 7 rules")
+    reason = "59 normal words in degree 5, not 58"
+    assert err == f"warning: cache {path} is corrupt ({reason}); rebuilding\n"
+    assert path.read_text() == freealg.complete(serre_relations(3), cap, n=3).to_text()
+    rs, status = cli.load_or_build(3, cap, tmp_path)
+    assert status == "loaded" and rs.dimensions is None
+
+
 def test_serre_check_flags_only_the_damaged_system():
     damaged = RewriteSystem.from_text(DAMAGED_N2_CACHE)
     assert sum(1 for rel in serre_relations(2) if damaged.normal_form(rel)) == 1

@@ -18,7 +18,7 @@ from qshapo.freealg import (
     get_rewrite_system,
     serre_relations,
 )
-from qshapo.roots import kostant_count
+from qshapo.roots import kostant_count, pbw_dimension
 from qshapo.scalars import R_ONE, V_MINUS_VINV, RatQ, add_terms
 
 
@@ -418,3 +418,58 @@ def test_mutating_a_normal_form_leaves_the_cache_alone():
         p = NCPoly(3, {w: R_ONE})
         assert rs.normal_form(p) == want[w] == fresh.normal_form(p)
 
+
+
+def _certified(n, cap):
+    return complete(serre_relations(n), cap, n=n, dimensions=functools.partial(pbw_dimension, n))
+
+
+@pytest.mark.parametrize(
+    "n, cap", [(2, 8), (2, 12), (3, 5), (3, 12), (4, 7), (4, 12), (5, 9), (5, 12), (6, 11)]
+)
+def test_certified_completion_finds_the_same_system(n, cap):
+    assert _certified(n, cap).to_text() == complete(serre_relations(n), cap, n=n).to_text()
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, "mixed"])
+def test_count_normal_words_sums_the_normal_words(rank):
+    # on completed systems and on every rule set a completion passed through
+    for rs in _kernel_systems(rank):
+        for d in range(7):
+            weights = (mu for mu in itertools.product(range(d + 1), repeat=rs.n) if sum(mu) == d)
+            assert rs.count_normal_words(d) == sum(len(rs.normal_words(mu)) for mu in weights)
+
+
+def test_count_does_not_certify_a_stopped_completion():
+    # completion through degree 6 lacks the rank's degree-7 rule
+    rs = _certified(4, 6)
+    assert len(rs.rules) == 14
+    assert [rs.count_normal_words(d) for d in range(7)] == [pbw_dimension(4, d) for d in range(7)]
+    assert (rs.count_normal_words(7), pbw_dimension(4, 7)) == (637, 636)
+
+
+# completion through 2N - 1 finds every lead, and the leads still overlap
+# in the degrees past it (up to 6, 9 and 12 at N = 3, 4 and 5)
+@pytest.mark.parametrize("n, cap, degree", [(3, 5, 8), (4, 7, 10), (5, 9, 12)])
+def test_extending_a_certified_system_resolves_no_overlap(n, cap, degree, monkeypatch):
+    # resolving an overlap multiplies a rule's replacement on the right,
+    # and nothing else in an extension does
+    calls = []
+    rmul_word = NCPoly.rmul_word
+
+    def counted(self, w):
+        calls.append(w)
+        return rmul_word(self, w)
+
+    monkeypatch.setattr(NCPoly, "rmul_word", counted)
+    word = NCPoly(n, {tuple(k % n + 1 for k in range(degree)): R_ONE})
+    rs = _certified(n, cap)
+    calls.clear()
+    rs.normal_form(word)
+    assert rs.cap == degree and calls == []
+    # a system read from a file carries no dimensions and resolves them all
+    loaded = RewriteSystem.from_text(rs.to_text().replace(f"cap={degree}", f"cap={cap}"))
+    assert loaded.dimensions is None
+    loaded.normal_form(word)
+    assert calls
+    assert loaded.to_text() == rs.to_text() == complete(serre_relations(n), degree, n=n).to_text()

@@ -13,6 +13,7 @@ from qshapo.roots import (
     kostant_count,
     kostant_partitions,
     pairing,
+    pbw_dimension,
     r_of,
     rho_pairing,
     sample_dominant_chain,
@@ -207,3 +208,10 @@ def test_kostant_count_counts_the_partitions():
             for mu in itertools.product(range(h + 1), repeat=n):
                 if sum(mu) == h:
                     assert kostant_count(mu) == len(kostant_partitions(mu)), mu
+
+
+def test_pbw_dimension_sums_the_kostant_counts():
+    for n in range(1, 5):
+        for d in range(9):
+            weights = (mu for mu in itertools.product(range(d + 1), repeat=n) if sum(mu) == d)
+            assert pbw_dimension(n, d) == sum(map(kostant_count, weights)), (n, d)

@@ -20,6 +20,16 @@ def test_suite_powers_names_the_f_power_checks_it_does_not_run(monkeypatch):
     names = [entry["check"] for entry in report]
     assert F_P not in names
     assert names[-1] == (
-        "theta F^p check not run at lambda=(2, 1, 0, -5) (degree 12 > completed degree 10)"
+        "theta F^p check not run at lambda=(2, 1, 0, -5) (degree 12 > default degree 10)"
     )
     assert all(entry["status"] == "pass" for entry in report)
+
+
+def test_suite_powers_reports_the_same_after_an_extension(monkeypatch):
+    # the F^p check is bounded by the rank's default degree, not by how far
+    # earlier work extended the shared system
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    before = suite_powers(3, 3)
+    freealg.get_rewrite_system(3, 14)
+    assert suite_powers(3, 3) == before
+    assert before[-1]["check"].startswith("theta F^p check not run at ")
