@@ -23,16 +23,27 @@ ideal and in their span, is 0 (Bergman's diamond lemma, Adv. Math. 29,
 skips that degree's overlaps.  audit_confluence still resolves every
 overlap: it is the independent check.
 
+An overlap w = la + suffix = prefix + lb is resolved when its remainder,
+rules[la] * suffix - prefix * rules[lb], reduces to 0 by rules whose leads
+are smaller than w; the diamond lemma needs no more (as in noncommutative
+Groebner bases: Mora, Theor. Comput. Sci. 134, 1994).  Completion and the
+audit reduce that one polynomial, largest word first, so the words that
+both sides reach merge and cancel before either is rewritten; they never
+take the normal form of each side.  This is still a full reduction, so a
+nonzero remainder is exactly a pair of distinct normal forms.
+
 No lead is a factor of another, so one Aho-Corasick automaton over the leads
 (Aho and Corasick, CACM 18, 1975) finds the leftmost reducible factor of a
 word in one left-to-right scan, and prunes the enumeration of normal words
-as it grows them.  Single-word normal forms are cached as dicts that are
-shared between words (a commutation rewrite stores its child's dict) and
-never mutated once cached.
+as it grows them.  Single-word normal forms, which the Verma actions meet
+again and again, are cached as dicts that are shared between words (a
+commutation rewrite stores its child's dict) and never mutated once cached;
+an overlap is met once, so completion and the audit leave that cache alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from functools import partial
 from io import StringIO
@@ -400,6 +411,53 @@ class RewriteSystem:
     def is_zero(self, p: NCPoly) -> bool:
         return self.normal_form(p).is_zero()
 
+    def _reduce(self, terms) -> dict:
+        """Normal form, as a new dict, of the polynomial with the given terms
+        (word -> coefficient, no zero coefficient), which must all have one
+        length: words are ordered by tuple comparison, which is deglex only
+        within a length.  The pending words stay sorted and the largest is
+        rewritten first, so the words that two rewrites reach merge, and may
+        cancel, before either is rewritten.  It reads and writes no cache,
+        and it does not extend the completion."""
+        if len({len(w) for w in terms}) > 1:
+            raise ValueError("polynomial is not homogeneous")
+        coeffs = dict(terms)
+        pending = sorted(coeffs)
+        first, rhs_of = self._first_reduction, self._rhs
+        out = {}
+        while pending:
+            w = pending.pop()
+            c = coeffs.pop(w)
+            if not c:
+                continue
+            hit = first(w)
+            if hit is None:
+                out[w] = c
+                continue
+            pos, ln = hit
+            pre, post = w[:pos], w[pos + ln :]
+            # every word of a replacement is smaller than its lead, so no
+            # word reached here has been rewritten already
+            for u, cu, unit in rhs_of[w[pos : pos + ln]]:
+                x = pre + u + post
+                y = c if unit == 1 else -c if unit == -1 else cu * c
+                prev = coeffs.get(x)
+                if prev is None:
+                    coeffs[x] = y
+                    bisect.insort(pending, x)
+                else:
+                    coeffs[x] = prev + y
+        return out
+
+    def _overlap_remainder(self, w, la, lb) -> dict:
+        """The reduced difference of the two one-step rewrites of the overlap
+        w = la + suffix = prefix + lb: the normal form of
+        rules[la] * suffix - prefix * rules[lb]."""
+        suffix, prefix = w[len(la) :], w[: len(w) - len(lb)]
+        terms = {u + suffix: c for u, c in self.rules[la].terms.items()}
+        add_terms(terms, ((prefix + u, -c) for u, c in self.rules[lb].terms.items()))
+        return self._reduce(terms)
+
     # -- dimension counting --------------------------------------------------
 
     def normal_words(self, mu) -> list[tuple]:
@@ -452,30 +510,31 @@ class RewriteSystem:
 
     # -- completion --------------------------------------------------------
 
-    def _add_rule(self, p: NCPoly, queue: list):
-        """Orient p into a rule and queue its overlaps of degree <= cap."""
-        lead, rhs = _make_rule(p)
+    def _add_rule(self, terms: dict, queue: list):
+        """Orient the reduced polynomial with these terms into a rule and
+        queue its overlaps of degree <= cap."""
+        lead, rhs = _make_rule(terms, self.n)
         # retire any rule whose lead the new lead divides, and re-reduce it
         stale = [old for old in self.rules if _is_factor(lead, old)]
-        retired = [NCPoly(self.n, {old: R_ONE}) - self.rules.pop(old) for old in stale]
+        retired = [(NCPoly(self.n, {old: R_ONE}) - self.rules.pop(old)).terms for old in stale]
         self.rules[lead] = rhs
         self._refresh_automaton()
-        self._nf_cache = {}
         for other in self.rules:
             pairs = [(lead, other)] if other == lead else [(lead, other), (other, lead)]
             for la, lb in pairs:
                 for w in _overlaps(la, lb):
                     if len(w) <= self.cap:
                         heapq.heappush(queue, (len(w), w, la, lb))
-        for p_old in retired:
-            q = self.normal_form(p_old)
+        for old in retired:
+            q = self._reduce(old)
             if q:
                 self._add_rule(q, queue)
 
     def _resolve(self, queue: list):
         """Resolve the queued overlaps (len, word, lead_a, lead_b) in (degree,
-        word) order, adding a rule for each one that does not close, then
-        tail-reduce every replacement for a canonical, serializable system.
+        word) order, adding a rule for each one whose reduced remainder
+        (``_overlap_remainder``) is not 0, then tail-reduce every
+        replacement for a canonical, serializable system.
 
         A system that carries its quotient's dimensions drops the queued
         overlaps of each degree whose normal words already number its
@@ -491,19 +550,15 @@ class RewriteSystem:
                     continue
                 counted = d
             _, w, la, lb = heapq.heappop(queue)
-            rule_a, rule_b = self.rules.get(la), self.rules.get(lb)
-            if rule_a is None or rule_b is None:
+            if la not in self.rules or lb not in self.rules:
                 continue  # a participant was retired
-            # w = la + suffix = prefix + lb
-            left = self.normal_form(rule_a.rmul_word(w[len(la) :]))
-            right = self.normal_form(rule_b.lmul_word(w[: len(w) - len(lb)]))
-            diff = left - right
+            diff = self._overlap_remainder(w, la, lb)
             if diff:
                 self._add_rule(diff, queue)
                 counted = None
-        self._nf_cache = {}
-        for lead in list(self.rules):
-            self.rules[lead] = self.normal_form(self.rules[lead])
+        for lead, rhs in self.rules.items():
+            self.rules[lead] = NCPoly._raw(self.n, self._reduce(rhs.terms))
+        # the rules may have changed: drop what callers cached before
         self._nf_cache = {}
 
     def _extend(self, degree: int):
@@ -585,13 +640,12 @@ class RewriteSystem:
 # Completion
 # ----------------------------------------------------------------------------
 
-def _make_rule(p: NCPoly):
-    """Split p into (lead, replacement) with replacement = lead - p/c_lead."""
-    lead = p.leading_word()
-    c = p.terms[lead]
-    rest = {w: x for w, x in p.terms.items() if w != lead}
-    inv = c.inverse()
-    return lead, NCPoly(p.n, {w: -(inv * x) for w, x in rest.items()})
+def _make_rule(terms: dict, n: int):
+    """Split the polynomial p with these terms into (lead, replacement) with
+    replacement = lead - p/c_lead."""
+    lead = max(terms, key=deglex_key)
+    inv = terms[lead].inverse()
+    return lead, NCPoly(n, {w: -(inv * x) for w, x in terms.items() if w != lead})
 
 
 def _is_factor(u, w):
@@ -627,12 +681,14 @@ def complete(
     known to hold for these relations may be passed.
     """
     relations = [rel for rel in relations if not rel.is_zero()]
-    rs = RewriteSystem(relations[0].n if relations else n or 1, degree_cap, dimensions)
     for rel in relations:
         rel.multidegree()  # homogeneity check
+    # reducing a relation longer than degree_cap must not outrun the cap
+    cap = max([degree_cap] + [rel.degree() for rel in relations])
+    rs = RewriteSystem(relations[0].n if relations else n or 1, cap, dimensions)
     queue: list = []
     for rel in sorted(relations, key=lambda p: deglex_key(p.leading_word())):
-        q = rs.normal_form(rel)
+        q = rs._reduce(rel.terms)
         if q:
             rs._add_rule(q, queue)
     rs._resolve(queue)
@@ -642,9 +698,12 @@ def complete(
 def audit_confluence(rs: RewriteSystem) -> list[tuple]:
     """Re-check every overlap ambiguity of degree <= cap from scratch.
 
-    Returns the list of failing overlap words (empty exactly when the system
-    is locally -- hence, by the diamond lemma, globally -- confluent on
-    words within the cap).
+    Each overlap fails when its remainder does not reduce to 0
+    (``RewriteSystem._overlap_remainder``).  The check uses the rules alone:
+    no dimension count, no cached normal form, and none is left behind.
+    Returns the list of (word, lead_a, lead_b) that fail (empty exactly when
+    the system is locally -- hence, by the diamond lemma, globally --
+    confluent on words within the cap).
     """
     leads = sorted(rs.rules, key=deglex_key)
     # overlap ambiguities are the only ones to check provided no lead
@@ -655,9 +714,7 @@ def audit_confluence(rs: RewriteSystem) -> list[tuple]:
             for w in _overlaps(la, lb):
                 if len(w) > rs.cap:
                     continue
-                left = rs.normal_form(rs.rules[la].rmul_word(w[len(la) :]))
-                right = rs.normal_form(rs.rules[lb].lmul_word(w[: len(w) - len(lb)]))
-                if left != right:
+                if rs._overlap_remainder(w, la, lb):
                     failures.append((w, la, lb))
     return failures
 

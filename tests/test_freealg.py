@@ -134,6 +134,8 @@ def test_one_system_per_rank(monkeypatch):
         (3, 6, 12, "words"),
         (4, 6, 12, "word"),
         (4, 10, 14, "words"),
+        # past the longest lead, where a certified system resolves nothing
+        (5, 8, 12, "words"),
         # one degree up: only the overlaps of exactly the new degree are new
         (3, 4, 5, "word"),
         (4, 6, 7, "words"),
@@ -234,9 +236,11 @@ _coeffs = st.builds(
 
 
 @st.composite
-def _homogeneous(draw, n, max_degree=4):
-    """A polynomial whose words all have one drawn multidegree."""
-    letters = draw(st.lists(st.integers(1, n), min_size=1, max_size=max_degree))
+def _homogeneous(draw, n, max_degree=4, letters=None):
+    """A polynomial whose words all have one drawn multidegree, or the
+    multidegree of `letters`."""
+    if letters is None:
+        letters = draw(st.lists(st.integers(1, n), min_size=1, max_size=max_degree))
     words = draw(st.lists(st.permutations(letters).map(tuple), min_size=1, max_size=4))
     return NCPoly(n, {w: draw(_coeffs) for w in words})
 
@@ -452,16 +456,15 @@ def test_count_does_not_certify_a_stopped_completion():
 # in the degrees past it (up to 6, 9 and 12 at N = 3, 4 and 5)
 @pytest.mark.parametrize("n, cap, degree", [(3, 5, 8), (4, 7, 10), (5, 9, 12)])
 def test_extending_a_certified_system_resolves_no_overlap(n, cap, degree, monkeypatch):
-    # resolving an overlap multiplies a rule's replacement on the right,
-    # and nothing else in an extension does
+    # every overlap is resolved by reducing its remainder
     calls = []
-    rmul_word = NCPoly.rmul_word
+    remainder = RewriteSystem._overlap_remainder
 
-    def counted(self, w):
+    def counted(self, w, la, lb):
         calls.append(w)
-        return rmul_word(self, w)
+        return remainder(self, w, la, lb)
 
-    monkeypatch.setattr(NCPoly, "rmul_word", counted)
+    monkeypatch.setattr(RewriteSystem, "_overlap_remainder", counted)
     word = NCPoly(n, {tuple(k % n + 1 for k in range(degree)): R_ONE})
     rs = _certified(n, cap)
     calls.clear()
@@ -473,3 +476,90 @@ def test_extending_a_certified_system_resolves_no_overlap(n, cap, degree, monkey
     loaded.normal_form(word)
     assert calls
     assert loaded.to_text() == rs.to_text() == complete(serre_relations(n), degree, n=n).to_text()
+
+
+# ----------------------------------------------------------------------------
+# Overlap resolution by one reduced remainder
+# ----------------------------------------------------------------------------
+
+def _two_normal_form_audit(rs):
+    """audit_confluence as it was before overlaps were resolved by one
+    remainder: both one-step rewrites of each overlap are put through the
+    cached single-word normal forms and compared."""
+    leads = sorted(rs.rules, key=freealg.deglex_key)
+    failures = [(la, la, lb) for la, lb in freealg._nested_leads(leads)]
+    for la in leads:
+        for lb in leads:
+            for w in freealg._overlaps(la, lb):
+                if len(w) > rs.cap:
+                    continue
+                left = rs.normal_form(rs.rules[la].rmul_word(w[len(la) :]))
+                right = rs.normal_form(rs.rules[lb].lmul_word(w[: len(w) - len(lb)]))
+                if left != right:
+                    failures.append((w, la, lb))
+    return failures
+
+
+def _damage_coefficient(text, line_index):
+    """The text with the coefficient on its `line_index`-th term line
+    negated."""
+    lines = text.splitlines(keepends=True)
+    terms = [i for i, ln in enumerate(lines) if ln.startswith("  ")]
+    i = terms[line_index]
+    word, _, coeff = lines[i].rstrip("\n").partition(" : ")
+    lines[i] = f"{word} : {-RatQ.parse(coeff)}\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("line_index", [1, 6, -1])
+@pytest.mark.parametrize("n, cap", [(3, 8), (4, 10)])
+def test_audit_finds_a_damaged_coefficient(n, cap, line_index):
+    text = complete(serre_relations(n), cap, n=n).to_text()
+    damaged = _damage_coefficient(text, line_index)
+    assert damaged != text
+    rs = RewriteSystem.from_text(damaged)
+    # the leads are intact, so the normal words still number the dimensions
+    assert [rs.count_normal_words(d) for d in range(cap + 1)] == [
+        pbw_dimension(n, d) for d in range(cap + 1)
+    ]
+    failures = audit_confluence(rs)
+    assert failures
+    assert failures == _two_normal_form_audit(RewriteSystem.from_text(damaged))
+
+
+@pytest.mark.parametrize("n, count", [(3, 2), (4, 3)])
+def test_audit_finds_the_overlaps_a_stopped_completion_left(n, count):
+    # completion through 2n - 2 lacks the rank's longest lead; claiming one
+    # degree more leaves that degree's overlaps unresolved
+    text = complete(serre_relations(n), 2 * n - 2, n=n).to_text()
+    rs = RewriteSystem.from_text(text.replace(f"cap={2 * n - 2}", f"cap={2 * n - 1}"))
+    failures = audit_confluence(rs)
+    assert len(failures) == count
+    assert all(len(w) == 2 * n - 1 for w, _, _ in failures)
+    assert failures == _two_normal_form_audit(rs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_reduce_is_the_normal_form(data):
+    # on completed systems and on the rule sets their completions passed
+    # through, where leftmost reduction is not confluent
+    rs = data.draw(st.sampled_from(_kernel_systems(data.draw(st.sampled_from([2, 3, 4])))))
+    a = data.draw(_homogeneous(rs.n, max_degree=7))
+    # b is -a half the time, so that the two sides cancel
+    b = data.draw(st.one_of(_homogeneous(rs.n, letters=next(iter(a.terms))), st.just(-a)))
+    p = a + b.scale(data.draw(_coeffs))
+    assert rs._reduce(p.terms) == rs.normal_form(p).terms
+
+
+def test_reduce_refuses_mixed_lengths():
+    rs = get_rewrite_system(2)
+    assert rs._reduce({}) == {}
+    with pytest.raises(ValueError, match="homogeneous"):
+        rs._reduce({(2, 1, 1): R_ONE, (2, 1): R_ONE})
+
+
+def test_audit_fills_no_normal_form_cache():
+    rs = RewriteSystem.from_text(complete(serre_relations(4), 10, n=4).to_text())
+    assert audit_confluence(rs) == []
+    assert rs._nf_cache == {}
