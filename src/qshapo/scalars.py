@@ -25,6 +25,15 @@ Two scalar types live here:
   WeightScalar is a scalar-valued function of a symbolic weight; substituting
   integers a_i via y_i -> q**a_i recovers a RatQ.  With prefix "k" the same
   type holds Cartan elements: the exponent vector gamma stands for k_gamma.
+  The Verma maps at a symbolic weight (act_e, theta_vector,
+  vector_from_ncpoly) do not add and multiply WeightScalars term by term:
+  once its denominators are cleared, a WeightScalar there is a sum of
+  integers times q**k * y**e, so verma's integer kernel takes it apart into
+  those integers, runs the map on them, and builds one WeightScalar per
+  output word at the end.  A numeric weight has no y-monomials, and its
+  coefficients are dense Laurent polynomials in q, which RatQ already adds
+  and multiplies as whole tuples with no gcd, so the maps keep RatQ
+  arithmetic there.
 
 Everything is immutable after construction and all operations are pure.
 """

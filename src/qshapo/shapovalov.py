@@ -47,6 +47,7 @@ from .uqsl import (
 from .verma import (
     HighestWeight,
     VermaVector,
+    _symbolic_vector,
     act_e,
     cartan_eval,
     h_eval,
@@ -155,13 +156,18 @@ def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVec
 
     The map is Q(q)-linear, so the coordinates are first multiplied by a
     common denominator D (the (q**4 - 1)**j of the h_i at a symbolic
-    weight), the sum runs in Laurent arithmetic with no gcd, and each
-    output coefficient is multiplied back by 1/D once."""
+    weight), the sum runs with no gcd, and each output coefficient is
+    multiplied back by 1/D once.  At a symbolic weight the sum runs on the
+    integer kernel of verma; at a numeric weight, in RatQ arithmetic."""
+    if hw.mode == "symbolic":
+        return _symbolic_vector(
+            {M: coords[M] for M in sorted(coords)}, hw, lambda M: pbw_normal_form(M, rs)
+        )
     D = common_denominator(coords.values())
     terms: dict = {}
     for pbw in sorted(coords):
         c = clear_denominator(coords[pbw], D)
-        add_terms(terms, ((w, hw.coerce(c * x)) for w, x in pbw_normal_form(pbw, rs).items()))
+        add_terms(terms, ((w, c * x) for w, x in pbw_normal_form(pbw, rs).items()))
     vec = VermaVector(hw, terms)
     return vec if D == P_ONE else vec.scale(RatQ(1, D))
 

@@ -21,6 +21,20 @@ of uqsl.  The raising action is computed purely from the defining
 commutation relation by pushing e_i through the word letter by letter; none
 of the derived commutation formulas feed the implementation, so they stay
 available as independent test oracles.
+
+These three maps are Q(q)-linear, so each multiplies its input
+coefficients by one common denominator D and the outputs by 1/D once.  At
+a symbolic weight every cleared coefficient is then a sum of integers
+times q**k * y**e, and the eigenvalues of k_{+-2 alpha_i} that act_e
+applies are single terms +-q**k * y**e.  So act_e, theta_vector and
+vector_from_ncpoly run there on the integer kernel at the end of this
+module: one dict of exact integers per word, keyed by the y-exponent and
+the q-exponent, where a shift by a power of q or y adds to the key and a
+rule coefficient multiplies integers; WeightScalars of RatQs are rebuilt
+once, from the output.  A numeric weight has no y-monomials, and its
+coefficients are dense Laurent polynomials in q, which RatQ already adds
+and multiplies as whole tuples with no gcd, so those maps keep RatQ
+arithmetic there.
 """
 
 from __future__ import annotations
@@ -28,10 +42,14 @@ from __future__ import annotations
 from .freealg import NCPoly, RewriteSystem, latex_document
 from .roots import cartan_entry, sigma_vec
 from .scalars import (
+    P_ONE,
     R_ONE,
     V_MINUS_VINV,
     RatQ,
     WeightScalar,
+    _pdiv,
+    _pmul,
+    _raw,
     add_terms,
     clear_denominator,
     common_denominator,
@@ -162,8 +180,9 @@ def vector_from_ncpoly(p: NCPoly, hw: HighestWeight, rs: RewriteSystem) -> Verma
     """Apply a polynomial in the lowering generators to the highest weight
     vector: the normal form of p, with its coefficients read as scalars of
     the weight.  Every left action of a polynomial goes through here."""
-    nf = rs.normal_form(p)
-    return VermaVector(hw, {w: hw.coerce(c) for w, c in nf.terms.items()})
+    if hw.mode == "symbolic":
+        return _symbolic_vector(p.terms, hw, rs._nf_word)
+    return VermaVector(hw, rs.normal_form(p).terms)
 
 
 # ----------------------------------------------------------------------------
@@ -203,15 +222,26 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     the right of the deleted letter.
 
     The action is Q(q)-linear, so the coefficients of vec are first
-    multiplied by a common denominator D: the shortened-word products and
-    the normal form then see only Laurent coefficients and run no gcd.  The
-    factor 1/D goes back on at the end together with 1/(v - 1/v), one
-    product per output coefficient and none for a zero result.
+    multiplied by a common denominator D, and the factor 1/D goes back on
+    at the end together with 1/(v - 1/v), with no product for a zero
+    result.  At a symbolic weight Y is +-q**k times a monomial in the y_i
+    (anything else raises ValueError), so each term of the shortened sum
+    is an integer keyed by its word, y-exponent and q-exponent: the shifts
+    by Y**+-1 v**-+s add to the key, and the normal form multiplies the
+    integers by those of each rule coefficient (the integer kernel below).
+    At a numeric weight every coefficient is a dense Laurent polynomial in
+    q, so the sum stays in RatQ arithmetic.  A letter outside 1..n raises
+    ValueError, as in act_f.
     """
+    n = vec.n
+    if not 1 <= i <= n:
+        raise ValueError("letter out of range")
     hw = vec.hw
+    if hw.mode == "symbolic":
+        return _act_e_symbolic(i, vec, rs)
     D = common_denominator(vec.terms.values())
-    Yp = hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(hw.n)))
-    Ym = hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(hw.n)))
+    Yp = hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n)))
+    Ym = hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n)))
 
     def shortened():
         for w, c in vec.terms.items():
@@ -222,7 +252,7 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
                     scal = Yp * RatQ.v_power(-s) - Ym * RatQ.v_power(s)
                     yield w[:pos] + w[pos + 1 :], scal * c
 
-    short = NCPoly._raw(vec.n, add_terms({}, shortened()))
+    short = NCPoly._raw(n, add_terms({}, shortened()))
     return vector_from_ncpoly(short, hw, rs).scale(_VMV_INV / RatQ(D))
 
 
@@ -272,3 +302,208 @@ def quantum_bracket(hw: HighestWeight, L_shift: int, sigma_i: int):
     plus = hw.k_eigen(tuple(2 * x for x in s)) * RatQ.v_power(shift)
     minus = hw.k_eigen(tuple(-2 * x for x in s)) * RatQ.v_power(-shift)
     return (plus - minus) * _VMV_INV
+
+
+# ----------------------------------------------------------------------------
+# The integer kernel for symbolic weights
+# ----------------------------------------------------------------------------
+#
+# Once its denominators are cleared, a scalar of a symbolic weight is a sum
+# of integers times q**k * y**e.  The kernel keeps one such scalar as a dict
+# {key: int}, where the int key packs the q-exponent k and the y-exponent e
+# as the digits of k + e_1 * B + ... + e_n * B**n with B = 2**32.  Packing is
+# linear, so multiplying by q**dk * y**de adds the key of (de, dk).  Every
+# digit stays below B/2 in size, so the key can be read back: each exponent
+# that goes into a digit is checked against _LIMIT, and a digit is the sum
+# of at most four of them.  The coefficients of a vector are
+# {word: {key: int}}; they go back to WeightScalars of RatQs once, at the
+# end, with one product per distinct numerator.
+
+_SHIFT = 32
+_HALF = 1 << (_SHIFT - 1)
+_MASK = (1 << _SHIFT) - 1
+_LIMIT = 1 << (_SHIFT - 4)
+
+
+def _digit(k) -> int:
+    """An exponent that goes into a digit of a key, checked against _LIMIT."""
+    if not -_LIMIT < k < _LIMIT:
+        raise ValueError("exponent out of range for the integer kernel")
+    return k
+
+
+def _pack(e, k=0) -> int:
+    """The key of q**k * y**e."""
+    key = 0
+    for x in reversed(e):
+        key = (key << _SHIFT) + _digit(x)
+    return (key << _SHIFT) + _digit(k)
+
+
+def _unpack(key, n) -> tuple:
+    """The y-exponent e of the key of y**e."""
+    e = []
+    for _ in range(n):
+        key >>= _SHIFT
+        d = ((key + _HALF) & _MASK) - _HALF
+        e.append(d)
+        key -= d
+    return tuple(e)
+
+
+class _Cleared:
+    """Scalars in n symbols multiplied by a common multiple D of their
+    denominators, read as {key: int}.  The keys of y-exponents and the
+    quotients D/den are computed once per value met."""
+
+    __slots__ = ("n", "D", "_keys", "_quotients")
+
+    def __init__(self, n, D):
+        self.n, self.D = n, D
+        self._keys: dict = {}
+        self._quotients: dict = {}
+
+    def laurent(self, x: RatQ) -> list:
+        """(k, a) for the terms a * q**k of the Laurent polynomial D * x."""
+        num = x.num
+        if x.den != self.D:
+            quo = self._quotients.get(x.den)
+            if quo is None:
+                quo = self._quotients[x.den] = _pdiv(self.D, x.den)
+                if quo is None:
+                    raise ValueError("denominator does not divide the common denominator")
+            num = _pmul(num, quo)
+        lo = _digit(x.val)
+        _digit(lo + len(num))
+        return [(k, a) for k, a in enumerate(num, lo) if a]
+
+    def expand(self, c) -> dict:
+        """D * c as {key: int}, for a RatQ or a WeightScalar."""
+        if isinstance(c, WeightScalar):
+            if c.n != self.n:
+                raise ValueError("WeightScalar symbol-count mismatch")
+            terms = c.terms.items()
+        else:
+            terms = (((0,) * self.n, c),)
+        keys = self._keys
+        out = {}
+        for e, x in terms:
+            base = keys.get(e)
+            if base is None:
+                base = keys[e] = _pack(e)
+            for k, a in self.laurent(x):
+                out[base + k] = a
+        return out
+
+
+def _monomial_key(ws: WeightScalar):
+    """(key, sign) of a scalar +-q**k * y**e; anything else raises."""
+    if len(ws.terms) == 1:
+        (e, x), = ws.terms.items()
+        if x.den == P_ONE and x.num in ((1,), (-1,)):
+            return _pack(e, x.val), x.num[0]
+    raise ValueError(f"not a signed q-power times a y-monomial: {ws}")
+
+
+def _symbolic_vector(coeffs: dict, hw: HighestWeight, nf_of) -> VermaVector:
+    """The sum of c * nf_of(u) over the items (u, c) of coeffs, at the
+    symbolic weight hw: nf_of(u) is a normal form {word: RatQ}, and c is a
+    RatQ or a WeightScalar."""
+    cleared = _Cleared(hw.n, common_denominator(coeffs.values()))
+    ints = {u: cleared.expand(c) for u, c in coeffs.items()}
+    return _ints_to_vector(ints, hw, nf_of, R_ONE, cleared.D)
+
+
+def _act_e_symbolic(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
+    """act_e at a symbolic weight, on integers."""
+    hw, n = vec.hw, vec.n
+    cleared = _Cleared(n, common_denominator(vec.terms.values()))
+    plus, sp = _monomial_key(hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n))))
+    minus, sm = _monomial_key(hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n))))
+    # s -> the keys and signs of Y * v**-s and -Y**-1 * v**s
+    shifts: dict = {}
+    short: dict = {}
+    for w, c in vec.terms.items():
+        ints = None
+        for pos, letter in enumerate(w):
+            if letter != i:
+                continue
+            if ints is None:
+                ints = cleared.expand(c).items()
+            s = sum(cartan_entry(i, x) for x in w[pos + 1 :])
+            pair = shifts.get(s)
+            if pair is None:
+                pair = shifts[s] = (
+                    (plus + _digit(-2 * s), sp),
+                    (minus + _digit(2 * s), -sm),
+                )
+            u = w[:pos] + w[pos + 1 :]
+            acc = short.get(u)
+            if acc is None:
+                acc = short[u] = {}
+            for d, sign in pair:
+                for key, a in ints:
+                    key += d
+                    acc[key] = acc.get(key, 0) + sign * a
+    return _ints_to_vector(short, hw, rs._nf_word, _VMV_INV, cleared.D)
+
+
+def _ints_to_vector(ints: dict, hw: HighestWeight, nf_of, factor, D) -> VermaVector:
+    """factor/D times the sum of c * nf_of(u) over the items (u, c) of ints,
+    each c a scalar as {key: int}, read back as a vector of WeightScalars.
+    nf_of is called once for each u whose c is not zero."""
+    n = hw.n
+    pairs = []
+    for u, c in ints.items():
+        c = [(key, a) for key, a in c.items() if a]
+        if c:
+            pairs.append((nf_of(u), c))
+    # the normal forms met so far have Laurent coefficients; any other
+    # denominator is cleared by a second common multiple E
+    nf_ints = _Cleared(n, common_denominator(x for nf, _ in pairs for x in nf.values()))
+    out: dict = {}
+    for nf, c in pairs:
+        for x, cx in nf.items():
+            acc = out.get(x)
+            if acc is None:
+                acc = out[x] = {}
+            for k, b in nf_ints.laurent(cx):
+                for key, a in c:
+                    key += k
+                    acc[key] = acc.get(key, 0) + a * b
+    DE = _pmul(D, nf_ints.D)
+    if DE != P_ONE:
+        factor = factor / RatQ(DE)
+    exponents: dict = {}  # key of y**e -> e
+    # numerator -> numerator * factor as a RatQ: the outputs repeat a few
+    # numerators up to a power of q, so each is reduced against D once
+    scaled: dict = {}
+    terms = {}
+    for x, acc in out.items():
+        # group by y-exponent: the key minus its q digit
+        polys: dict = {}
+        for key, a in acc.items():
+            if a:
+                k = ((key + _HALF) & _MASK) - _HALF
+                p = polys.get(key - k)
+                if p is None:
+                    p = polys[key - k] = {}
+                p[k] = a
+        if not polys:
+            continue
+        ws = {}
+        for ekey, p in polys.items():
+            e = exponents.get(ekey)
+            if e is None:
+                e = exponents[ekey] = _unpack(ekey, n)
+            lo = min(p)
+            num = [0] * (max(p) - lo + 1)
+            for k, a in p.items():
+                num[k - lo] = a
+            num = tuple(num)
+            r = scaled.get(num)
+            if r is None:
+                r = scaled[num] = _raw(0, num, P_ONE) * factor
+            ws[e] = _raw(r.val + lo, r.num, r.den)
+        terms[x] = WeightScalar._raw(n, ws, "y")
+    return VermaVector(hw, terms)

@@ -342,7 +342,14 @@ def act_e_unhoisted(i, vec, rs):
                 s = sum(cartan_entry(i, x) for x in w[pos + 1:])
                 scal = (Yp * V(-s) - Ym * V(s)) * VMV.inverse()
                 add_terms(short, [(w[:pos] + w[pos + 1:], scal * c)])
-    return vector_from_ncpoly(NCPoly(vec.n, short), hw, rs)
+    return normal_form_unhoisted(NCPoly(vec.n, short), hw, rs)
+
+
+def normal_form_unhoisted(p, hw, rs):
+    """vector_from_ncpoly in RatQ and WeightScalar arithmetic: the normal
+    form of p with each coefficient read as a scalar of the weight."""
+    nf = rs.normal_form(p)
+    return VermaVector(hw, {w: hw.coerce(c) for w, c in nf.terms.items()})
 
 
 def theta_vector_unhoisted(coords, hw, rs):
@@ -437,3 +444,127 @@ def test_raising_the_free_theta_vector_pins_the_divided_back_witness():
     )
     assert [(w, str(c)) for w, c in e.sorted_terms()] == [((1, 2), a), ((2, 1), b)]
     assert str(e) == f"({a})*f1*f2v + ({b})*f2*f1v"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_vector_from_ncpoly_matches_the_unhoisted_normal_form(data):
+    n, hw, scalars = data.draw(weight_and_scalars())
+    rs = get_rewrite_system(n)
+    words = data.draw(
+        st.lists(st.lists(st.integers(1, n), max_size=4).map(tuple), min_size=1, max_size=4)
+    )
+    p = NCPoly(n, {w: data.draw(scalars) for w in words})
+    got, expect = vector_from_ncpoly(p, hw, rs), normal_form_unhoisted(p, hw, rs)
+    assert got == expect and str(got) == str(expect), (hw.mode, words)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_raising_theta_v_at_full_size_matches_the_unhoisted_formula(n):
+    # theta*v has 2**(N-1) words whose coefficients have up to 2**(N-1)
+    # y-monomials each, and e_N at the free weight is a nonzero result
+    # divided back by its common denominator
+    rs = get_rewrite_system(n)
+    free = HighestWeight.symbolic(n)
+    tied = HighestWeight.symbolic(n, hyperplane_m=1)
+    for hw, ks in ((free, range(1, n + 1)), (tied, (n,))):
+        coords = theta_sum(n).evaluate(hw)
+        vec = theta_vector(coords, hw, rs)
+        expect = theta_vector_unhoisted(coords, hw, rs)
+        assert vec == expect and str(vec) == str(expect), (n, hw.hyperplane_m)
+        for k in ks:
+            got, expect = act_e(k, vec, rs), act_e_unhoisted(k, vec, rs)
+            assert got == expect and str(got) == str(expect), (n, hw.hyperplane_m, k)
+            assert got.is_zero() == (hw is tied or k < n)
+
+
+def test_theta_vector_reads_ratq_coordinates_as_weight_scalars():
+    rs = get_rewrite_system(3)
+    hw = HighestWeight.symbolic(3)
+    monos = pbw_monomials((1, 1, 1), 3)
+    coords = {M: (V(k) - Q(1)) / VMV ** k for k, M in enumerate(monos)}
+    vec = theta_vector(coords, hw, rs)
+    assert vec.terms and all(type(c) is WeightScalar for c in vec.terms.values())
+    assert vec == theta_vector_unhoisted(coords, hw, rs)
+
+
+def test_zero_symbolic_vector_stays_zero_with_its_weight():
+    rs = get_rewrite_system(3)
+    for hw in (HighestWeight.symbolic(3), HighestWeight.symbolic(3, hyperplane_m=1)):
+        zero = VermaVector(hw, {})
+        for got in [act_e(i, zero, rs) for i in (1, 2, 3)] + [
+            vector_from_ncpoly(NCPoly.zero(3), hw, rs),
+            theta_vector({}, hw, rs),
+        ]:
+            assert type(got) is VermaVector and got.is_zero() and got.hw is hw
+
+
+@pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+def test_act_e_rejects_a_letter_out_of_range(mode):
+    n = 3
+    rs = get_rewrite_system(n)
+    hw = HighestWeight.numeric((1, 0, -2)) if mode == "numeric" else HighestWeight.symbolic(n)
+    vec = theta_vector(theta_sum(n).evaluate(hw), hw, rs)
+    for i in (0, -1, n + 1):
+        with pytest.raises(ValueError, match="letter out of range"):
+            act_e(i, vec, rs)
+        with pytest.raises(ValueError, match="letter out of range"):
+            act_f(i, vec, rs)
+
+
+class _OffMonomialWeight(HighestWeight):
+    """A symbolic weight whose k_gamma eigenvalues are not +-q**k * y**e."""
+
+    __slots__ = ("bend",)
+
+    def k_eigen(self, gamma):
+        return self.bend(super().k_eigen(gamma))
+
+
+@pytest.mark.parametrize("bend", [
+    lambda ws: ws * 2,
+    lambda ws: ws + WeightScalar.one(ws.n),
+    lambda ws: ws * (V(1) + 1),
+    lambda ws: ws * VMV.inverse(),
+    lambda ws: WeightScalar.zero(ws.n),
+], ids=["twice", "plus-one", "times-v-plus-one", "over-v-minus-1/v", "zero"])
+def test_act_e_refuses_an_eigenvalue_off_a_monomial(bend):
+    rs = get_rewrite_system(2)
+    hw = _OffMonomialWeight(2, "symbolic")
+    hw.bend = bend
+    vec = VermaVector(hw, {(1,): hw.one(), (2, 1): hw.one()})
+    for i in (1, 2):
+        with pytest.raises(ValueError, match="not a signed q-power"):
+            act_e(i, vec, rs)
+
+
+def test_symbolic_normal_form_clears_a_rule_with_a_true_denominator():
+    # f2 f1 = (v + 1/v)**-1 f1 f2: a rule coefficient that is not Laurent
+    from qshapo.freealg import complete
+
+    rel = NCPoly(2, {(2, 1): V(1) + V(-1), (1, 2): -R_ONE})
+    rs = complete([rel], 4)
+    assert rs.rules[(2, 1)].terms[(1, 2)].den != (1,)
+    for hw in (HighestWeight.symbolic(2), HighestWeight.symbolic(2, hyperplane_m=1)):
+        c = (hw.k_eigen((1, -1)) + hw.one()) / VMV
+        p = NCPoly(2, {(2, 1, 2): c, (2, 2, 1): hw.one(), (1, 2, 1): -c})
+        got, expect = vector_from_ncpoly(p, hw, rs), normal_form_unhoisted(p, hw, rs)
+        assert got == expect and str(got) == str(expect)
+        vec = VermaVector(hw, {(1, 2, 1): c, (2, 1, 1): hw.one(), (1, 1, 2): -c})
+        for i in (1, 2):
+            got, expect = act_e(i, vec, rs), act_e_unhoisted(i, vec, rs)
+            assert got == expect and str(got) == str(expect)
+
+
+@pytest.mark.parametrize("c", [
+    WeightScalar.monomial(2, (1 << 40, 0)),
+    WeightScalar.monomial(2, (0, -(1 << 28))),
+    WeightScalar.monomial(2, (0, 0), Q(1 << 30)),
+], ids=["y1-exponent", "y2-exponent", "q-exponent"])
+def test_symbolic_maps_refuse_exponents_too_large_for_the_kernel(c):
+    rs = get_rewrite_system(2)
+    hw = HighestWeight.symbolic(2)
+    with pytest.raises(ValueError, match="out of range"):
+        vector_from_ncpoly(NCPoly(2, {(2, 1): c}), hw, rs)
+    with pytest.raises(ValueError, match="out of range"):
+        act_e(1, VermaVector(hw, {(1,): c}), rs)
