@@ -12,9 +12,9 @@ Two scalar types live here:
   Henrici's gcd splitting, which only looks for the factors that can
   actually cancel.  The (q**4 - 1)**j that 1/(v - v**-1) brings into a
   symbolic-weight computation are cleared before a Q(q)-linear map runs:
-  ``common_denominator`` finds one multiple D of them, ``clear_denominator``
-  makes each input Laurent by exact division, and the outputs are
-  multiplied back by 1/D once.
+  ``common_denominator`` finds one multiple D of them, each input is made
+  Laurent by exact division, and the outputs are multiplied back by 1/D
+  once.
   The square v = q**2 is used pervasively by the representation-theoretic
   formulas, so helpers for v-powers, quantum integers [r]_v and Gaussian
   binomial coefficients are provided alongside.
@@ -25,15 +25,11 @@ Two scalar types live here:
   WeightScalar is a scalar-valued function of a symbolic weight; substituting
   integers a_i via y_i -> q**a_i recovers a RatQ.  With prefix "k" the same
   type holds Cartan elements: the exponent vector gamma stands for k_gamma.
-  The Verma maps at a symbolic weight (act_e, theta_vector,
-  vector_from_ncpoly) do not add and multiply WeightScalars term by term:
-  once its denominators are cleared, a WeightScalar there is a sum of
-  integers times q**k * y**e, so verma's integer kernel takes it apart into
-  those integers, runs the map on them, and builds one WeightScalar per
-  output word at the end.  A numeric weight has no y-monomials, and its
-  coefficients are dense Laurent polynomials in q, which RatQ already adds
-  and multiplies as whole tuples with no gcd, so the maps keep RatQ
-  arithmetic there.
+  The Verma maps (act_e, theta_vector, vector_from_ncpoly) do not add and
+  multiply WeightScalars term by term: once its denominators are cleared,
+  a WeightScalar there is a sum of integers times q**k * y**e, so verma's
+  integer kernel takes it apart into those integers, runs the map on them,
+  and builds one WeightScalar per output word at the end.
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -765,7 +761,7 @@ class WeightScalar:
 
 
 # ----------------------------------------------------------------------------
-# Clearing denominators before a Q(q)-linear computation
+# Common denominators before a Q(q)-linear computation
 # ----------------------------------------------------------------------------
 
 def common_denominator(coeffs) -> tuple[int, ...]:
@@ -787,21 +783,6 @@ def common_denominator(coeffs) -> tuple[int, ...]:
             elif _pdiv(D, d) is None:
                 D = _pmul(D, _pdiv(d, _pgcd(D, d)))
     return D
-
-
-def clear_denominator(c, D):
-    """D*c for a RatQ or WeightScalar c whose denominators all divide D: a
-    Laurent value, made by exact division with no gcd.  A linear map applied
-    to the cleared values and multiplied back by RatQ(1, D) gives its value
-    on the originals."""
-    if D == P_ONE:
-        return c
-    if isinstance(c, WeightScalar):
-        terms = {e: clear_denominator(x, D) for e, x in c.terms.items()}
-        return WeightScalar._raw(c.n, terms, c.prefix)
-    if c.den == D:
-        return _raw(c.val, c.num, P_ONE)
-    return _raw(c.val, _pmul(c.num, D if c.den == P_ONE else _pdiv(D, c.den)), P_ONE)
 
 
 def qbinom_formal(i: int, prefix: str = "t") -> WeightScalar:

@@ -28,12 +28,9 @@ from __future__ import annotations
 from .freealg import NCPoly, RewriteSystem, get_rewrite_system, latex_document
 from .roots import alpha, dot_reflect, enumerate_II, eta_vec, pairing, r_of
 from .scalars import (
-    P_ONE,
     R_ONE,
     RatQ,
     add_terms,
-    clear_denominator,
-    common_denominator,
     qint,
 )
 from .uqsl import (
@@ -47,7 +44,7 @@ from .uqsl import (
 from .verma import (
     HighestWeight,
     VermaVector,
-    _symbolic_vector,
+    _vector_of_sum,
     act_e,
     cartan_eval,
     h_eval,
@@ -156,20 +153,11 @@ def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVec
 
     The map is Q(q)-linear, so the coordinates are first multiplied by a
     common denominator D (the (q**4 - 1)**j of the h_i at a symbolic
-    weight), the sum runs with no gcd, and each output coefficient is
-    multiplied back by 1/D once.  At a symbolic weight the sum runs on the
-    integer kernel of verma; at a numeric weight, in RatQ arithmetic."""
-    if hw.mode == "symbolic":
-        return _symbolic_vector(
-            {M: coords[M] for M in sorted(coords)}, hw, lambda M: pbw_normal_form(M, rs)
-        )
-    D = common_denominator(coords.values())
-    terms: dict = {}
-    for pbw in sorted(coords):
-        c = clear_denominator(coords[pbw], D)
-        add_terms(terms, ((w, c * x) for w, x in pbw_normal_form(pbw, rs).items()))
-    vec = VermaVector(hw, terms)
-    return vec if D == P_ONE else vec.scale(RatQ(1, D))
+    weight), the sum runs with no gcd on the integer kernel of verma, and
+    each output coefficient is multiplied back by 1/D once."""
+    return _vector_of_sum(
+        {M: coords[M] for M in sorted(coords)}, hw, lambda M: pbw_normal_form(M, rs)
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -421,6 +409,8 @@ def verify_hwv(
     if mode == "symbolic":
         if m != 1:
             raise ValueError("symbolic verification is level-one only")
+        if lam is not None:
+            raise ValueError("symbolic verification takes no weight; use sampled mode")
         base = theta_sum(n)
         free = HighestWeight.symbolic(n)
         vec = theta_vector(base.evaluate(free), free, rs)

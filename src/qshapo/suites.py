@@ -630,4 +630,6 @@ def run_suite(
 ) -> list[dict]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if lam is not None and name not in ("hwv", "negative", "powers"):
+        raise ValueError(f"the {name} suite takes no weight")
     return SUITES[name](n, m=m, mode=mode, lam=lam, samples=samples, seed=seed)

@@ -23,18 +23,15 @@ of the derived commutation formulas feed the implementation, so they stay
 available as independent test oracles.
 
 These three maps are Q(q)-linear, so each multiplies its input
-coefficients by one common denominator D and the outputs by 1/D once.  At
-a symbolic weight every cleared coefficient is then a sum of integers
-times q**k * y**e, and the eigenvalues of k_{+-2 alpha_i} that act_e
-applies are single terms +-q**k * y**e.  So act_e, theta_vector and
-vector_from_ncpoly run there on the integer kernel at the end of this
-module: one dict of exact integers per word, keyed by the y-exponent and
-the q-exponent, where a shift by a power of q or y adds to the key and a
-rule coefficient multiplies integers; WeightScalars of RatQs are rebuilt
-once, from the output.  A numeric weight has no y-monomials, and its
-coefficients are dense Laurent polynomials in q, which RatQ already adds
-and multiplies as whole tuples with no gcd, so those maps keep RatQ
-arithmetic there.
+coefficients by one common denominator D and the outputs by 1/D once.
+Every cleared coefficient is then a sum of integers times q**k * y**e
+(with e = 0 at a numeric weight), and the eigenvalues of k_{+-2 alpha_i}
+that act_e applies are single terms +-q**k * y**e.  So act_e,
+theta_vector and vector_from_ncpoly run on the integer kernel at the end
+of this module: one dict of exact integers per word, keyed by the
+y-exponent and the q-exponent, where a shift by a power of q or y adds to
+the key and a rule coefficient multiplies integers; the scalars of the
+weight are rebuilt once, from the output.
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ from .scalars import (
     _pdiv,
     _pmul,
     _raw,
-    add_terms,
-    clear_denominator,
     common_denominator,
 )
 from .uqsl import H_cartan, h_cartan
@@ -180,9 +175,7 @@ def vector_from_ncpoly(p: NCPoly, hw: HighestWeight, rs: RewriteSystem) -> Verma
     """Apply a polynomial in the lowering generators to the highest weight
     vector: the normal form of p, with its coefficients read as scalars of
     the weight.  Every left action of a polynomial goes through here."""
-    if hw.mode == "symbolic":
-        return _symbolic_vector(p.terms, hw, rs._nf_word)
-    return VermaVector(hw, rs.normal_form(p).terms)
+    return _vector_of_sum(p.terms, hw, rs._nf_word)
 
 
 # ----------------------------------------------------------------------------
@@ -224,36 +217,45 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     The action is Q(q)-linear, so the coefficients of vec are first
     multiplied by a common denominator D, and the factor 1/D goes back on
     at the end together with 1/(v - 1/v), with no product for a zero
-    result.  At a symbolic weight Y is +-q**k times a monomial in the y_i
-    (anything else raises ValueError), so each term of the shortened sum
-    is an integer keyed by its word, y-exponent and q-exponent: the shifts
-    by Y**+-1 v**-+s add to the key, and the normal form multiplies the
-    integers by those of each rule coefficient (the integer kernel below).
-    At a numeric weight every coefficient is a dense Laurent polynomial in
-    q, so the sum stays in RatQ arithmetic.  A letter outside 1..n raises
-    ValueError, as in act_f.
+    result.  Y is +-q**k times a monomial in the y_i (anything else raises
+    ValueError), so each term of the shortened sum is an integer keyed by
+    its word, y-exponent and q-exponent: the shifts by Y**+-1 v**-+s add
+    to the key, and the normal form multiplies the integers by those of
+    each rule coefficient (the integer kernel below).  A letter outside
+    1..n raises ValueError, as in act_f.
     """
-    n = vec.n
+    hw, n = vec.hw, vec.n
     if not 1 <= i <= n:
         raise ValueError("letter out of range")
-    hw = vec.hw
-    if hw.mode == "symbolic":
-        return _act_e_symbolic(i, vec, rs)
-    D = common_denominator(vec.terms.values())
-    Yp = hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n)))
-    Ym = hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n)))
-
-    def shortened():
-        for w, c in vec.terms.items():
-            c = clear_denominator(c, D)
-            for pos, letter in enumerate(w):
-                if letter == i:
-                    s = sum(cartan_entry(i, x) for x in w[pos + 1 :])
-                    scal = Yp * RatQ.v_power(-s) - Ym * RatQ.v_power(s)
-                    yield w[:pos] + w[pos + 1 :], scal * c
-
-    short = NCPoly._raw(n, add_terms({}, shortened()))
-    return vector_from_ncpoly(short, hw, rs).scale(_VMV_INV / RatQ(D))
+    cleared = _Cleared(n, common_denominator(vec.terms.values()))
+    plus, sp = _monomial_key(hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n))))
+    minus, sm = _monomial_key(hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n))))
+    # s -> the keys and signs of Y * v**-s and -Y**-1 * v**s
+    shifts: dict = {}
+    short: dict = {}
+    for w, c in vec.terms.items():
+        ints = None
+        for pos, letter in enumerate(w):
+            if letter != i:
+                continue
+            if ints is None:
+                ints = cleared.expand(c).items()
+            s = sum(cartan_entry(i, x) for x in w[pos + 1 :])
+            pair = shifts.get(s)
+            if pair is None:
+                pair = shifts[s] = (
+                    (plus + _digit(-2 * s), sp),
+                    (minus + _digit(2 * s), -sm),
+                )
+            u = w[:pos] + w[pos + 1 :]
+            acc = short.get(u)
+            if acc is None:
+                acc = short[u] = {}
+            for d, sign in pair:
+                for key, a in ints:
+                    key += d
+                    acc[key] = acc.get(key, 0) + sign * a
+    return _ints_to_vector(short, hw, rs._nf_word, _VMV_INV, cleared.D)
 
 
 def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
@@ -305,19 +307,20 @@ def quantum_bracket(hw: HighestWeight, L_shift: int, sigma_i: int):
 
 
 # ----------------------------------------------------------------------------
-# The integer kernel for symbolic weights
+# The integer kernel
 # ----------------------------------------------------------------------------
 #
-# Once its denominators are cleared, a scalar of a symbolic weight is a sum
-# of integers times q**k * y**e.  The kernel keeps one such scalar as a dict
-# {key: int}, where the int key packs the q-exponent k and the y-exponent e
-# as the digits of k + e_1 * B + ... + e_n * B**n with B = 2**32.  Packing is
-# linear, so multiplying by q**dk * y**de adds the key of (de, dk).  Every
-# digit stays below B/2 in size, so the key can be read back: each exponent
-# that goes into a digit is checked against _LIMIT, and a digit is the sum
-# of at most four of them.  The coefficients of a vector are
-# {word: {key: int}}; they go back to WeightScalars of RatQs once, at the
-# end, with one product per distinct numerator.
+# Once its denominators are cleared, a scalar of a weight is a sum of
+# integers times q**k * y**e; a numeric weight has only e = 0.  The kernel
+# keeps one such scalar as a dict {key: int}, where the int key packs the
+# q-exponent k and the y-exponent e as the digits of
+# k + e_1 * B + ... + e_n * B**n with B = 2**32.  Packing is linear, so
+# multiplying by q**dk * y**de adds the key of (de, dk).  Every digit stays
+# below B/2 in size, so the key can be read back: each exponent that goes
+# into a digit is checked against _LIMIT, and a digit is the sum of at most
+# four of them.  The coefficients of a vector are {word: {key: int}}; they
+# go back to scalars of the weight once, at the end, with one product per
+# distinct numerator.
 
 _SHIFT = 32
 _HALF = 1 << (_SHIFT - 1)
@@ -396,62 +399,31 @@ class _Cleared:
         return out
 
 
-def _monomial_key(ws: WeightScalar):
-    """(key, sign) of a scalar +-q**k * y**e; anything else raises."""
-    if len(ws.terms) == 1:
-        (e, x), = ws.terms.items()
+def _monomial_key(c):
+    """(key, sign) of a scalar +-q**k * y**e, a WeightScalar or (with e = 0)
+    a RatQ; anything else raises."""
+    terms = c.terms.items() if isinstance(c, WeightScalar) else (((), c),)
+    if len(terms) == 1:
+        (e, x), = terms
         if x.den == P_ONE and x.num in ((1,), (-1,)):
             return _pack(e, x.val), x.num[0]
-    raise ValueError(f"not a signed q-power times a y-monomial: {ws}")
+    raise ValueError(f"not a signed q-power times a y-monomial: {c}")
 
 
-def _symbolic_vector(coeffs: dict, hw: HighestWeight, nf_of) -> VermaVector:
+def _vector_of_sum(coeffs: dict, hw: HighestWeight, nf_of) -> VermaVector:
     """The sum of c * nf_of(u) over the items (u, c) of coeffs, at the
-    symbolic weight hw: nf_of(u) is a normal form {word: RatQ}, and c is a
-    RatQ or a WeightScalar."""
+    weight hw: nf_of(u) is a normal form {word: RatQ}, and c is a scalar of
+    the weight or a RatQ."""
     cleared = _Cleared(hw.n, common_denominator(coeffs.values()))
     ints = {u: cleared.expand(c) for u, c in coeffs.items()}
     return _ints_to_vector(ints, hw, nf_of, R_ONE, cleared.D)
 
 
-def _act_e_symbolic(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
-    """act_e at a symbolic weight, on integers."""
-    hw, n = vec.hw, vec.n
-    cleared = _Cleared(n, common_denominator(vec.terms.values()))
-    plus, sp = _monomial_key(hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n))))
-    minus, sm = _monomial_key(hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n))))
-    # s -> the keys and signs of Y * v**-s and -Y**-1 * v**s
-    shifts: dict = {}
-    short: dict = {}
-    for w, c in vec.terms.items():
-        ints = None
-        for pos, letter in enumerate(w):
-            if letter != i:
-                continue
-            if ints is None:
-                ints = cleared.expand(c).items()
-            s = sum(cartan_entry(i, x) for x in w[pos + 1 :])
-            pair = shifts.get(s)
-            if pair is None:
-                pair = shifts[s] = (
-                    (plus + _digit(-2 * s), sp),
-                    (minus + _digit(2 * s), -sm),
-                )
-            u = w[:pos] + w[pos + 1 :]
-            acc = short.get(u)
-            if acc is None:
-                acc = short[u] = {}
-            for d, sign in pair:
-                for key, a in ints:
-                    key += d
-                    acc[key] = acc.get(key, 0) + sign * a
-    return _ints_to_vector(short, hw, rs._nf_word, _VMV_INV, cleared.D)
-
-
 def _ints_to_vector(ints: dict, hw: HighestWeight, nf_of, factor, D) -> VermaVector:
     """factor/D times the sum of c * nf_of(u) over the items (u, c) of ints,
-    each c a scalar as {key: int}, read back as a vector of WeightScalars.
-    nf_of is called once for each u whose c is not zero."""
+    each c a scalar as {key: int}, read back as a vector of WeightScalars,
+    or of RatQs at a numeric weight.  nf_of is called once for each u whose
+    c is not zero."""
     n = hw.n
     pairs = []
     for u, c in ints.items():
@@ -505,5 +477,10 @@ def _ints_to_vector(ints: dict, hw: HighestWeight, nf_of, factor, D) -> VermaVec
             if r is None:
                 r = scaled[num] = _raw(0, num, P_ONE) * factor
             ws[e] = _raw(r.val + lo, r.num, r.den)
-        terms[x] = WeightScalar._raw(n, ws, "y")
+        if hw.mode == "symbolic":
+            terms[x] = WeightScalar._raw(n, ws, "y")
+        elif ws.keys() == {(0,) * n}:
+            terms[x] = ws[(0,) * n]
+        else:
+            raise ValueError("a y-monomial at a numeric weight")
     return VermaVector(hw, terms)

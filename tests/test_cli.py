@@ -171,6 +171,25 @@ def test_verify_weight_off_hyperplane_exit_2(capsys, tmp_path, argv, code):
         assert json.loads(out)["all_pass"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, n, err",
+    [
+        (["section44", "--lambda", "1,2"], "3", "error: the section44 suite takes no weight\n"),
+        (["section2", "--lambda", "0,-1"], "2", "error: the section2 suite takes no weight\n"),
+        (["pbw", "--lambda", "0,-1"], "2", "error: the pbw suite takes no weight\n"),
+        (
+            ["hwv", "--lambda", "0,-1"],
+            "2",
+            "error: symbolic verification takes no weight; use sampled mode\n",
+        ),
+    ],
+    ids=["section44", "section2", "pbw", "hwv-symbolic"],
+)
+def test_verify_weight_the_run_would_drop_exit_2(capsys, tmp_path, argv, n, err):
+    got = run_cli(capsys, "verify", "--suite", *argv, "--n", n, "--cache-dir", str(tmp_path))
+    assert got == (2, "", err)
+
+
 @pytest.mark.parametrize("m", ["1", "2"])
 def test_verify_powers_n1_reports_no_shift_check(capsys, tmp_path, m):
     # at N = 1 every root vector contains f_1, so the formal shift identity

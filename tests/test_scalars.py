@@ -17,12 +17,12 @@ from qshapo.scalars import (
     _pgcd,
     _pmul,
     add_terms,
-    clear_denominator,
     common_denominator,
     qbinom,
     qbinom_formal,
     qint,
 )
+from qshapo.verma import _HALF, _MASK, _Cleared, _unpack
 
 try:
     import sympy
@@ -455,25 +455,41 @@ def _ppow(a, j):
     return out
 
 
-def _assert_clears(coeffs, D):
-    """D is a multiple of every denominator, each cleared value is a
-    Laurent polynomial, and multiplying back by 1/D gives the value."""
-    back = RatQ(1, D)
+def _split(key, n):
+    """(e, k) of the kernel key of q**k * y**e in n symbols."""
+    k = ((key + _HALF) & _MASK) - _HALF
+    return _unpack(key - k, n), k
+
+
+def _read_back(ints, n, D):
+    """The value of {key: int} from _Cleared(n, D).expand, times 1/D, as a
+    WeightScalar in n symbols."""
+    out = WeightScalar.zero(n)
+    for key, a in ints.items():
+        e, k = _split(key, n)
+        out = out + WeightScalar.monomial(n, e, RatQ.q_power(k) * a)
+    return out * RatQ(1, D)
+
+
+def _assert_clears(coeffs, D, n=2):
+    """D is a multiple of every denominator, each cleared value is a dict
+    of integers, and multiplying it back by 1/D gives the value."""
+    cleared = _Cleared(n, D)
     for c in coeffs:
         xs = c.terms.values() if isinstance(c, WeightScalar) else [c]
         assert all(_pdiv(D, x.den) is not None for x in xs)
-        cleared = clear_denominator(c, D)
-        ys = cleared.terms.values() if isinstance(c, WeightScalar) else [cleared]
-        assert all(y.den == (1,) for y in ys)
-        assert cleared * back == c
+        ints = cleared.expand(c)
+        assert all(type(a) is int and a for a in ints.values())
+        assert _read_back(ints, n, D) == (
+            c if isinstance(c, WeightScalar) else WeightScalar.const(n, c)
+        )
 
 
 def test_common_denominator_of_nothing_or_laurent_values_is_one():
     assert common_denominator([]) == (1,)
     laurent = [R_ONE, RatQ.q_power(-3), RatQ((2, 0, -1)), -RatQ.v_power(5)]
     assert common_denominator(laurent) == (1,)
-    for c in laurent:
-        assert clear_denominator(c, (1,)) is c
+    _assert_clears(laurent, (1,))
 
 
 def test_common_denominator_of_a_divisibility_chain_runs_no_gcd(monkeypatch):
@@ -490,9 +506,10 @@ def test_common_denominator_of_a_divisibility_chain_runs_no_gcd(monkeypatch):
     monkeypatch.setattr(scalars, "_pcancel", no_gcd)
     D = common_denominator(coeffs)
     assert D == _ppow(Q4M1, 4)
-    cleared = [clear_denominator(c, D) for c in coeffs]
+    cleared = _Cleared(1, D)
+    ints = [cleared.expand(c) for c in coeffs]
     monkeypatch.undo()
-    assert all(x.den == (1,) for x in cleared)
+    assert all(ints)
     _assert_clears(coeffs, D)
 
 
@@ -507,7 +524,7 @@ def test_common_denominator_skips_zero_coefficients():
     coeffs = [R_ZERO, RatQ((1,), Q4M1), R_ZERO]
     D = common_denominator(coeffs)
     assert D == Q4M1
-    assert clear_denominator(R_ZERO, D) == R_ZERO
+    assert _Cleared(2, D).expand(R_ZERO) == {}
     _assert_clears(coeffs, D)
 
 
@@ -518,8 +535,8 @@ def test_common_denominator_of_weight_scalars():
     D = common_denominator(coeffs)
     assert D == _pmul(_pmul(Q4M1, Q4M1), COPRIME)
     _assert_clears(coeffs, D)
-    cleared = clear_denominator(a, D)
-    assert (cleared.n, cleared.prefix, set(cleared.terms)) == (2, "y", set(a.terms))
+    ints = _Cleared(2, D).expand(a)
+    assert {_split(key, 2)[0] for key in ints} == set(a.terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -529,7 +546,9 @@ def test_clear_and_restore_round_trip(coeffs):
     _assert_clears(coeffs, D)
     # the result of a linear map on the cleared values, restored, is the
     # map on the originals
-    total = R_ZERO
+    cleared = _Cleared(1, D)
+    total: dict = {}
     for c in coeffs:
-        total = total + clear_denominator(c, D)
-    assert total * RatQ(1, D) == sum(coeffs, R_ZERO)
+        for key, a in cleared.expand(c).items():
+            total[key] = total.get(key, 0) + a
+    assert _read_back(total, 1, D) == WeightScalar.const(1, sum(coeffs, R_ZERO))

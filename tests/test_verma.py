@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshapo.freealg import NCPoly, get_rewrite_system
-from qshapo.roots import cartan_entry
+from qshapo.roots import cartan_entry, sample_dominant_chain
 from qshapo.scalars import R_ONE, RatQ, WeightScalar, add_terms, qint
-from qshapo.shapovalov import theta_sum, theta_vector
+from qshapo.shapovalov import theta_power, theta_sum, theta_vector
 from qshapo.uqsl import expand_pbw, h_cartan, jimbo, pbw_monomials, pbw_normal_form
 from qshapo.verma import (
     HighestWeight,
@@ -478,6 +478,24 @@ def test_raising_theta_v_at_full_size_matches_the_unhoisted_formula(n):
             assert got.is_zero() == (hw is tied or k < n)
 
 
+@pytest.mark.parametrize("n, m", [(4, 2), (3, 3)])
+def test_raising_numeric_theta_v_matches_the_unhoisted_formula(n, m):
+    # the level-m element at a numeric weight: the kernel packs no y-digit,
+    # and every output coefficient is the lone RatQ of its word
+    rs = get_rewrite_system(n)
+    w = sample_dominant_chain(n, m, 1)[0]
+    hw = HighestWeight.numeric(w)
+    coords = theta_power(n, m, w, rs)
+    vec = theta_vector(coords, hw, rs)
+    expect = theta_vector_unhoisted(coords, hw, rs)
+    assert vec == expect and str(vec) == str(expect), w
+    assert vec.terms and all(type(c) is RatQ for c in vec.terms.values())
+    for k in range(1, n + 1):
+        got, expect = act_e(k, vec, rs), act_e_unhoisted(k, vec, rs)
+        assert got == expect and str(got) == str(expect), (w, k)
+        assert got.is_zero() and all(type(c) is RatQ for c in got.terms.values())
+
+
 def test_theta_vector_reads_ratq_coordinates_as_weight_scalars():
     rs = get_rewrite_system(3)
     hw = HighestWeight.symbolic(3)
@@ -490,7 +508,11 @@ def test_theta_vector_reads_ratq_coordinates_as_weight_scalars():
 
 def test_zero_symbolic_vector_stays_zero_with_its_weight():
     rs = get_rewrite_system(3)
-    for hw in (HighestWeight.symbolic(3), HighestWeight.symbolic(3, hyperplane_m=1)):
+    for hw in (
+        HighestWeight.symbolic(3),
+        HighestWeight.symbolic(3, hyperplane_m=1),
+        HighestWeight.numeric((1, 0, -2)),
+    ):
         zero = VermaVector(hw, {})
         for got in [act_e(i, zero, rs) for i in (1, 2, 3)] + [
             vector_from_ncpoly(NCPoly.zero(3), hw, rs),
@@ -568,3 +590,24 @@ def test_symbolic_maps_refuse_exponents_too_large_for_the_kernel(c):
         vector_from_ncpoly(NCPoly(2, {(2, 1): c}), hw, rs)
     with pytest.raises(ValueError, match="out of range"):
         act_e(1, VermaVector(hw, {(1,): c}), rs)
+
+
+def test_numeric_act_e_refuses_a_pairing_too_large_for_the_kernel():
+    # Y = q**(2 * 2**27) does not fit a digit of a kernel key
+    rs = get_rewrite_system(2)
+    hw = HighestWeight.numeric((1 << 27, 0))
+    vec = VermaVector(hw, {(1,): R_ONE})
+    with pytest.raises(ValueError, match="out of range"):
+        act_e(1, vec, rs)
+    assert act_e(2, vec, rs).is_zero()
+
+
+def test_numeric_maps_refuse_a_y_monomial():
+    # a WeightScalar with a y-exponent has no value at a numeric weight
+    rs = get_rewrite_system(2)
+    hw = HighestWeight.numeric((1, 0))
+    c = WeightScalar.monomial(2, (1, 0))
+    with pytest.raises(ValueError, match="y-monomial at a numeric weight"):
+        vector_from_ncpoly(NCPoly(2, {(2, 1): c}), hw, rs)
+    with pytest.raises(ValueError, match="y-monomial at a numeric weight"):
+        act_e(1, VermaVector(hw, {(2, 1): c}), rs)
