@@ -39,12 +39,13 @@ from .shapovalov import (
     InconsistentResult,
     InductionPreconditionError,
     WeightError,
+    check_power_weight,
     theta_det,
     theta_inductive,
     theta_power,
     theta_sum,
 )
-from .suites import SUITES, run_suite
+from .suites import SUITES, check_suite_args, run_suite
 from .uqsl import NilpotencyCapExceeded, NotRightDivisible, SingularSystem
 from .verma import HighestWeight
 
@@ -194,6 +195,8 @@ def cmd_theta(cfg: JobConfig) -> int:
         if cfg.lam is None:
             print("error: this method needs --lambda", file=sys.stderr)
             return 2
+        if cfg.method == "power":
+            check_power_weight(cfg.n, cfg.m, cfg.lam)
         rs = _register_system(cfg.n, default_cap(cfg.n), resolve_cache_dir(cfg.cache_dir))
         if cfg.method == "inductive":
             coords = theta_inductive(cfg.n, cfg.m, cfg.lam, rs).normalized()
@@ -210,8 +213,8 @@ def cmd_theta(cfg: JobConfig) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_verify(cfg: JobConfig) -> int:
-    cache_dir = resolve_cache_dir(cfg.cache_dir)
-    _register_system(cfg.n, default_cap(cfg.n), cache_dir)
+    check_suite_args(cfg.suite, cfg.lam)
+    _register_system(cfg.n, default_cap(cfg.n), resolve_cache_dir(cfg.cache_dir))
     checks = run_suite(
         cfg.suite,
         cfg.n,

@@ -300,9 +300,8 @@ class RewriteSystem:
         self._delta: list[list[int]] = [[0] * (n + 1)]
         self._rhs: dict[tuple, tuple] = {}
         self._nf_cache: dict[tuple, dict] = {}
-        # multidegree -> uqsl.PBWColumns (the PBW monomials, their normal
-        # forms and leading words); filled by uqsl
-        self._pbw_cache: dict[tuple, tuple] = {}
+        # multidegree -> {PBW monomial: its normal form}; filled by uqsl
+        self._pbw_cache: dict[tuple, dict] = {}
 
     # -- rule bookkeeping ------------------------------------------------
 

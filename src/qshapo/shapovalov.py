@@ -307,16 +307,24 @@ def theta_inductive(
 # Powers
 # ----------------------------------------------------------------------------
 
-def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
-    """Level-m element at lam as the ordered product of level-one
-    evaluations at lam - (m-1)eta, ..., lam - eta, lam (left to right); at
-    m = 1 this is the evaluated closed sum.  Raises WeightError unless
-    (lam + rho, eta) = m."""
+def check_power_weight(n: int, m: int, lam) -> tuple:
+    """lam as a tuple; raises WeightError unless it has rank n and satisfies
+    (lam + rho, eta) = m.  It builds nothing, so a caller can refuse a
+    weight before it loads a rewriting system."""
     lam = tuple(lam)
     if len(lam) != n:
         raise WeightError("weight has wrong rank")
     if sum(lam) != m - n:
         raise WeightError(f"weight must satisfy (lam + rho, eta) = {m}")
+    return lam
+
+
+def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
+    """Level-m element at lam as the ordered product of level-one
+    evaluations at lam - (m-1)eta, ..., lam - eta, lam (left to right); at
+    m = 1 this is the evaluated closed sum.  Raises WeightError unless
+    (lam + rho, eta) = m."""
+    lam = check_power_weight(n, m, lam)
     base = theta_sum(n)
     if m == 1:
         return base.evaluate(HighestWeight.numeric(lam))

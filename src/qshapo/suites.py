@@ -619,6 +619,16 @@ SUITES = {
 }
 
 
+def check_suite_args(name: str, lam=None) -> None:
+    """Raise ValueError for an unknown suite, or for a weight the suite would
+    not read.  It builds nothing, so a caller can refuse the arguments
+    before it loads a rewriting system."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if lam is not None and name not in ("hwv", "negative", "powers"):
+        raise ValueError(f"the {name} suite takes no weight")
+
+
 def run_suite(
     name: str,
     n: int,
@@ -628,8 +638,5 @@ def run_suite(
     samples: int = 5,
     seed: int = 0,
 ) -> list[dict]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if lam is not None and name not in ("hwv", "negative", "powers"):
-        raise ValueError(f"the {name} suite takes no weight")
+    check_suite_args(name, lam)
     return SUITES[name](n, m=m, mode=mode, lam=lam, samples=samples, seed=seed)

@@ -24,6 +24,7 @@ from functools import lru_cache
 from .freealg import NCPoly, RewriteSystem, deglex_key, word_multidegree
 from .roots import alpha, cartan_entry, kostant_partitions, pairing
 from .scalars import (
+    R_ONE,
     R_ZERO,
     V_MINUS_VINV,
     RatQ,
@@ -88,95 +89,80 @@ def pbw_monomials(mu, n: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 # ----------------------------------------------------------------------------
-# Exact linear algebra over RatQ
+# Exact linear algebra: one elimination by leading words
 # ----------------------------------------------------------------------------
 
 def solve_linear(cols: list[dict], rhs: dict):
-    """Solve sum_c x_c * cols[c] = rhs over RatQ by Gauss-Jordan elimination
-    (right division by powers of F; PBW coordinates need no solve).
+    """Solve sum_c x_c * cols[c] = rhs, the columns over RatQ and rhs over
+    anything they multiply; both PBW coordinates and right division by
+    powers of F are such solves.
+
+    The columns are taken in order.  While a column's deglex-leading word is
+    already a pivot's lead, that pivot's multiple is subtracted, and the
+    original columns each pivot combines are recorded.  The pivots' leads are
+    then distinct, so one pass over them from the largest lead down reads the
+    solution: each lead still in the remainder fixes one coefficient.  When
+    the columns' leads are distinct from the start, as in every PBW system
+    (Lyndon-word triangularity) and every right-division system measured,
+    no column is reduced.
 
     Returns ("ok", xs), ("singular",) when the columns are dependent, or
     ("inconsistent",) when rhs is outside the column span.
     """
-    rows = sorted({w for col in cols for w in col} | set(rhs), key=deglex_key)
-    idx = {w: r for r, w in enumerate(rows)}
-    m, k = len(rows), len(cols)
-    A = [[R_ZERO] * k for _ in range(m)]
+    # lead -> (column index, column, inverse of its lead coefficient, and
+    # None or the combination {original column: coefficient} it stands for)
+    pivots = {}
     for c, col in enumerate(cols):
-        for w, x in col.items():
-            A[idx[w]][c] = x
-    b = [R_ZERO] * m
-    for w, x in rhs.items():
-        b[idx[w]] = x
-    r = 0
-    for c in range(k):
-        p = next((row for row in range(r, m) if A[row][c]), None)
-        if p is None:
+        combo = None
+        while col:
+            lead = max(col, key=deglex_key)
+            hit = pivots.get(lead)
+            if hit is None:
+                break
+            pc, pcol, pinv, pcombo = hit
+            f = col[lead] * pinv
+            col = add_terms(dict(col), ((w, -(f * y)) for w, y in pcol.items()))
+            combo = add_terms(
+                combo or {c: R_ONE},
+                ((k, -(f * y)) for k, y in (pcombo or {pc: R_ONE}).items()),
+            )
+        else:
             return ("singular",)
-        A[r], A[p] = A[p], A[r]
-        b[r], b[p] = b[p], b[r]
-        inv = A[r][c].inverse()
-        piv = A[r] = [x * inv if x else x for x in A[r]]
-        b[r] = b[r] * inv
-        # the update x - f*y leaves x alone wherever the pivot row is zero
-        nz = [j for j, y in enumerate(piv) if y]
-        for row in range(m):
-            Arow = A[row]
-            f = Arow[c]
-            if row != r and f:
-                for j in nz:
-                    Arow[j] = Arow[j] - f * piv[j]
-                b[row] = b[row] - f * b[r]
-        r += 1
-    for row in range(r, m):
-        if b[row]:
-            return ("inconsistent",)
-    return ("ok", b[:k])
+        pivots[lead] = (c, col, col[lead].inverse(), combo)
+    rest = dict(rhs)
+    xs: dict = {}
+    for lead in sorted(pivots, key=deglex_key, reverse=True):
+        r = rest.get(lead)
+        if r is None:
+            continue
+        c, col, inv, combo = pivots[lead]
+        x = r * inv
+        add_terms(rest, ((w, -(x * y)) for w, y in col.items()))
+        add_terms(xs, ((k, x * y) for k, y in combo.items()) if combo else ((c, x),))
+    if rest:
+        return ("inconsistent",)
+    return ("ok", [xs.get(c, R_ZERO) for c in range(len(cols))])
 
 
-class PBWColumns:
-    """The PBW monomials of one multidegree and their normal forms.
-
-    ``monos`` lists the monomials and ``cols`` their normal forms (dicts word
-    -> RatQ), column c belonging to monos[c]; ``index`` maps a monomial to its
-    column.  ``leads`` holds (deglex-leading word, column, inverse of the
-    leading coefficient) for every column, largest leading word first.  The
-    leading words are distinct, so the columns are triangular.
-    """
-
-    __slots__ = ("monos", "cols", "index", "leads")
-
-    def __init__(self, monos, cols, leads):
-        self.monos = monos
-        self.cols = cols
-        self.index = {M: c for c, M in enumerate(monos)}
-        self.leads = leads
-
-
-def _pbw_basis_columns(mu, rs: RewriteSystem) -> PBWColumns:
-    """The PBW columns of multidegree mu, cached on rs so that they can never
-    outlive or cross to another system.  Each column is built factor by
-    factor, every partial product normal-formed, so no product leaves the
-    normal words.  Raises SingularSystem unless the columns have distinct
-    leading words (Lyndon-word triangularity of the PBW basis)."""
+def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
+    """The normal forms of the PBW monomials of multidegree mu, as a dict
+    monomial -> column (dict word -> RatQ) in pbw_monomials order, cached on
+    rs so that they can never outlive or cross to another system.  Each
+    column is built factor by factor, every partial product normal-formed,
+    so no product leaves the normal words.  Raises SingularSystem if the
+    columns are dependent."""
     key = tuple(mu)
     got = rs._pbw_cache.get(key)
     if got is None:
         n = rs.n
-        monos = pbw_monomials(mu, n)
-        cols = []
-        leads = {}
-        for c, M in enumerate(monos):
+        got = {}
+        for M in pbw_monomials(mu, n):
             prod = NCPoly.one(n)
             for (i, j) in M:
                 prod = rs.normal_form(prod * jimbo(i, j, n))
-            lead = prod.leading_word() if prod.terms else None
-            if lead is None or lead in leads:
-                raise SingularSystem(f"PBW basis matrix singular at multidegree {key}")
-            leads[lead] = (c, prod.terms[lead].inverse())
-            cols.append(prod.terms)
-        order = sorted(leads, key=deglex_key, reverse=True)
-        got = PBWColumns(monos, cols, [(w, *leads[w]) for w in order])
+            got[M] = prod.terms
+        if solve_linear(list(got.values()), {})[0] == "singular":
+            raise SingularSystem(f"PBW basis matrix singular at multidegree {key}")
         rs._pbw_cache[key] = got
     return got
 
@@ -185,39 +171,27 @@ def pbw_normal_form(M, rs: RewriteSystem) -> dict:
     """Normal form (dict word -> RatQ) of the PBW monomial M, read from the
     column cache; M must be in the sorted form pbw_monomials gives."""
     mu = word_multidegree([k for (i, j) in M for k in range(i, j)], rs.n)
-    basis = _pbw_basis_columns(mu, rs)
-    c = basis.index.get(M)
-    if c is None:
+    col = _pbw_basis_columns(mu, rs).get(M)
+    if col is None:
         raise ValueError(f"{M} is not a sorted PBW monomial")
-    return basis.cols[c]
+    return col
 
 
 def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
-    """Coordinates of a homogeneous element in the PBW basis.
-
-    The PBW columns of the element's multidegree are triangular, so one pass
-    over their leading words from the largest down reads the coordinates:
-    each leading word left in the remainder fixes its column's coefficient,
-    and that multiple of the column is subtracted.  A word left over at the
-    end means the element lies outside the PBW span, i.e. the rewriting
-    engine contradicts the PBW theorem, which is reported loudly.
+    """Coordinates of a homogeneous element in the PBW basis: one
+    solve_linear against the PBW columns of its multidegree.  An element
+    outside their span means the rewriting engine contradicts the PBW
+    theorem, which is reported loudly.
     """
     nf = rs.normal_form(p)
     if nf.is_zero():
         return {}
     mu = nf.multidegree()
     basis = _pbw_basis_columns(mu, rs)
-    rest = dict(nf.terms)
-    xs = {}
-    for w, c, inv in basis.leads:
-        r = rest.get(w)
-        if r is None:
-            continue
-        x = xs[c] = r * inv
-        add_terms(rest, ((u, -(x * y)) for u, y in basis.cols[c].items()))
-    if rest:
+    res = solve_linear(list(basis.values()), nf.terms)
+    if res[0] != "ok":
         raise SingularSystem(f"element outside PBW span at multidegree {mu}")
-    return {basis.monos[c]: xs[c] for c in sorted(xs)}
+    return {M: x for M, x in zip(basis, res[1]) if x}
 
 
 def from_pbw(coords: dict, n: int) -> NCPoly:
@@ -433,7 +407,8 @@ def divide_right_F(W: NCPoly, d: int, beta: int, rs: RewriteSystem) -> NCPoly:
     """The unique theta with theta * F**d = W, when it exists.
 
     Uniqueness is automatic (the quotient is a domain); existence is decided
-    by solving against the normal words of the quotient multidegree.
+    by solve_linear against the columns b * F**d, b running over the normal
+    words of the quotient multidegree.
     """
     if W.is_zero():
         return W

@@ -190,6 +190,26 @@ def test_verify_weight_the_run_would_drop_exit_2(capsys, tmp_path, argv, n, err)
     assert got == (2, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["verify", "--suite", "section2", "--n", "3", "--lambda", "0,0,0"],
+            "error: the section2 suite takes no weight\n",
+        ),
+        (
+            ["theta", "--n", "3", "--m", "2", "--method", "power", "--lambda", "0,0,0"],
+            "error: weight must satisfy (lam + rho, eta) = 2\n",
+        ),
+    ],
+    ids=["verify-section2", "theta-power"],
+)
+def test_refused_arguments_build_no_cache(capsys, tmp_path, argv, err):
+    # the arguments are refused before a rewriting system is loaded or built
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (2, "", err)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("m", ["1", "2"])
 def test_verify_powers_n1_reports_no_shift_check(capsys, tmp_path, m):
     # at N = 1 every root vector contains f_1, so the formal shift identity

@@ -73,6 +73,13 @@ GOLDEN = [
      "5de2a50bbd78d295384a2b4f24b978e17f92bdd21fd4850d41a325c0b151c201"),
     ("theta --n 3 --m 2 --method inductive --lambda 1,0,-2", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # successful rank inductions: each one divides on the right by F^d
+    ("theta --n 3 --m 3 --method inductive --lambda 4,1,-5", 0,
+     "ca1815251b2df1c89284a0aa12814aa18847aadfe8e0174d919e33c7b2edfa93"),
+    ("theta --n 3 --m 3 --method inductive --lambda 4,1,-5 --format json", 0,
+     "651fbd8b5d02eb0c736910cf251f3e36fc691bc80ed83458f93332741b1eba56"),
+    ("theta --n 4 --m 2 --method inductive --lambda 3,1,0,-6", 0,
+     "0f66ec89acdfd297cae6f9ad79019c4bf8df44b8da910fbc552e75e45274520b"),
 ]
 
 

@@ -115,22 +115,20 @@ def test_pbw_leads_are_the_normal_words():
         degrees = [mu for mu in itertools.product(range(7), repeat=n) if 0 < sum(mu) <= 6]
         degrees += {3: [(3,) * 3], 4: [(2,) * 4], 5: [(2,) * 5]}.get(n, [])
         for mu in degrees:
-            basis = _pbw_basis_columns(mu, rs)
-            leads = [w for w, _, _ in basis.leads]
-            assert leads == sorted(leads, key=deglex_key, reverse=True)
+            cols = _pbw_basis_columns(mu, rs).values()
+            leads = [max(col, key=deglex_key) for col in cols]
             assert sorted(leads) == rs.normal_words(mu), (n, mu)
-            for w, c, inv in basis.leads:
-                assert max(basis.cols[c], key=deglex_key) == w
-                assert inv * basis.cols[c][w] == R_ONE
-                assert _leading_coefficient_is_unit(basis.cols[c][w]), (n, mu, w)
+            for w, col in zip(leads, cols):
+                assert _leading_coefficient_is_unit(col[w]), (n, mu, w)
 
 
 def test_pbw_normal_form_reads_the_cache():
     rs = get_rewrite_system(3)
     basis = _pbw_basis_columns((2, 1, 1), rs)
-    for c, M in enumerate(pbw_monomials((2, 1, 1), 3)):
-        assert pbw_normal_form(M, rs) is basis.cols[c]
-        assert basis.cols[c] == rs.normal_form(expand_pbw(M, 3)).terms
+    assert list(basis) == pbw_monomials((2, 1, 1), 3)
+    for M, col in basis.items():
+        assert pbw_normal_form(M, rs) is col
+        assert col == rs.normal_form(expand_pbw(M, 3)).terms
     assert pbw_normal_form((), rs) == {(): R_ONE}
     with pytest.raises(ValueError):
         pbw_normal_form(((2, 3), (1, 2)), rs)  # not in sorted order
@@ -150,7 +148,7 @@ def _homogeneous_polys(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_homogeneous_polys())
-def test_to_pbw_matches_solve_linear(p):
+def test_to_pbw_matches_dense_solve(p):
     rs = get_rewrite_system(p.n)
     nf = rs.normal_form(p)
     got = to_pbw(p, rs)
@@ -158,9 +156,10 @@ def test_to_pbw_matches_solve_linear(p):
         assert got == {}
         return
     basis = _pbw_basis_columns(nf.multidegree(), rs)
-    status, xs = solve_linear(basis.cols, nf.terms)
+    status, xs = _dense_solve(list(basis.values()), nf.terms)
     assert status == "ok"
-    assert got == {M: x for M, x in zip(basis.monos, xs) if x}
+    assert got == {M: x for M, x in zip(basis, xs) if x}
+    assert list(got) == [M for M in basis if M in got]
 
 
 # ----------------------------------------------------------------------------
@@ -391,6 +390,27 @@ def test_solve_linear_paths():
     assert st == "ok" and xs == [RatQ.from_int(3), RatQ.from_int(0)]
     assert solve_linear([a, a], {(1,): one})[0] == "singular"
     assert solve_linear([a], {(2,): one})[0] == "inconsistent"
+    assert solve_linear([{}], {})[0] == "singular"
+    assert solve_linear([], {}) == ("ok", [])
+
+
+def test_solve_linear_reduces_a_shared_leading_word():
+    # both columns lead with the word (2,) but are independent: the second
+    # is reduced by the first, and the solve reads through the combination
+    one, two, three = R_ONE, RatQ.from_int(2), RatQ.from_int(3)
+    a = {(2,): one, (1,): one}
+    b = {(2,): one}
+    rhs = {(2,): two * Q(1) + three, (1,): Q(1) * two}
+    assert solve_linear([a, b], rhs) == ("ok", [Q(1) * two, three])
+    assert solve_linear([a, b], rhs) == _dense_solve([a, b], rhs)
+    assert solve_linear([b, a], {(1,): one}) == ("ok", [-one, one])
+    assert solve_linear([a, b], {(3,): one})[0] == "inconsistent"
+    # a dependent pair with a shared leading word: a reduces to 0 against 2a
+    twice = {w: two * x for w, x in a.items()}
+    assert solve_linear([twice, a], {(1,): one})[0] == "singular"
+    # three columns on one lead, the third a combination of the first two
+    c = {w: a.get(w, R_ZERO) - Q(2) * b.get(w, R_ZERO) for w in a}
+    assert solve_linear([a, b, c], {})[0] == "singular"
 
 
 def test_cartan_elements():
@@ -436,7 +456,7 @@ _nonzero_entries = st.one_of(
     st.builds(lambda a, e: a * Q(e), st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-4, 4)),
     st.builds(lambda a, b: RatQ((a, 0, b), (1, 1)), st.integers(-2, 2), st.integers(1, 2)),
 )
-# half zero, so that the sparse row update has columns to skip
+# half zero, so that columns and solutions miss some words
 _entries = st.one_of(st.just(R_ZERO), _nonzero_entries)
 
 
@@ -492,8 +512,8 @@ def test_pbw_cache_is_per_system():
         monos = pbw_monomials(mu, n)
         want = [rs.normal_form(expand_pbw(M, n)).terms for M in monos]
         entry = _pbw_basis_columns(mu, rs)
-        assert entry.monos == monos
-        assert entry.cols == want
-        assert set(rs._pbw_cache) == {mu}
+        assert list(entry) == monos
+        assert list(entry.values()) == want
+        assert rs._pbw_cache == {mu: entry}
         del rs
         gc.collect()
