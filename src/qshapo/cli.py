@@ -40,6 +40,7 @@ from .shapovalov import (
     InductionPreconditionError,
     WeightError,
     check_power_weight,
+    reflection_chain,
     theta_det,
     theta_inductive,
     theta_power,
@@ -197,6 +198,8 @@ def cmd_theta(cfg: JobConfig) -> int:
             return 2
         if cfg.method == "power":
             check_power_weight(cfg.n, cfg.m, cfg.lam)
+        else:
+            reflection_chain(cfg.n, cfg.lam)
         rs = _register_system(cfg.n, default_cap(cfg.n), resolve_cache_dir(cfg.cache_dir))
         if cfg.method == "inductive":
             coords = theta_inductive(cfg.n, cfg.m, cfg.lam, rs).normalized()
@@ -213,7 +216,7 @@ def cmd_theta(cfg: JobConfig) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_verify(cfg: JobConfig) -> int:
-    check_suite_args(cfg.suite, cfg.lam)
+    check_suite_args(cfg.suite, cfg.n, cfg.m, cfg.mode, cfg.lam)
     _register_system(cfg.n, default_cap(cfg.n), resolve_cache_dir(cfg.cache_dir))
     checks = run_suite(
         cfg.suite,

@@ -68,8 +68,8 @@ class NCPoly:
 
     Coefficients are RatQ by default but any commutative scalar type with
     +, -, * (including by RatQ on the left) and a truthy zero-test works;
-    verma.VermaVector is this class with scalars of a weight as
-    coefficients.
+    the Verma maps read polynomials whose coefficients are scalars of a
+    weight.
     """
 
     __slots__ = ("n", "terms")
@@ -121,30 +121,24 @@ class NCPoly:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
-    def _new(self, terms) -> "NCPoly":
-        """An element of the same kind as self with the given terms (no zero
-        coefficients); +, -, unary - and scale build their results here, so
-        a subclass that carries more state overrides only this."""
-        return NCPoly._raw(self.n, terms)
-
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self._new(add_terms(dict(self.terms), other.terms.items()))
+        return NCPoly._raw(self.n, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
         terms = add_terms(dict(self.terms), ((w, -c) for w, c in other.terms.items()))
-        return self._new(terms)
+        return NCPoly._raw(self.n, terms)
 
     def __neg__(self):
-        return self._new({w: -c for w, c in self.terms.items()})
+        return NCPoly._raw(self.n, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NCPoly":
         if not c:
-            return self._new({})
-        return self._new({w: c * x for w, x in self.terms.items()})
+            return NCPoly._raw(self.n, {})
+        return NCPoly._raw(self.n, {w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, NCPoly):

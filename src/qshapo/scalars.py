@@ -11,10 +11,10 @@ Two scalar types live here:
   adds and multiplies with no gcd at all.  True denominators go through
   Henrici's gcd splitting, which only looks for the factors that can
   actually cancel.  The (q**4 - 1)**j that 1/(v - v**-1) brings into a
-  symbolic-weight computation are cleared before a Q(q)-linear map runs:
-  ``common_denominator`` finds one multiple D of them, each input is made
-  Laurent by exact division, and the outputs are multiplied back by 1/D
-  once.
+  symbolic-weight computation are cleared when a Verma vector is built:
+  ``common_denominator`` finds one multiple D of them, each coefficient is
+  made Laurent by exact division, and 1/D goes back on once, when the
+  vector's coefficients are read.
   The square v = q**2 is used pervasively by the representation-theoretic
   formulas, so helpers for v-powers, quantum integers [r]_v and Gaussian
   binomial coefficients are provided alongside.
@@ -25,11 +25,11 @@ Two scalar types live here:
   WeightScalar is a scalar-valued function of a symbolic weight; substituting
   integers a_i via y_i -> q**a_i recovers a RatQ.  With prefix "k" the same
   type holds Cartan elements: the exponent vector gamma stands for k_gamma.
-  The Verma maps (act_e, theta_vector, vector_from_ncpoly) do not add and
-  multiply WeightScalars term by term: once its denominators are cleared,
-  a WeightScalar there is a sum of integers times q**k * y**e, so verma's
-  integer kernel takes it apart into those integers, runs the map on them,
-  and builds one WeightScalar per output word at the end.
+  A Verma vector does not hold WeightScalars: once its denominators are
+  cleared, a WeightScalar is a sum of integers times q**k * y**e, so
+  verma's integer kernel takes it apart into those integers when a vector
+  is built, every Verma map runs on them, and one WeightScalar per word is
+  rebuilt only when the vector's coefficients are read.
 
 Everything is immutable after construction and all operations are pure.
 """

@@ -44,7 +44,8 @@ from .uqsl import (
 from .verma import (
     HighestWeight,
     VermaVector,
-    _vector_of_sum,
+    _clear,
+    _kernel_sum,
     act_e,
     cartan_eval,
     h_eval,
@@ -151,13 +152,12 @@ def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVec
     cache of rs, scaled by its coordinate and added into one sum.  The
     monomials must be in sorted PBW form.
 
-    The map is Q(q)-linear, so the coordinates are first multiplied by a
+    The map is Q(q)-linear, so the coordinates are cleared once, by a
     common denominator D (the (q**4 - 1)**j of the h_i at a symbolic
-    weight), the sum runs with no gcd on the integer kernel of verma, and
-    each output coefficient is multiplied back by 1/D once."""
-    return _vector_of_sum(
-        {M: coords[M] for M in sorted(coords)}, hw, lambda M: pbw_normal_form(M, rs)
-    )
+    weight), and the sum runs with no gcd on the integer kernel of verma;
+    the vector keeps D, which act_e reads as it is."""
+    D, ints = _clear(hw, {M: coords[M] for M in sorted(coords)})
+    return _kernel_sum(hw, D, ints, lambda M: pbw_normal_form(M, rs))
 
 
 # ----------------------------------------------------------------------------
@@ -275,24 +275,11 @@ def theta_inductive(
     """
     if n < 1 or m < 1:
         raise ValueError("rank and level must be >= 1")
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise WeightError("weight has wrong rank")
+    chain, r_values = reflection_chain(n, lam)
     if rs is None:
         rs = get_rewrite_system(n)
-    # chain of weights downward: chain[i] is the weight for rank i
-    chain = {n: lam}
-    for i in range(n, 1, -1):
-        chain[i - 1] = dot_reflect(i, chain[i])
-    r_values = []
     theta = NCPoly.word((1,) * m, n)
-    for i in range(2, n + 1):
-        r = chain[i - 1][i - 1] + 1
-        if r < 1:
-            raise InductionPreconditionError(
-                f"step {i} needs a positive exponent, got {r}"
-            )
-        r_values.append(r)
+    for i, r in enumerate(r_values, 2):
         conj = psi(r, theta, i, rs)
         lifted = conj.lmul_poly(NCPoly.word((i,) * m, n))
         theta = lifted.to_ncpoly(rs)  # NotRightDivisible here = genuine bug
@@ -300,7 +287,28 @@ def theta_inductive(
     pi0 = coords.get(pi0_monomial(n, m))
     if pi0 is None:
         raise InconsistentResult("leading monomial missing from induction result")
-    return InductiveTheta(n, m, lam, chain, r_values, coords, pi0)
+    return InductiveTheta(n, m, chain[n], chain, r_values, coords, pi0)
+
+
+def reflection_chain(n: int, lam) -> tuple[dict, list]:
+    """(chain, r_values) of the rank induction at lam: chain[i] is the
+    weight for rank i, and r_values the exponents of steps 2..n.  It raises
+    as theta_inductive does on a bad weight, and builds nothing."""
+    lam = tuple(lam)
+    if len(lam) != n:
+        raise WeightError("weight has wrong rank")
+    chain = {n: lam}
+    for i in range(n, 1, -1):
+        chain[i - 1] = dot_reflect(i, chain[i])
+    r_values = []
+    for i in range(2, n + 1):
+        r = chain[i - 1][i - 1] + 1
+        if r < 1:
+            raise InductionPreconditionError(
+                f"step {i} needs a positive exponent, got {r}"
+            )
+        r_values.append(r)
+    return chain, r_values
 
 
 # ----------------------------------------------------------------------------
@@ -389,6 +397,20 @@ class Checks:
         ]
 
 
+def check_hwv_args(n: int, m: int, mode: str, lam=None) -> None:
+    """Raise ValueError for arguments verify_hwv refuses.  It builds
+    nothing, so a caller can refuse them before it loads a system."""
+    if mode == "symbolic":
+        if m != 1:
+            raise ValueError("symbolic verification is level-one only")
+        if lam is not None:
+            raise ValueError("symbolic verification takes no weight; use sampled mode")
+    elif mode != "sampled":
+        raise ValueError("mode must be symbolic or sampled")
+    elif lam is not None:
+        check_power_weight(n, m, lam)
+
+
 def verify_hwv(
     n: int,
     m: int = 1,
@@ -406,6 +428,7 @@ def verify_hwv(
     on the hyperplane (or the given lam), with the level-m element built as
     a power when m > 1.  Returns one report entry per check.
     """
+    check_hwv_args(n, m, mode, lam)
     if rs is None:
         rs = get_rewrite_system(n)
     checks = Checks()
@@ -415,10 +438,6 @@ def verify_hwv(
         checks.check(name, e.is_zero(), e.witness())
 
     if mode == "symbolic":
-        if m != 1:
-            raise ValueError("symbolic verification is level-one only")
-        if lam is not None:
-            raise ValueError("symbolic verification takes no weight; use sampled mode")
         base = theta_sum(n)
         free = HighestWeight.symbolic(n)
         vec = theta_vector(base.evaluate(free), free, rs)
@@ -428,8 +447,6 @@ def verify_hwv(
         vec_tied = theta_vector(base.evaluate(tied), tied, rs)
         kills(n, vec_tied, f"e_{n} kills theta*v (symbolic, on hyperplane)")
         return checks.report()
-    if mode != "sampled":
-        raise ValueError("mode must be symbolic or sampled")
     from .roots import hyperplane_sample
 
     weights = [tuple(lam)] if lam is not None else hyperplane_sample(n, m, samples, seed)

@@ -37,6 +37,8 @@ from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar, qbinom, qint
 from .shapovalov import (
     Checks,
     InductionPreconditionError,
+    check_hwv_args,
+    check_power_weight,
     compare_doot,
     make_doot_weight,
     pi0_monomial,
@@ -582,9 +584,8 @@ def suite_negative(n: int, m: int = 1, lam=None) -> list[dict]:
     """A weight off the hyperplane: e_1, ..., e_(N-1) still kill theta*v,
     but the final raising direction survives; its entry shows the surviving
     vector's first term."""
+    check_suite_args("negative", n, m, lam=lam)
     off = tuple(lam) if lam is not None else (0,) * n
-    if sum(off) == m - n:
-        raise ValueError("negative control needs a weight off the hyperplane")
     rs = get_rewrite_system(n)
     hw = HighestWeight.numeric(off)
     vec = theta_vector(theta_sum(n).evaluate(hw), hw, rs)
@@ -619,14 +620,20 @@ SUITES = {
 }
 
 
-def check_suite_args(name: str, lam=None) -> None:
-    """Raise ValueError for an unknown suite, or for a weight the suite would
-    not read.  It builds nothing, so a caller can refuse the arguments
-    before it loads a rewriting system."""
+def check_suite_args(name: str, n: int, m: int = 1, mode: str = "symbolic", lam=None) -> None:
+    """Raise ValueError for an unknown suite, for a weight the suite would
+    not read, or for arguments the suite refuses.  It builds nothing, so a
+    caller can refuse the arguments before it loads a rewriting system."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if lam is not None and name not in ("hwv", "negative", "powers"):
         raise ValueError(f"the {name} suite takes no weight")
+    if name == "hwv":
+        check_hwv_args(n, m, mode, lam)
+    elif name == "powers" and lam is not None:
+        check_power_weight(n, m, lam)
+    elif name == "negative" and sum(lam if lam is not None else (0,) * n) == m - n:
+        raise ValueError("negative control needs a weight off the hyperplane")
 
 
 def run_suite(
@@ -638,5 +645,5 @@ def run_suite(
     samples: int = 5,
     seed: int = 0,
 ) -> list[dict]:
-    check_suite_args(name, lam)
+    check_suite_args(name, n, m, mode, lam)
     return SUITES[name](n, m=m, mode=mode, lam=lam, samples=samples, seed=seed)

@@ -10,33 +10,33 @@ eliminating y_N, which turns "vanishes on the hyperplane" into literal
 vanishing of canonical forms.
 
 M(lam) is free of rank one over the lowering subalgebra, so a vector of the
-module is a polynomial in normal form (an NCPoly on the normal-word basis of
-the quotient algebra) whose coefficients are scalars of the weight, applied
-to the highest weight vector.  VermaVector is that NCPoly plus its weight;
-it inherits the arithmetic.  Every left action of a polynomial ends in
-vector_from_ncpoly, the one place where a polynomial is put in normal form
-and read as a vector; shapovalov.theta_vector applies PBW coordinates
-instead, reading each PBW monomial's normal form from the PBW column cache
-of uqsl.  The raising action is computed purely from the defining
-commutation relation by pushing e_i through the word letter by letter; none
-of the derived commutation formulas feed the implementation, so they stay
+module is a polynomial in normal form (on the normal-word basis of the
+quotient algebra) whose coefficients are scalars of the weight, applied to
+the highest weight vector.  VermaVector keeps it in one form, that of the
+integer kernel at the end of this module: a common denominator D in Z[q]
+and, for each word, D times its coefficient as exact integers keyed by the
+y-exponent and the q-exponent.  Scalars of the weight are cleared into that
+form once, when a vector is built from them, and rebuilt only when its
+coefficients are read (``terms``, printing, ``==``).  Every left action of
+a polynomial goes through act_poly, the one place where a product is put in
+normal form; shapovalov.theta_vector applies PBW coordinates instead,
+reading each PBW monomial's normal form from the PBW column cache of uqsl.
+The raising action is computed purely from the defining commutation
+relation by pushing e_i through the word letter by letter; none of the
+derived commutation formulas feed the implementation, so they stay
 available as independent test oracles.
 
-These three maps are Q(q)-linear, so each multiplies its input
-coefficients by one common denominator D and the outputs by 1/D once.
-Every cleared coefficient is then a sum of integers times q**k * y**e
-(with e = 0 at a numeric weight), and the eigenvalues of k_{+-2 alpha_i}
-that act_e applies are single terms +-q**k * y**e.  So act_e,
-theta_vector and vector_from_ncpoly run on the integer kernel at the end
-of this module: one dict of exact integers per word, keyed by the
-y-exponent and the q-exponent, where a shift by a power of q or y adds to
-the key and a rule coefficient multiplies integers; the scalars of the
-weight are rebuilt once, from the output.
+The maps are Q(q)-linear, so they read and write the integers and leave D
+alone, or multiply it by the one denominator they bring (q**4 - 1 for the
+1/(v - 1/v) of act_e).  The eigenvalues of k_gamma are single terms
++-q**k * y**e, so a shift by one adds to the key, and a rule coefficient
+multiplies integers; no map runs a gcd, and raising a vector clears no
+scalar.
 """
 
 from __future__ import annotations
 
-from .freealg import NCPoly, RewriteSystem, latex_document
+from .freealg import NCPoly, RewriteSystem, deglex_key, latex_document, word_multidegree
 from .roots import cartan_entry, sigma_vec
 from .scalars import (
     P_ONE,
@@ -47,11 +47,13 @@ from .scalars import (
     _pdiv,
     _pmul,
     _raw,
+    add_terms,
     common_denominator,
 )
 from .uqsl import H_cartan, h_cartan
 
 _VMV_INV = V_MINUS_VINV.inverse()
+_Q4_MINUS_1 = (-1, 0, 0, 0, 1)  # 1/(v - 1/v) = q**2/(q**4 - 1)
 
 
 class HighestWeight:
@@ -112,33 +114,110 @@ class HighestWeight:
         return ws
 
 
-class VermaVector(NCPoly):
+class VermaVector:
     """Element of the Verma module: a polynomial in normal form in the
-    lowering generators, applied to the highest weight vector ``hw``.  The
-    arithmetic is NCPoly's; its results carry ``hw`` through ``_new``."""
+    lowering generators, applied to the highest weight vector ``hw``, kept
+    as 1/D times ``ints``, {word: {key: int}} with no zero integer and no
+    empty word (the integer kernel below).  The constructor clears the
+    scalars of ``terms``; ``terms`` rebuilds them on each read."""
 
-    __slots__ = ("hw",)
+    __slots__ = ("hw", "n", "D", "ints")
 
     def __init__(self, hw: HighestWeight, terms=None):
-        super().__init__(hw.n, terms)
-        self.hw = hw
+        D, ints = _clear(hw, terms or {})
+        self.hw, self.n, self.D, self.ints = hw, hw.n, D, ints
 
-    def _new(self, terms) -> "VermaVector":
-        out = object.__new__(VermaVector)
-        out.n, out.terms, out.hw = self.n, terms, self.hw
+    @classmethod
+    def _kernel(cls, hw: HighestWeight, D, ints: dict) -> "VermaVector":
+        """The vector 1/D times ints, without its zero integers and words.
+        Raises ValueError if a digit of a key reached _LIMIT in size."""
+        # with every digit d in (-_LIMIT, _LIMIT), each digit of key + off
+        # is d + _LIMIT in [0, 2 * _LIMIT), so no bit of high is set
+        unit = ((1 << _SHIFT * (hw.n + 1)) - 1) // _MASK
+        off, high = _LIMIT * unit, (_MASK + 1 - 2 * _LIMIT) * unit
+        kept = {}
+        for w, c in ints.items():
+            c = {key: a for key, a in c.items() if a}
+            if c:
+                if any((key + off) & high for key in c):
+                    raise ValueError("exponent out of range for the integer kernel")
+                kept[w] = c
+        out = object.__new__(cls)
+        out.hw, out.n, out.D, out.ints = hw, hw.n, D, kept
         return out
 
     @classmethod
     def highest(cls, hw: HighestWeight) -> "VermaVector":
         return cls(hw, {(): hw.one()})
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as scalars of the weight, {word: WeightScalar}
+        or {word: RatQ} at a numeric weight.  They repeat a few numerators
+        up to a power of q, so each distinct one is multiplied by 1/D once."""
+        n = self.n
+        factor = R_ONE / RatQ(self.D)
+        exponents: dict = {}  # key of y**e -> e
+        scaled: dict = {}  # numerator -> numerator / D as a RatQ
+        terms = {}
+        for x, acc in self.ints.items():
+            # group by y-exponent: the key minus its q digit
+            polys: dict = {}
+            for key, a in acc.items():
+                k = ((key + _HALF) & _MASK) - _HALF
+                polys.setdefault(key - k, {})[k] = a
+            ws = {}
+            for ekey, p in polys.items():
+                e = exponents.get(ekey)
+                if e is None:
+                    e = exponents[ekey] = _unpack(ekey, n)
+                lo = min(p)
+                num = [0] * (max(p) - lo + 1)
+                for k, a in p.items():
+                    num[k - lo] = a
+                num = tuple(num)
+                r = scaled.get(num)
+                if r is None:
+                    r = scaled[num] = _raw(0, num, P_ONE) * factor
+                ws[e] = _raw(r.val + lo, r.num, r.den)
+            # a numeric weight packs no y-exponent (see _clear)
+            terms[x] = WeightScalar._raw(n, ws, "y") if self.hw.mode == "symbolic" else ws[(0,) * n]
+        return terms
+
+    def is_zero(self) -> bool:
+        return not self.ints
+
+    def __eq__(self, other):
+        if not isinstance(other, VermaVector):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __add__(self, other):
+        return VermaVector(self.hw, add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        terms = add_terms(dict(self.terms), ((w, -c) for w, c in other.terms.items()))
+        return VermaVector(self.hw, terms)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c) -> "VermaVector":
+        return VermaVector(self.hw, {w: c * x for w, x in self.terms.items()})
+
     def weight_offset(self):
         """The multidegree nu with vector weight lam - nu (all terms agree),
         or None for the zero vector."""
-        return self.multidegree() if self.terms else None
+        degrees = {word_multidegree(w, self.n) for w in self.ints}
+        if len(degrees) > 1:
+            raise ValueError("polynomial is not multidegree-homogeneous")
+        return degrees.pop() if degrees else None
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: deglex_key(kv[0]))
 
     def __str__(self):
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
         for w, c in self.sorted_terms():
@@ -148,7 +227,7 @@ class VermaVector(NCPoly):
 
     def witness(self) -> str:
         """The first term in deglex order, as a report witness ("0" if none)."""
-        if not self.terms:
+        if not self.ints:
             return "0"
         w, c = self.sorted_terms()[0]
         ws = "*".join(f"f{i}" for i in w) if w else "v"
@@ -174,8 +253,8 @@ class VermaVector(NCPoly):
 def vector_from_ncpoly(p: NCPoly, hw: HighestWeight, rs: RewriteSystem) -> VermaVector:
     """Apply a polynomial in the lowering generators to the highest weight
     vector: the normal form of p, with its coefficients read as scalars of
-    the weight.  Every left action of a polynomial goes through here."""
-    return _vector_of_sum(p.terms, hw, rs._nf_word)
+    the weight."""
+    return act_poly(p, VermaVector.highest(hw), rs)
 
 
 # ----------------------------------------------------------------------------
@@ -189,20 +268,17 @@ def act_f(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
 
 def act_k(gamma, vec: VermaVector) -> VermaVector:
     """Action of the group-like k_gamma: each term of weight lam - nu is
-    scaled by q**(lam, gamma) * q**-(nu, gamma)."""
-    hw = vec.hw
-    eig = hw.k_eigen(gamma)
+    scaled by q**(lam, gamma) * q**-(nu, gamma), a shift of its keys."""
+    eig, sign = _monomial_key(vec.hw.k_eigen(gamma))
     out = {}
-    for w, c in vec.terms.items():
-        shift = -sum(
+    for w, c in vec.ints.items():
+        shift = eig + _digit(-sum(
             g * cartan_entry(k + 1, letter)
             for letter in w
             for k, g in enumerate(gamma)
-        )
-        s = c * eig * RatQ.q_power(shift)
-        if s:
-            out[w] = s
-    return VermaVector(hw, out)
+        ))
+        out[w] = {key + shift: sign * a for key, a in c.items()}
+    return VermaVector._kernel(vec.hw, vec.D, out)
 
 
 def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
@@ -214,53 +290,49 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     and s is the pairing of alpha_i with the multidegree of the suffix to
     the right of the deleted letter.
 
-    The action is Q(q)-linear, so the coefficients of vec are first
-    multiplied by a common denominator D, and the factor 1/D goes back on
-    at the end together with 1/(v - 1/v), with no product for a zero
-    result.  Y is +-q**k times a monomial in the y_i (anything else raises
-    ValueError), so each term of the shortened sum is an integer keyed by
-    its word, y-exponent and q-exponent: the shifts by Y**+-1 v**-+s add
-    to the key, and the normal form multiplies the integers by those of
-    each rule coefficient (the integer kernel below).  A letter outside
-    1..n raises ValueError, as in act_f.
+    Y is +-q**k times a monomial in the y_i (anything else raises
+    ValueError), and 1/(v - 1/v) = q**2/(q**4 - 1), so each such scalar is
+    two integers keyed by their y- and q-exponents, and scaling a word's
+    integers by it adds to their keys: the integer kernel below.  The
+    output's D is the input's times q**4 - 1.  A letter outside 1..n raises
+    ValueError, as in act_f.
     """
     hw, n = vec.hw, vec.n
     if not 1 <= i <= n:
         raise ValueError("letter out of range")
-    cleared = _Cleared(n, common_denominator(vec.terms.values()))
     plus, sp = _monomial_key(hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n))))
     minus, sm = _monomial_key(hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n))))
-    # s -> the keys and signs of Y * v**-s and -Y**-1 * v**s
+    # s -> q**2 * (Y * v**-s - Y**-1 * v**s) as (key, int) pairs
     shifts: dict = {}
     short: dict = {}
-    for w, c in vec.terms.items():
-        ints = None
+    for w, c in vec.ints.items():
+        c = c.items()
         for pos, letter in enumerate(w):
             if letter != i:
                 continue
-            if ints is None:
-                ints = cleared.expand(c).items()
             s = sum(cartan_entry(i, x) for x in w[pos + 1 :])
             pair = shifts.get(s)
             if pair is None:
                 pair = shifts[s] = (
-                    (plus + _digit(-2 * s), sp),
-                    (minus + _digit(2 * s), -sm),
+                    (plus + _digit(2 - 2 * s), sp),
+                    (minus + _digit(2 + 2 * s), -sm),
                 )
-            u = w[:pos] + w[pos + 1 :]
-            acc = short.get(u)
-            if acc is None:
-                acc = short[u] = {}
-            for d, sign in pair:
-                for key, a in ints:
-                    key += d
-                    acc[key] = acc.get(key, 0) + sign * a
-    return _ints_to_vector(short, hw, rs._nf_word, _VMV_INV, cleared.D)
+            _convolve(short.setdefault(w[:pos] + w[pos + 1 :], {}), c, pair)
+    return _kernel_sum(hw, _pmul(vec.D, _Q4_MINUS_1), short, rs._nf_word)
 
 
 def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
-    """Left action of a polynomial in the lowering generators."""
-    return vector_from_ncpoly(p * vec, vec.hw, rs)
+    """Left action of a polynomial in the lowering generators: the normal
+    form of the product.  Every left action of a polynomial goes through
+    here; p's coefficients may be RatQs or scalars of the weight."""
+    hw = vec.hw
+    E, coeffs = _clear(hw, p.terms)
+    prod: dict = {}
+    for w, a in coeffs.items():
+        a = a.items()
+        for u, b in vec.ints.items():
+            _convolve(prod.setdefault(w + u, {}), b.items(), a)
+    return _kernel_sum(hw, _pmul(vec.D, E), prod, rs._nf_word)
 
 
 def is_hwv(vec: VermaVector, rs: RewriteSystem) -> bool:
@@ -315,12 +387,14 @@ def quantum_bracket(hw: HighestWeight, L_shift: int, sigma_i: int):
 # keeps one such scalar as a dict {key: int}, where the int key packs the
 # q-exponent k and the y-exponent e as the digits of
 # k + e_1 * B + ... + e_n * B**n with B = 2**32.  Packing is linear, so
-# multiplying by q**dk * y**de adds the key of (de, dk).  Every digit stays
-# below B/2 in size, so the key can be read back: each exponent that goes
-# into a digit is checked against _LIMIT, and a digit is the sum of at most
-# four of them.  The coefficients of a vector are {word: {key: int}}; they
-# go back to scalars of the weight once, at the end, with one product per
-# distinct numerator.
+# multiplying by q**dk * y**de adds the key of (de, dk), and multiplying two
+# scalars convolves their dicts.  Every digit stays below B/2 in size, so
+# the key can be read back: each exponent that goes into a digit is checked
+# against _LIMIT, a map adds at most three of them to a stored digit, and
+# VermaVector._kernel checks every digit of a map's output against _LIMIT,
+# so a vector stays readable through any number of maps.  A vector is
+# {word: {key: int}} over one common denominator D; its scalars are rebuilt
+# only when VermaVector.terms is read.
 
 _SHIFT = 32
 _HALF = 1 << (_SHIFT - 1)
@@ -399,6 +473,31 @@ class _Cleared:
         return out
 
 
+def _clear(hw: HighestWeight, coeffs: dict):
+    """(D, ints): a common multiple D of the denominators of the scalars c
+    in coeffs, and D * c as {key: int} under the same key for each c that
+    is not zero.  A y-monomial at a numeric weight raises ValueError."""
+    numeric = hw.mode == "numeric"
+    cleared = _Cleared(hw.n, common_denominator(coeffs.values()))
+    ints = {}
+    for u, c in coeffs.items():
+        if numeric and isinstance(c, WeightScalar) and any(map(any, c.terms)):
+            raise ValueError("a y-monomial at a numeric weight")
+        c = cleared.expand(c)
+        if c:
+            ints[u] = c
+    return cleared.D, ints
+
+
+def _convolve(acc: dict, a, b) -> None:
+    """Add into acc the product of two scalars given as (key, int) pairs,
+    b the shorter."""
+    for kb, y in b:
+        for key, x in a:
+            key += kb
+            acc[key] = acc.get(key, 0) + x * y
+
+
 def _monomial_key(c):
     """(key, sign) of a scalar +-q**k * y**e, a WeightScalar or (with e = 0)
     a RatQ; anything else raises."""
@@ -410,21 +509,10 @@ def _monomial_key(c):
     raise ValueError(f"not a signed q-power times a y-monomial: {c}")
 
 
-def _vector_of_sum(coeffs: dict, hw: HighestWeight, nf_of) -> VermaVector:
-    """The sum of c * nf_of(u) over the items (u, c) of coeffs, at the
-    weight hw: nf_of(u) is a normal form {word: RatQ}, and c is a scalar of
-    the weight or a RatQ."""
-    cleared = _Cleared(hw.n, common_denominator(coeffs.values()))
-    ints = {u: cleared.expand(c) for u, c in coeffs.items()}
-    return _ints_to_vector(ints, hw, nf_of, R_ONE, cleared.D)
-
-
-def _ints_to_vector(ints: dict, hw: HighestWeight, nf_of, factor, D) -> VermaVector:
-    """factor/D times the sum of c * nf_of(u) over the items (u, c) of ints,
-    each c a scalar as {key: int}, read back as a vector of WeightScalars,
-    or of RatQs at a numeric weight.  nf_of is called once for each u whose
-    c is not zero."""
-    n = hw.n
+def _kernel_sum(hw: HighestWeight, D, ints: dict, nf_of) -> VermaVector:
+    """The vector 1/D times the sum of c * nf_of(u) over the items (u, c) of
+    ints, each c a scalar as {key: int} and nf_of(u) a normal form
+    {word: RatQ}.  nf_of is called once for each u whose c is not zero."""
     pairs = []
     for u, c in ints.items():
         c = [(key, a) for key, a in c.items() if a]
@@ -432,55 +520,9 @@ def _ints_to_vector(ints: dict, hw: HighestWeight, nf_of, factor, D) -> VermaVec
             pairs.append((nf_of(u), c))
     # the normal forms met so far have Laurent coefficients; any other
     # denominator is cleared by a second common multiple E
-    nf_ints = _Cleared(n, common_denominator(x for nf, _ in pairs for x in nf.values()))
+    nf_ints = _Cleared(hw.n, common_denominator(x for nf, _ in pairs for x in nf.values()))
     out: dict = {}
     for nf, c in pairs:
         for x, cx in nf.items():
-            acc = out.get(x)
-            if acc is None:
-                acc = out[x] = {}
-            for k, b in nf_ints.laurent(cx):
-                for key, a in c:
-                    key += k
-                    acc[key] = acc.get(key, 0) + a * b
-    DE = _pmul(D, nf_ints.D)
-    if DE != P_ONE:
-        factor = factor / RatQ(DE)
-    exponents: dict = {}  # key of y**e -> e
-    # numerator -> numerator * factor as a RatQ: the outputs repeat a few
-    # numerators up to a power of q, so each is reduced against D once
-    scaled: dict = {}
-    terms = {}
-    for x, acc in out.items():
-        # group by y-exponent: the key minus its q digit
-        polys: dict = {}
-        for key, a in acc.items():
-            if a:
-                k = ((key + _HALF) & _MASK) - _HALF
-                p = polys.get(key - k)
-                if p is None:
-                    p = polys[key - k] = {}
-                p[k] = a
-        if not polys:
-            continue
-        ws = {}
-        for ekey, p in polys.items():
-            e = exponents.get(ekey)
-            if e is None:
-                e = exponents[ekey] = _unpack(ekey, n)
-            lo = min(p)
-            num = [0] * (max(p) - lo + 1)
-            for k, a in p.items():
-                num[k - lo] = a
-            num = tuple(num)
-            r = scaled.get(num)
-            if r is None:
-                r = scaled[num] = _raw(0, num, P_ONE) * factor
-            ws[e] = _raw(r.val + lo, r.num, r.den)
-        if hw.mode == "symbolic":
-            terms[x] = WeightScalar._raw(n, ws, "y")
-        elif ws.keys() == {(0,) * n}:
-            terms[x] = ws[(0,) * n]
-        else:
-            raise ValueError("a y-monomial at a numeric weight")
-    return VermaVector(hw, terms)
+            _convolve(out.setdefault(x, {}), c, nf_ints.laurent(cx))
+    return VermaVector._kernel(hw, _pmul(D, nf_ints.D), out)

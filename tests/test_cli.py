@@ -201,8 +201,36 @@ def test_verify_weight_the_run_would_drop_exit_2(capsys, tmp_path, argv, n, err)
             ["theta", "--n", "3", "--m", "2", "--method", "power", "--lambda", "0,0,0"],
             "error: weight must satisfy (lam + rho, eta) = 2\n",
         ),
+        (
+            ["verify", "--suite", "hwv", "--n", "3", "--lambda", "0,0,-2"],
+            "error: symbolic verification takes no weight; use sampled mode\n",
+        ),
+        (
+            ["verify", "--suite", "hwv", "--n", "3", "--m", "2", "--mode", "symbolic"],
+            "error: symbolic verification is level-one only\n",
+        ),
+        (
+            ["verify", "--suite", "hwv", "--n", "3", "--mode", "sampled", "--lambda", "0,0,0"],
+            "error: weight must satisfy (lam + rho, eta) = 1\n",
+        ),
+        (
+            ["verify", "--suite", "powers", "--n", "3", "--m", "2", "--lambda", "0,0,0"],
+            "error: weight must satisfy (lam + rho, eta) = 2\n",
+        ),
+        (
+            ["verify", "--suite", "negative", "--n", "3", "--lambda", "0,0,-2"],
+            "error: negative control needs a weight off the hyperplane\n",
+        ),
+        (
+            ["theta", "--n", "3", "--m", "2", "--method", "inductive", "--lambda", "1,0,-2"],
+            "error: step 2 needs a positive exponent, got 0\n",
+        ),
     ],
-    ids=["verify-section2", "theta-power"],
+    ids=[
+        "verify-section2", "theta-power", "hwv-symbolic-weight", "hwv-symbolic-level-two",
+        "hwv-sampled-off-hyperplane", "powers-off-hyperplane", "negative-on-hyperplane",
+        "theta-inductive-chain",
+    ],
 )
 def test_refused_arguments_build_no_cache(capsys, tmp_path, argv, err):
     # the arguments are refused before a rewriting system is loaded or built

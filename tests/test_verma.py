@@ -148,17 +148,26 @@ def test_defining_relation_at_numeric_weights(data):
 
 @settings(deadline=None, max_examples=30)
 @given(
-    st.sampled_from(["numeric", "symbolic"]),
+    st.sampled_from(["numeric", "symbolic", "hyperplane"]),
     st.lists(st.lists(st.integers(1, 2), max_size=3).map(tuple), min_size=1, max_size=4),
     st.integers(-2, 2),
 )
 def test_vector_arithmetic_keeps_the_weight(mode, words, k):
     rs = get_rewrite_system(2)
-    hw = HighestWeight.numeric((1, -2)) if mode == "numeric" else HighestWeight.symbolic(2)
+    hw = {
+        "numeric": HighestWeight.numeric((1, -2)),
+        "symbolic": HighestWeight.symbolic(2),
+        "hyperplane": HighestWeight.symbolic(2, hyperplane_m=1),
+    }[mode]
     half = len(words) // 2
-    a = vector_from_ncpoly(NCPoly(2, {w: V(1) for w in words[: half + 1]}), hw, rs)
-    b = vector_from_ncpoly(NCPoly(2, {w: Q(-1) for w in words[half:]}), hw, rs)
+    # operands over different common denominators, q**4 - 1 and the
+    # numerator of [3]_v, neither of them 1
+    a = vector_from_ncpoly(NCPoly(2, {w: V(1) / VMV for w in words[: half + 1]}), hw, rs)
+    b = vector_from_ncpoly(NCPoly(2, {w: Q(-1) / qint(3) for w in words[half:]}), hw, rs)
+    assert (1,) != a.D != b.D != (1,)
     c = RatQ.from_int(k)
+    # a scalar of the weight with a true denominator: y_1 / (v - 1/v)
+    s = hw.k_eigen((1, 0)) * VMV.inverse()
     pa, pb = NCPoly(2, a.terms), NCPoly(2, b.terms)
     for got, expect in [
         (a + b, pa + pb),
@@ -166,6 +175,8 @@ def test_vector_arithmetic_keeps_the_weight(mode, words, k):
         (a - a, pa - pa),
         (-a, -pa),
         (a.scale(c), pa.scale(c)),
+        (b.scale(s), pb.scale(s)),
+        ((a + b).scale(s) - b.scale(s), pa.scale(s)),
     ]:
         assert type(got) is VermaVector and got.hw is hw
         assert got.terms == expect.terms
@@ -426,6 +437,42 @@ def test_theta_vector_matches_the_unhoisted_sum(data):
     assert theta_vector(coords, hw, rs) == theta_vector_unhoisted(coords, hw, rs), (mu, coords)
 
 
+def test_raising_a_kernel_form_vector_clears_no_scalar(monkeypatch):
+    # verify_hwv raises each theta*v with several e_k; its scalars are
+    # cleared into integers once, when theta_vector builds it, however often
+    # it is raised
+    import qshapo.shapovalov as shapovalov
+    import qshapo.verma as verma
+
+    counts = {"expand": 0, "act_e": 0}
+    expand, raising = verma._Cleared.expand, shapovalov.act_e
+
+    def counting_expand(self, c):
+        counts["expand"] += 1
+        return expand(self, c)
+
+    def counting_act_e(*args):
+        counts["act_e"] += 1
+        return raising(*args)
+
+    monkeypatch.setattr(verma._Cleared, "expand", counting_expand)
+    monkeypatch.setattr(shapovalov, "act_e", counting_act_e)
+    n = 4
+    rs = get_rewrite_system(n)
+    report = shapovalov.verify_hwv(n, 1, "symbolic", rs=rs)
+    assert all(c["status"] == "pass" for c in report) and counts["act_e"] == n
+    during_verify, counts["expand"] = counts["expand"], 0
+    vectors = [
+        theta_vector(theta_sum(n).evaluate(hw), hw, rs)
+        for hw in (HighestWeight.symbolic(n), HighestWeight.symbolic(n, hyperplane_m=1))
+    ]
+    assert counts["expand"] == during_verify > 0
+    for vec in vectors:
+        for k in range(1, n + 1):
+            act_e(k, act_e(k, vec, rs), rs)
+    assert counts["expand"] == during_verify
+
+
 def test_raising_the_free_theta_vector_pins_the_divided_back_witness():
     # e_3 does not kill theta*v at the unconstrained weight of N = 3; the
     # nonzero result is the one output of act_e that is multiplied back by
@@ -600,6 +647,18 @@ def test_numeric_act_e_refuses_a_pairing_too_large_for_the_kernel():
     with pytest.raises(ValueError, match="out of range"):
         act_e(1, vec, rs)
     assert act_e(2, vec, rs).is_zero()
+
+
+def test_chained_maps_refuse_a_key_digit_past_the_kernel_limit():
+    # each act_e at this weight shifts q-exponents by about 2**27, and a
+    # vector keeps its keys between maps, so the second round would carry
+    # a digit past the limit into every later map
+    rs = get_rewrite_system(2)
+    hw = HighestWeight.numeric((1 << 26, 0))
+    vec = act_e(1, act_f(1, VermaVector.highest(hw), rs), rs)
+    assert not vec.is_zero()
+    with pytest.raises(ValueError, match="out of range"):
+        act_e(1, act_f(1, vec, rs), rs)
 
 
 def test_numeric_maps_refuse_a_y_monomial():
