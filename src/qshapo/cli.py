@@ -1,16 +1,15 @@
-"""Command-line front end: compute elements, run verification suites, and
-manage the on-disk rewrite-system cache.
+"""Command-line front end: compute elements and run verification suites.
+
+Each command builds the rank's rewriting system in process
+(freealg.get_rewrite_system), or leaves that to the construction or suite
+it calls; nothing is read from or written to disk.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid weight
 (including a --lambda off the hyperplane (lam + rho, eta) = m where the
 element needs it) or arguments, 4 an internal inconsistency (a singular PBW
 system, a failed right division, an ad_F iterate that does not vanish, or a
 construction result its derivation rules out).  No degree is refused: the
-rewriting system completes itself as far as a computation needs.  A cache
-file that fails to parse, has the wrong header, has one leading word inside
-another, leaves a Serre relation nonzero or has other than p_N(d) normal
-words in a degree d up to its cap is rebuilt with a warning; one that is
-wrong in another way can still cause exit 4.  Output is
+rewriting system completes itself as far as a computation needs.  Output is
 deterministic for a fixed argument vector (sampling is seeded, never
 wall-clock)."""
 
@@ -25,12 +24,10 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from . import freealg
 from .freealg import (
     CacheCorrupt,
     RewriteSystem,
     complete,
-    default_cap,
     latex_document,
     serre_relations,
 )
@@ -39,18 +36,14 @@ from .shapovalov import (
     InconsistentResult,
     InductionPreconditionError,
     WeightError,
-    check_power_weight,
-    reflection_chain,
     theta_det,
     theta_inductive,
     theta_power,
     theta_sum,
 )
-from .suites import SUITES, check_suite_args, run_suite
+from .suites import SUITES, run_suite
 from .uqsl import NilpotencyCapExceeded, NotRightDivisible, SingularSystem
 from .verma import HighestWeight
-
-ENV_CACHE = "QSHAPO_CACHE"
 
 
 @dataclass
@@ -65,29 +58,23 @@ class JobConfig:
     fmt: str = "text"
     method: str = "sum"
     suite: str | None = None
-    cache_dir: str | None = None
 
 
 # ----------------------------------------------------------------------------
-# Cache management
+# Rewrite-system file (for the benchmark only)
 # ----------------------------------------------------------------------------
-
-def resolve_cache_dir(cfg_dir: str | None) -> Path:
-    if cfg_dir:
-        return Path(cfg_dir)
-    env = os.environ.get(ENV_CACHE)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "qshapo"
-
 
 def cache_path(cache_dir: Path, n: int, cap: int) -> Path:
+    """The file load_or_build reads and writes.  Only the benchmark calls it;
+    it is kept until ROADMAP item 2, then item 7, removes it."""
     return cache_dir / f"rws_n{n}_cap{cap}.txt"
 
 
 def load_or_build(n: int, cap: int, cache_dir: Path):
     """Return (system, status) with status in built/loaded/rebuilt.  The
     cap is the system's initial degree; the system extends itself beyond it.
+    Only the benchmark calls it; it is kept until ROADMAP item 2, then
+    item 7, removes it.
 
     A loaded system is trusted only if it passes the checks of
     RewriteSystem.from_text, its header matches, every Serre relation
@@ -126,14 +113,6 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
         os.unlink(tmp.name)
         raise
     return rs, status
-
-
-def _register_system(n: int, cap: int, cache_dir: Path) -> RewriteSystem:
-    """Load (or build) the system and make it the rank's process-wide
-    system so downstream code picks it up."""
-    rs, _ = load_or_build(n, cap, cache_dir)
-    freealg._SYSTEMS[n] = rs
-    return rs
 
 
 # ----------------------------------------------------------------------------
@@ -196,15 +175,10 @@ def cmd_theta(cfg: JobConfig) -> int:
         if cfg.lam is None:
             print("error: this method needs --lambda", file=sys.stderr)
             return 2
-        if cfg.method == "power":
-            check_power_weight(cfg.n, cfg.m, cfg.lam)
-        else:
-            reflection_chain(cfg.n, cfg.lam)
-        rs = _register_system(cfg.n, default_cap(cfg.n), resolve_cache_dir(cfg.cache_dir))
         if cfg.method == "inductive":
-            coords = theta_inductive(cfg.n, cfg.m, cfg.lam, rs).normalized()
+            coords = theta_inductive(cfg.n, cfg.m, cfg.lam).normalized()
         else:
-            coords = theta_power(cfg.n, cfg.m, cfg.lam, rs)
+            coords = theta_power(cfg.n, cfg.m, cfg.lam)
         print(_render_evaluated(coords, cfg))
         return 0
     print(f"error: unknown method {cfg.method}", file=sys.stderr)
@@ -216,8 +190,6 @@ def cmd_theta(cfg: JobConfig) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_verify(cfg: JobConfig) -> int:
-    check_suite_args(cfg.suite, cfg.n, cfg.m, cfg.mode, cfg.lam)
-    _register_system(cfg.n, default_cap(cfg.n), resolve_cache_dir(cfg.cache_dir))
     checks = run_suite(
         cfg.suite,
         cfg.n,
@@ -237,22 +209,6 @@ def cmd_verify(cfg: JobConfig) -> int:
     }
     print(json.dumps(obj, indent=2, default=str))
     return 0 if all_pass else 1
-
-
-# ----------------------------------------------------------------------------
-# cache
-# ----------------------------------------------------------------------------
-
-def cmd_cache(cfg: JobConfig) -> int:
-    cache_dir = resolve_cache_dir(cfg.cache_dir)
-    cap = default_cap(cfg.n)
-    rs, status = load_or_build(cfg.n, cap, cache_dir)
-    path = cache_path(cache_dir, cfg.n, cap)
-    if status == "loaded":
-        print(f"loaded from cache: {len(rs.rules)} rules (n={cfg.n}, cap={cap}) at {path}")
-    else:
-        print(f"{status}: {len(rs.rules)} rules (n={cfg.n}, cap={cap}), cached at {path}")
-    return 0
 
 
 # ----------------------------------------------------------------------------
@@ -281,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
     t.add_argument("--format", dest="fmt", choices=["text", "json", "latex"], default="text")
-    t.add_argument("--cache-dir", default=None)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
@@ -291,11 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=5)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
-    v.add_argument("--cache-dir", default=None)
-
-    c = sub.add_parser("cache", help="build or inspect the rewrite-system cache")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--cache-dir", default=None)
     return ap
 
 
@@ -309,8 +259,6 @@ def main(argv=None) -> int:
             return cmd_theta(cfg)
         if cfg.command == "verify":
             return cmd_verify(cfg)
-        if cfg.command == "cache":
-            return cmd_cache(cfg)
     except (WeightError, InductionPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

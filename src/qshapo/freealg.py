@@ -56,7 +56,9 @@ R_MINUS_ONE = -R_ONE
 
 
 class CacheCorrupt(Exception):
-    """A serialized rewrite system failed structural validation."""
+    """A serialized rewrite system failed structural validation.  Raised only
+    by from_text and cli.load_or_build, kept for the benchmark until ROADMAP
+    item 2, then item 7, removes them."""
 
 
 # ----------------------------------------------------------------------------
@@ -587,7 +589,10 @@ class RewriteSystem:
     def from_text(cls, text: str) -> "RewriteSystem":
         """The system that to_text wrote.  Raises CacheCorrupt when the text
         does not parse, uses a letter outside 1..n, has one lead that is a
-        factor of another, or has a rule out of order or not homogeneous."""
+        factor of another, or has a rule out of order or not homogeneous.
+        Only the benchmark (directly and through cli.load_or_build) and the
+        tests read a system back; it is kept until ROADMAP item 2, then
+        item 7, removes it."""
         lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != FORMAT_VERSION:
             raise CacheCorrupt("unknown format version")

@@ -90,13 +90,13 @@ def _chain(I, n):
 # Commutation-relation suite
 # ----------------------------------------------------------------------------
 
-def _tails(n, heavy: bool):
+def _tails(n):
     """Trailing PBW factors used to probe operator identities: the empty
-    tail, every single root vector, and (when heavy) the root-vector pairs
+    tail, every single root vector, and (at N <= 3) the root-vector pairs
     of height at most 4."""
     roots = positive_roots(n)
     tails = [()] + [(r,) for r in roots]
-    if heavy:
+    if n <= 3:
         for a, b in itertools.combinations_with_replacement(roots, 2):
             mono = tuple(sorted((a, b)))
             if sum(x[1] - x[0] for x in mono) <= 4:
@@ -104,7 +104,7 @@ def _tails(n, heavy: bool):
     return tails
 
 
-def suite_section2(n: int, heavy: bool = False) -> list[dict]:
+def suite_section2(n: int) -> list[dict]:
     """Single-commutator structure of the raising action on chains.
 
     Checks, with a fully symbolic weight: that e_l commutes with a root
@@ -115,7 +115,7 @@ def suite_section2(n: int, heavy: bool = False) -> list[dict]:
     """
     rs = get_rewrite_system(n)
     hw = HighestWeight.symbolic(n)
-    bases = [(X, vector_from_ncpoly(expand_pbw(X, n), hw, rs)) for X in _tails(n, heavy)]
+    bases = [(X, vector_from_ncpoly(expand_pbw(X, n), hw, rs)) for X in _tails(n)]
     commute = "e_l commutes with f_ij for l not in {i, j-1}"
     upper_rule = "[e_i, f_ib] = q f_(i+1)b k_i^2"
     lower_rule = "[e_i, f_a(i+1)] = -1/q f_ai k_i^-2"
@@ -387,7 +387,10 @@ def suite_calculus(n: int, seed: int = 0) -> list[dict]:
 # Chain/determinant comparison suite
 # ----------------------------------------------------------------------------
 
-def suite_section44(n: int, pmax: int = 3, doot: bool = True, seed: int = 0) -> list[dict]:
+def suite_section44(n: int, seed: int = 0) -> list[dict]:
+    """Chain maps under ad_F and F^(p+1) on chains for p = 1..3; at N <= 3
+    also compare_doot at each p, at its default mu and two seeded ones."""
+    pmax = 3
     rs = get_rewrite_system(n)
     F = (n,)
     stretch = "ad_F sends a chain to -q times its stretched chain"
@@ -441,7 +444,7 @@ def suite_section44(n: int, pmax: int = 3, doot: bool = True, seed: int = 0) -> 
         checks.check(leading, coords == expect, f"p={p}")
 
     report = checks.report()
-    if doot and n >= 2:
+    if n <= 3:
         for p in range(1, pmax + 1):
             report.append(compare_doot(n, p, rs=rs))
             for sample in range(2):
@@ -562,7 +565,8 @@ def suite_powers(
 # Basis/confluence suite
 # ----------------------------------------------------------------------------
 
-def suite_pbw(n: int, cap: int = 8, height: int = 8) -> list[dict]:
+def suite_pbw(n: int) -> list[dict]:
+    cap, height = 8, 8
     rs = complete(serre_relations(n), cap, n=n, dimensions=partial(pbw_dimension, n))
     checks = Checks()
     fails = audit_confluence(rs)
@@ -580,11 +584,11 @@ def suite_pbw(n: int, cap: int = 8, height: int = 8) -> list[dict]:
 # Negative control
 # ----------------------------------------------------------------------------
 
-def suite_negative(n: int, m: int = 1, lam=None) -> list[dict]:
+def suite_negative(n: int, lam=None) -> list[dict]:
     """A weight off the hyperplane: e_1, ..., e_(N-1) still kill theta*v,
     but the final raising direction survives; its entry shows the surviving
     vector's first term."""
-    check_suite_args("negative", n, m, lam=lam)
+    check_suite_args("negative", n, lam=lam)
     off = tuple(lam) if lam is not None else (0,) * n
     rs = get_rewrite_system(n)
     hw = HighestWeight.numeric(off)
@@ -608,11 +612,11 @@ def suite_negative(n: int, m: int = 1, lam=None) -> list[dict]:
 # looks its suite function up when it runs
 SUITES = {
     "hwv": lambda n, **kw: verify_hwv(n, **kw),
-    "negative": lambda n, m, lam, **_: suite_negative(n, m, lam),
-    "section2": lambda n, **_: suite_section2(n, heavy=(n <= 3)),
+    "negative": lambda n, lam, **_: suite_negative(n, lam),
+    "section2": lambda n, **_: suite_section2(n),
     "section3": lambda n, **_: suite_section3(n),
     "calculus": lambda n, seed, **_: suite_calculus(n, seed=seed),
-    "section44": lambda n, seed, **_: suite_section44(n, doot=(2 <= n <= 3), seed=seed),
+    "section44": lambda n, seed, **_: suite_section44(n, seed=seed),
     "powers": lambda n, m, lam, samples, seed, **_: suite_powers(
         n, m, samples=samples, seed=seed, lam=lam
     ),
@@ -621,18 +625,23 @@ SUITES = {
 
 
 def check_suite_args(name: str, n: int, m: int = 1, mode: str = "symbolic", lam=None) -> None:
-    """Raise ValueError for an unknown suite, for a weight the suite would
-    not read, or for arguments the suite refuses.  It builds nothing, so a
-    caller can refuse the arguments before it loads a rewriting system."""
+    """Raise ValueError for an unknown suite, for a weight or a level the
+    suite would not read, or for arguments the suite refuses.  It builds
+    nothing, so a caller can refuse the arguments before it loads a
+    rewriting system."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if lam is not None and name not in ("hwv", "negative", "powers"):
         raise ValueError(f"the {name} suite takes no weight")
+    if m != 1 and name not in ("hwv", "powers"):
+        raise ValueError(f"the {name} suite is level-one only")
+    if name == "section44" and n < 2:
+        raise ValueError("requires rank >= 2")
     if name == "hwv":
         check_hwv_args(n, m, mode, lam)
     elif name == "powers" and lam is not None:
         check_power_weight(n, m, lam)
-    elif name == "negative" and sum(lam if lam is not None else (0,) * n) == m - n:
+    elif name == "negative" and sum(lam if lam is not None else (0,) * n) == 1 - n:
         raise ValueError("negative control needs a weight off the hyperplane")
 
 

@@ -71,7 +71,7 @@ def test_acceptance_3_commutation_suite():
     ok = True
     detail = ""
     for n in (2, 3, 4, 5):
-        good, bad = _all_pass(suite_section2(n, heavy=(n <= 3)))
+        good, bad = _all_pass(suite_section2(n))
         if not good:
             ok, detail = False, f"n={n}: {bad}"
     _verdict(3, "commutation-relation suite exhaustive, N<=5", ok, detail)
@@ -101,7 +101,7 @@ def test_acceptance_6_chain_and_determinant_comparison():
     ok = True
     detail = ""
     for n in (2, 3, 4, 5):
-        good, bad = _all_pass(suite_section44(n, pmax=3, doot=False))
+        good, bad = _all_pass(suite_section44(n))
         if not good:
             ok, detail = False, f"n={n}: {bad}"
     for n in (2, 3):
@@ -138,7 +138,7 @@ def test_acceptance_8_basis_audit():
     ok = True
     detail = ""
     for n in (2, 3, 4):
-        good, bad = _all_pass(suite_pbw(n, cap=8, height=8))
+        good, bad = _all_pass(suite_pbw(n))
         if not good:
             ok, detail = False, f"n={n}: {bad}"
     _verdict(8, "normal-word dimensions and confluence audit, N<=4 cap 8", ok, detail)

@@ -1,4 +1,5 @@
-"""Command-line behaviour: rendering, exit codes, determinism, caching."""
+"""Command-line behaviour: rendering, exit codes, determinism, and the
+rewrite-system file that the benchmark still reads and writes."""
 
 import json
 
@@ -26,7 +27,7 @@ def test_theta_sum_text(capsys):
     assert out.strip() == "f[1,2]"
 
 
-def test_theta_det_json(capsys, tmp_path):
+def test_theta_det_json(capsys):
     code, out, _ = run_cli(
         capsys,
         "theta",
@@ -38,8 +39,6 @@ def test_theta_det_json(capsys, tmp_path):
         "1,0,-3",
         "--format",
         "json",
-        "--cache-dir",
-        str(tmp_path),
     )
     assert code == 0
     obj = json.loads(out)
@@ -61,7 +60,7 @@ def test_theta_invalid_lambda_exit_2(capsys):
     assert "lambda" in err
 
 
-def test_theta_power_off_hyperplane_exit_2(capsys, tmp_path):
+def test_theta_power_off_hyperplane_exit_2(capsys):
     code, _, err = run_cli(
         capsys,
         "theta",
@@ -73,25 +72,23 @@ def test_theta_power_off_hyperplane_exit_2(capsys, tmp_path):
         "power",
         "--lambda",
         "5,5",
-        "--cache-dir",
-        str(tmp_path),
     )
     assert code == 2
     assert "error" in err
 
 
-def test_theta_inductive_matches_sum_via_cli(capsys, tmp_path):
+def test_theta_inductive_matches_sum_via_cli(capsys):
     # a chain-admissible weight on the level-1 hyperplane for N=2
     code, out_ind, _ = run_cli(
         capsys,
         "theta", "--n", "2", "--method", "inductive", "--lambda", "1,-2",
-        "--format", "json", "--cache-dir", str(tmp_path),
+        "--format", "json",
     )
     assert code == 0
     code, out_det, _ = run_cli(
         capsys,
         "theta", "--n", "2", "--method", "det", "--lambda", "1,-2",
-        "--format", "json", "--cache-dir", str(tmp_path),
+        "--format", "json",
     )
     assert code == 0
     a = json.loads(out_ind)["terms"]
@@ -99,23 +96,19 @@ def test_theta_inductive_matches_sum_via_cli(capsys, tmp_path):
     assert a == b
 
 
-def test_theta_power_of_degree_18_exits_0(capsys, tmp_path):
+def test_theta_power_of_degree_18_exits_0(capsys):
     # the level-9 element at N = 2 has degree 18; the system completes
-    # itself that far from its cached degree 10, and no degree is refused
+    # itself that far from its initial degree 10, and no degree is refused
     code, out, err = run_cli(
-        capsys,
-        "theta", "--n", "2", "--m", "9", "--method", "power", "--lambda", "5,2",
-        "--cache-dir", str(tmp_path),
+        capsys, "theta", "--n", "2", "--m", "9", "--method", "power", "--lambda", "5,2"
     )
     assert (code, err) == (0, "")
     assert out.startswith("(q^72)·" + "f[1,2]" * 9 + "f[2,3]" * 9 + " + ")
 
 
-def test_verify_hwv_cli(capsys, tmp_path):
+def test_verify_hwv_cli(capsys):
     code, out, _ = run_cli(
-        capsys,
-        "verify", "--suite", "hwv", "--n", "3", "--m", "1",
-        "--mode", "symbolic", "--cache-dir", str(tmp_path),
+        capsys, "verify", "--suite", "hwv", "--n", "3", "--m", "1", "--mode", "symbolic"
     )
     assert code == 0
     obj = json.loads(out)
@@ -123,23 +116,21 @@ def test_verify_hwv_cli(capsys, tmp_path):
     assert len(obj["checks"]) == 3
 
 
-def test_verify_hwv_n7_completes_past_the_cached_degree(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys, "verify", "--suite", "hwv", "--n", "7", "--cache-dir", str(tmp_path)
-    )
+def test_verify_hwv_n7_completes_past_the_cached_degree(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "hwv", "--n", "7")
     assert (code, err) == (0, "")
     obj = json.loads(out)
     assert obj["all_pass"] is True
     assert len(obj["checks"]) == 7
 
 
-def test_verify_powers_with_explicit_weight(capsys, tmp_path):
+def test_verify_powers_with_explicit_weight(capsys):
     # a hyperplane weight whose reflection chain is inadmissible still
     # verifies the product construction; the induction note is explicit
     code, out, _ = run_cli(
         capsys,
         "verify", "--suite", "powers", "--n", "2", "--m", "2",
-        "--lambda", "1,-1", "--cache-dir", str(tmp_path),
+        "--lambda", "1,-1",
     )
     assert code == 0
     obj = json.loads(out)
@@ -158,11 +149,9 @@ def test_verify_powers_with_explicit_weight(capsys, tmp_path):
         (["powers", "--lambda", "0,-1"], 0),
     ],
 )
-def test_verify_weight_off_hyperplane_exit_2(capsys, tmp_path, argv, code):
+def test_verify_weight_off_hyperplane_exit_2(capsys, argv, code):
     # at level one, as at higher levels, the element needs (lam + rho, eta) = m
-    got, out, err = run_cli(
-        capsys, "verify", "--suite", *argv, "--n", "2", "--cache-dir", str(tmp_path)
-    )
+    got, out, err = run_cli(capsys, "verify", "--suite", *argv, "--n", "2")
     assert got == code
     if code == 2:
         assert out == ""
@@ -185,8 +174,8 @@ def test_verify_weight_off_hyperplane_exit_2(capsys, tmp_path, argv, code):
     ],
     ids=["section44", "section2", "pbw", "hwv-symbolic"],
 )
-def test_verify_weight_the_run_would_drop_exit_2(capsys, tmp_path, argv, n, err):
-    got = run_cli(capsys, "verify", "--suite", *argv, "--n", n, "--cache-dir", str(tmp_path))
+def test_verify_weight_the_run_would_drop_exit_2(capsys, argv, n, err):
+    got = run_cli(capsys, "verify", "--suite", *argv, "--n", n)
     assert got == (2, "", err)
 
 
@@ -225,28 +214,62 @@ def test_verify_weight_the_run_would_drop_exit_2(capsys, tmp_path, argv, n, err)
             ["theta", "--n", "3", "--m", "2", "--method", "inductive", "--lambda", "1,0,-2"],
             "error: step 2 needs a positive exponent, got 0\n",
         ),
+        # only the hwv and powers suites read the level
+        (
+            ["verify", "--suite", "negative", "--n", "2", "--m", "3", "--lambda", "0,-1"],
+            "error: the negative suite is level-one only\n",
+        ),
+        *(
+            (
+                ["verify", "--suite", suite, "--n", "2", "--m", "4"],
+                f"error: the {suite} suite is level-one only\n",
+            )
+            for suite in ("section2", "section3", "calculus", "section44", "pbw")
+        ),
+        (["verify", "--suite", "section44", "--n", "1"], "error: requires rank >= 2\n"),
     ],
     ids=[
         "verify-section2", "theta-power", "hwv-symbolic-weight", "hwv-symbolic-level-two",
         "hwv-sampled-off-hyperplane", "powers-off-hyperplane", "negative-on-hyperplane",
-        "theta-inductive-chain",
+        "theta-inductive-chain", "negative-level-three", "section2-level-four",
+        "section3-level-four", "calculus-level-four", "section44-level-four",
+        "pbw-level-four", "section44-rank-one",
     ],
 )
-def test_refused_arguments_build_no_cache(capsys, tmp_path, argv, err):
-    # the arguments are refused before a rewriting system is loaded or built
-    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (2, "", err)
-    assert list(tmp_path.iterdir()) == []
+def test_refused_arguments_build_no_cache(capsys, monkeypatch, argv, err):
+    # the arguments are refused before a rewriting system is built
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    assert run_cli(capsys, *argv) == (2, "", err)
+    assert freealg._SYSTEMS == {}
+
+
+def test_commands_write_nothing_to_disk(capsys, tmp_path, monkeypatch):
+    # each command builds its rewriting system in process; none is read
+    # from or written to a cache directory
+    home, xdg = tmp_path / "home", tmp_path / "xdg"
+    home.mkdir()
+    xdg.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    assert run_cli(capsys, "verify", "--suite", "hwv", "--n", "3")[0] == 0
+    argv = ["theta", "--n", "3", "--m", "2", "--method", "power", "--lambda", "0,0,-1"]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert list(home.iterdir()) == list(xdg.iterdir()) == []
+
+
+def test_removed_cache_command_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "--n", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cache'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m", ["1", "2"])
-def test_verify_powers_n1_reports_no_shift_check(capsys, tmp_path, m):
+def test_verify_powers_n1_reports_no_shift_check(capsys, m):
     # at N = 1 every root vector contains f_1, so the formal shift identity
     # has no arguments, and no weight can run the F^p check (it needs
     # N >= 2): both are left out of the report, not passed vacuously
-    code, out, err = run_cli(
-        capsys,
-        "verify", "--suite", "powers", "--n", "1", "--m", m, "--cache-dir", str(tmp_path),
-    )
+    code, out, err = run_cli(capsys, "verify", "--suite", "powers", "--n", "1", "--m", m)
     assert (code, err) == (0, "")
     obj = json.loads(out)
     assert obj["all_pass"] is True
@@ -260,11 +283,8 @@ def test_verify_powers_n1_reports_no_shift_check(capsys, tmp_path, m):
     ]
 
 
-def test_verify_negative_control_cli(capsys, tmp_path):
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "--suite", "negative", "--n", "2", "--cache-dir", str(tmp_path),
-    )
+def test_verify_negative_control_cli(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "negative", "--n", "2")
     assert code == 0
     obj = json.loads(out)
     assert obj["all_pass"] is True
@@ -273,7 +293,7 @@ def test_verify_negative_control_cli(capsys, tmp_path):
     assert final["witness"] != "0"
 
 
-def test_verify_exit_1_on_failure(capsys, tmp_path, monkeypatch):
+def test_verify_exit_1_on_failure(capsys, monkeypatch):
     import qshapo.suites as suites
 
     def broken(*a, **k):
@@ -282,29 +302,25 @@ def test_verify_exit_1_on_failure(capsys, tmp_path, monkeypatch):
     monkeypatch.setitem(
         suites.run_suite.__globals__, "suite_calculus", broken
     )
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "calculus", "--n", "2", "--cache-dir", str(tmp_path)
-    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "calculus", "--n", "2")
     assert code == 1
 
 
-def test_cache_build_then_load(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "cache", "--n", "3", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert out.startswith("built:")
-    code, out, _ = run_cli(capsys, "cache", "--n", "3", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert out.startswith("loaded from cache")
+# load_or_build and cache_path: the rewrite-system file that only the
+# benchmark reads and writes
+
+def test_cache_build_then_load(tmp_path):
+    rs, status = cli.load_or_build(3, 10, tmp_path)
+    assert status == "built"
+    again, status = cli.load_or_build(3, 10, tmp_path)
+    assert status == "loaded" and again.rules == rs.rules
 
 
 def test_cache_corrupt_rebuilds(capsys, tmp_path):
-    run_cli(capsys, "cache", "--n", "2", "--cache-dir", str(tmp_path))
-    victim = next(tmp_path.glob("rws_n2_*.txt"))
-    victim.write_text("garbage\n")
-    code, out, err = run_cli(capsys, "cache", "--n", "2", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert "rebuilt" in out
-    assert "warning" in err
+    cli.load_or_build(2, 10, tmp_path)
+    cli.cache_path(tmp_path, 2, 10).write_text("garbage\n")
+    assert cli.load_or_build(2, 10, tmp_path)[1] == "rebuilt"
+    assert "warning" in capsys.readouterr().err
 
 
 def test_cache_write_failure_keeps_previous_file(tmp_path, monkeypatch):
@@ -367,24 +383,32 @@ DAMAGED_N2_CACHE = (
     ],
 )
 def test_damaged_cache_rebuilds(capsys, tmp_path, monkeypatch, argv):
-    # the damaged file fails the Serre check on load, so the run warns,
-    # rebuilds it and prints what a run on a fresh cache prints; each run
-    # registers its system process-wide, so keep them out of later tests
+    # a damaged file where the command line once kept its cache is neither
+    # read nor rewritten by a command, which prints what a run without the
+    # file prints; load_or_build, which the benchmark calls, still finds
+    # the damage by the Serre check, warns, and rebuilds it
     cap = freealg.default_cap(2)
-    damaged = tmp_path / "damaged"
-    damaged.mkdir()
-    cli.cache_path(damaged, 2, cap).write_text(DAMAGED_N2_CACHE)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    cache_dir = tmp_path / ".cache" / "qshapo"
+    cache_dir.mkdir(parents=True)
     monkeypatch.setattr(freealg, "_SYSTEMS", {})
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(damaged))
-    assert code == 0
+    code, fresh, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    path = cli.cache_path(cache_dir, 2, cap)
+    path.write_text(DAMAGED_N2_CACHE)
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == fresh
+    assert path.read_text() == DAMAGED_N2_CACHE
+    rs, status = cli.load_or_build(2, cap, cache_dir)
+    err = capsys.readouterr().err
+    assert status == "rebuilt"
     assert err.startswith("warning: cache ")
     assert "Serre relation" in err and err.endswith("; rebuilding\n")
     assert err.count("\n") == 1
-    assert cli.load_or_build(2, cap, damaged)[1] == "loaded"
-    monkeypatch.setattr(freealg, "_SYSTEMS", {})
-    code, fresh, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))
-    assert (code, err) == (0, "")
-    assert out == fresh
+    assert path.read_text() == freealg.complete(serre_relations(2), cap, n=2).to_text()
+    assert cli.load_or_build(2, cap, cache_dir)[1] == "loaded"
 
 
 # a valid n = 2 cache plus a well-formed rule whose lead f2 f2 f1 f1
@@ -403,14 +427,13 @@ NESTED_N2_CACHE = (
 )
 
 
-def test_nested_leads_cache_rebuilds(capsys, tmp_path, monkeypatch):
+def test_nested_leads_cache_rebuilds(capsys, tmp_path):
     cap = freealg.default_cap(2)
     path = cli.cache_path(tmp_path, 2, cap)
     path.write_text(NESTED_N2_CACHE)
-    monkeypatch.setattr(freealg, "_SYSTEMS", {})
-    code, out, err = run_cli(capsys, "cache", "--n", "2", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert out.startswith("rebuilt: 2 rules")
+    rs, status = cli.load_or_build(2, cap, tmp_path)
+    err = capsys.readouterr().err
+    assert status == "rebuilt" and len(rs.rules) == 2
     reason = "one lead is a factor of another"
     assert err == f"warning: cache {path} is corrupt ({reason}); rebuilding\n"
     assert path.read_text() == freealg.complete(serre_relations(2), cap, n=2).to_text()
@@ -443,16 +466,15 @@ SHORT_N3_CACHE = (
 )
 
 
-def test_count_check_rebuilds_a_cache_short_of_a_rule(capsys, tmp_path, monkeypatch):
+def test_count_check_rebuilds_a_cache_short_of_a_rule(capsys, tmp_path):
     short = RewriteSystem.from_text(SHORT_N3_CACHE)
     assert not any(short.normal_form(rel) for rel in serre_relations(3))
     cap = freealg.default_cap(3)
     path = cli.cache_path(tmp_path, 3, cap)
     path.write_text(SHORT_N3_CACHE)
-    monkeypatch.setattr(freealg, "_SYSTEMS", {})
-    code, out, err = run_cli(capsys, "cache", "--n", "3", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert out.startswith("rebuilt: 7 rules")
+    rs, status = cli.load_or_build(3, cap, tmp_path)
+    err = capsys.readouterr().err
+    assert status == "rebuilt" and len(rs.rules) == 7
     reason = "59 normal words in degree 5, not 58"
     assert err == f"warning: cache {path} is corrupt ({reason}); rebuilding\n"
     assert path.read_text() == freealg.complete(serre_relations(3), cap, n=3).to_text()
@@ -486,17 +508,10 @@ def test_inconsistency_errors_exit_4(capsys, monkeypatch, exc):
     assert err == f"error: internal inconsistency ({exc.__name__}): forced\n"
 
 
-def test_env_var_cache_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("QSHAPO_CACHE", str(tmp_path / "envcache"))
-    code, out, _ = run_cli(capsys, "cache", "--n", "2")
-    assert code == 0
-    assert (tmp_path / "envcache").exists()
-
-
-def test_deterministic_output(capsys, tmp_path):
+def test_deterministic_output(capsys):
     args = [
         "verify", "--suite", "hwv", "--n", "2", "--mode", "sampled",
-        "--samples", "3", "--seed", "11", "--cache-dir", str(tmp_path),
+        "--samples", "3", "--seed", "11",
     ]
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)

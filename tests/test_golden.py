@@ -83,14 +83,9 @@ GOLDEN = [
 ]
 
 
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("golden_cache"))
-
-
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_cli_stdout_matches_golden_digest(argv, code, digest, cache_dir, capsys):
-    got = main(argv.split() + ["--cache-dir", cache_dir])
+def test_cli_stdout_matches_golden_digest(argv, code, digest, capsys):
+    got = main(argv.split())
     out = capsys.readouterr().out
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
