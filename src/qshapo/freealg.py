@@ -39,6 +39,15 @@ as it grows them.  Single-word normal forms, which the Verma actions meet
 again and again, are cached as dicts that are shared between words (a
 commutation rewrite stores its child's dict) and never mutated once cached;
 an overlap is met once, so completion and the audit leave that cache alone.
+
+Every coefficient the engine computes with lies in Z[q, 1/q]: the rules of
+the q-Serre quotient have Laurent coefficients (Bokut and Malcolmson, Israel
+J. Math. 96, 1996), and completion divides a remainder by its leading
+coefficient only where that division is exact.  So rules, normal forms and
+reductions run on the Laurent tuples of the integer kernel (the last
+section of scalars), with no gcd and with one object per system for each
+distinct coefficient.  ``normal_form`` clears a polynomial's scalars into
+that form once and rebuilds its result as the same kind of scalars.
 """
 
 from __future__ import annotations
@@ -49,10 +58,24 @@ from functools import partial
 from io import StringIO
 
 from .roots import pbw_dimension
-from .scalars import R_ONE, RatQ, add_terms
+from .scalars import (
+    L_MINUS_ONE,
+    L_ONE,
+    P_ONE,
+    R_ONE,
+    RatQ,
+    _clear,
+    _convolve,
+    _laurent,
+    _laurent_of,
+    _ldiv,
+    _ratq_of,
+    _rebuild,
+    _shape,
+    add_terms,
+)
 
 FORMAT_VERSION = "qshapo-rws-v1"
-R_MINUS_ONE = -R_ONE
 
 
 class CacheCorrupt(Exception):
@@ -68,10 +91,9 @@ class CacheCorrupt(Exception):
 class NCPoly:
     """Finite linear combination of words over letters 1..n.
 
-    Coefficients are RatQ by default but any commutative scalar type with
-    +, -, * (including by RatQ on the left) and a truthy zero-test works;
-    the Verma maps read polynomials whose coefficients are scalars of a
-    weight.
+    Coefficients are RatQs, or WeightScalars in one set of symbols: the
+    scalars of a weight, or of a formal parameter t.  normal_form clears
+    either kind into the integer kernel and rebuilds the same kind.
     """
 
     __slots__ = ("n", "terms")
@@ -275,10 +297,14 @@ class RewriteSystem:
     proper prefixes of leads, 0 the empty one, and ``_delta[s][a]`` is the
     state after reading letter a, or -k when that letter completes a lead of
     k letters.  The first lead to end in a word is then also the leftmost.
-    ``_rhs`` holds each replacement as (word, coefficient, unit) triples,
-    unit being 1 or -1 for a coefficient of +-1 and 0 otherwise.  A dict in
-    ``_nf_cache`` may be shared by several words and is never mutated;
-    ``normal_form``, its only reader, builds a new dict.
+    ``_rhs`` holds each replacement of ``rules`` as (word, coefficient,
+    unit) triples, the coefficient as a Laurent tuple of the integer kernel
+    and unit 1 or -1 for a coefficient of +-1, 0 otherwise.  ``_nf_cache``
+    maps a word to its normal form {word: Laurent tuple}; a dict there may
+    be shared by several words and is never mutated, and every reader
+    builds a new dict.  The Laurent tuples of ``_rhs``, ``_nf_cache`` and
+    ``_pbw_cache`` are interned in ``_coeffs``, so equal ones are one
+    object; the table is emptied with ``_nf_cache``, when the rules change.
 
     ``dimensions`` is None, or maps a degree to the dimension of the
     quotient's part of that degree; completion then skips every degree
@@ -296,13 +322,15 @@ class RewriteSystem:
         self._delta: list[list[int]] = [[0] * (n + 1)]
         self._rhs: dict[tuple, tuple] = {}
         self._nf_cache: dict[tuple, dict] = {}
+        self._coeffs: dict[tuple, tuple] = {}
         # multidegree -> {PBW monomial: its normal form}; filled by uqsl
         self._pbw_cache: dict[tuple, dict] = {}
 
     # -- rule bookkeeping ------------------------------------------------
 
     def _refresh_automaton(self):
-        """Rebuild ``_delta`` and ``_rhs`` from the rules."""
+        """Rebuild ``_delta`` and ``_rhs`` from the rules; ValueError if a
+        coefficient is not a Laurent polynomial."""
         trie: list[dict] = [{}]
         for lead in self.rules:
             s = 0
@@ -328,11 +356,28 @@ class RewriteSystem:
                     queue.append(child)
             delta[s] = row
         self._delta = delta
-        self._rhs = {
-            lead: tuple((u, c, 1 if c == R_ONE else -1 if c == R_MINUS_ONE else 0)
-                        for u, c in rhs.terms.items())
-            for lead, rhs in self.rules.items()
-        }
+        self._refresh_rhs()
+
+    def _refresh_rhs(self):
+        rhs = {}
+        for lead, rule in self.rules.items():
+            terms = self._interned({u: _laurent_of(c) for u, c in rule.terms.items()})
+            rhs[lead] = tuple((u, t, 1 if t == L_ONE else -1 if t == L_MINUS_ONE else 0)
+                              for u, t in terms.items())
+        self._rhs = rhs
+
+    def _interned(self, acc: dict) -> dict:
+        """{word: Laurent tuple} from {word: Laurent tuple or accumulator
+        {q-exponent: int}}, each tuple interned in ``_coeffs`` and no zero
+        kept."""
+        intern = self._coeffs.setdefault
+        out = {}
+        for x, t in acc.items():
+            if type(t) is dict:
+                t = _laurent(t)
+            if t:
+                out[x] = intern(t, t)
+        return out
 
     def _first_reduction(self, w):
         """Leftmost position and lead length of a reducible factor, else None."""
@@ -347,15 +392,16 @@ class RewriteSystem:
     # -- normal forms ------------------------------------------------------
 
     def _nf_word(self, w) -> dict:
-        """Normal form of a single word as a dict word -> RatQ (cached, and
-        never to be mutated).  A word beyond the cap first extends the
-        completion to its length."""
+        """Normal form of a single word as a dict word -> Laurent tuple
+        (cached, and never to be mutated).  A word beyond the cap first
+        extends the completion to its length."""
         got = self._nf_cache.get(w)
         if got is not None:
             return got
         if len(w) > self.cap:
             self._extend(len(w))
         cache = self._nf_cache  # extension replaces the dict
+        one = self._coeffs.setdefault(L_ONE, L_ONE)
         # word -> its rewrite, once its children are queued
         pending: dict[tuple, list] = {}
         stack = [w]
@@ -368,7 +414,7 @@ class RewriteSystem:
             if children is None:
                 hit = self._first_reduction(cur)
                 if hit is None:
-                    cache[cur] = {cur: R_ONE}
+                    cache[cur] = {cur: one}
                     stack.pop()
                     continue
                 pos, ln = hit
@@ -384,36 +430,44 @@ class RewriteSystem:
             if len(children) == 1 and children[0][2] == 1:
                 cache[cur] = cache[children[0][0]]  # a commutation: share the dict
                 continue
+            # as in _reduce, a word reached once keeps a tuple
             acc: dict = {}
             for u, c, unit in children:
-                sub = cache[u].items()
-                if unit == 1:
-                    add_terms(acc, sub)
-                elif unit == -1:
-                    add_terms(acc, ((x, -cx) for x, cx in sub))
-                else:
-                    add_terms(acc, ((x, c * cx) for x, cx in sub))
-            cache[cur] = acc
+                for x, cx in cache[u].items():
+                    d = acc.get(x)
+                    if d is None:
+                        if unit:
+                            acc[x] = cx if unit == 1 else _lneg(cx)
+                            continue
+                        d = acc[x] = {}
+                    elif type(d) is not dict:
+                        d = acc[x] = dict(d)
+                    _convolve(d, cx, c)
+            cache[cur] = self._interned(acc)
         return cache[w]
 
     def normal_form(self, p: NCPoly) -> NCPoly:
-        """Canonical representative of p in the quotient."""
-        terms: dict = {}
-        for w, c in p.terms.items():
-            add_terms(terms, ((x, c * cx) for x, cx in self._nf_word(w).items()))
-        return NCPoly._raw(p.n, terms)
+        """Canonical representative of p in the quotient.  Its coefficients,
+        RatQs or WeightScalars, are cleared once into the integer kernel and
+        the result is rebuilt as the same kind of scalars."""
+        n, prefix = _shape(p.terms.values())
+        D, ints = _clear(p.terms, n)
+        return NCPoly._raw(p.n, _rebuild(D, _nf_sum(ints, self._nf_word), n, prefix))
 
     def is_zero(self, p: NCPoly) -> bool:
         return self.normal_form(p).is_zero()
 
     def _reduce(self, terms) -> dict:
-        """Normal form, as a new dict, of the polynomial with the given terms
-        (word -> coefficient, no zero coefficient), which must all have one
-        length: words are ordered by tuple comparison, which is deglex only
-        within a length.  The pending words stay sorted and the largest is
-        rewritten first, so the words that two rewrites reach merge, and may
-        cancel, before either is rewritten.  It reads and writes no cache,
-        and it does not extend the completion."""
+        """Normal form, as a new dict word -> Laurent tuple, of the
+        polynomial with the given terms (word -> Laurent tuple, or an
+        accumulator {q-exponent: int} that it consumes), which must all
+        have one length: words are ordered by tuple comparison, which is
+        deglex only within a length.  The pending words stay sorted and the
+        largest is rewritten first, so the words that two rewrites reach
+        merge, and may cancel, before either is rewritten.  A word reached
+        once keeps its coefficient's tuple; only a word reached again gets
+        an accumulator.  It reads and writes no cache, and it does not
+        extend the completion."""
         if len({len(w) for w in terms}) > 1:
             raise ValueError("polynomial is not homogeneous")
         coeffs = dict(terms)
@@ -423,8 +477,10 @@ class RewriteSystem:
         while pending:
             w = pending.pop()
             c = coeffs.pop(w)
-            if not c:
-                continue
+            if type(c) is dict:
+                c = _laurent(c)
+                if not c:
+                    continue
             hit = first(w)
             if hit is None:
                 out[w] = c
@@ -435,13 +491,16 @@ class RewriteSystem:
             # word reached here has been rewritten already
             for u, cu, unit in rhs_of[w[pos : pos + ln]]:
                 x = pre + u + post
-                y = c if unit == 1 else -c if unit == -1 else cu * c
-                prev = coeffs.get(x)
-                if prev is None:
-                    coeffs[x] = y
+                d = coeffs.get(x)
+                if d is None:
                     bisect.insort(pending, x)
-                else:
-                    coeffs[x] = prev + y
+                    if unit:
+                        coeffs[x] = c if unit == 1 else _lneg(c)
+                        continue
+                    d = coeffs[x] = {}
+                elif type(d) is not dict:
+                    d = coeffs[x] = dict(d)
+                _convolve(d, c, cu)
         return out
 
     def _overlap_remainder(self, w, la, lb) -> dict:
@@ -449,8 +508,9 @@ class RewriteSystem:
         w = la + suffix = prefix + lb: the normal form of
         rules[la] * suffix - prefix * rules[lb]."""
         suffix, prefix = w[len(la) :], w[: len(w) - len(lb)]
-        terms = {u + suffix: c for u, c in self.rules[la].terms.items()}
-        add_terms(terms, ((prefix + u, -c) for u, c in self.rules[lb].terms.items()))
+        terms = {u + suffix: dict(c) for u, c, _ in self._rhs[la]}
+        for u, c, _ in self._rhs[lb]:
+            _convolve(terms.setdefault(prefix + u, {}), c, L_MINUS_ONE)
         return self._reduce(terms)
 
     # -- dimension counting --------------------------------------------------
@@ -506,13 +566,15 @@ class RewriteSystem:
     # -- completion --------------------------------------------------------
 
     def _add_rule(self, terms: dict, queue: list):
-        """Orient the reduced polynomial with these terms into a rule and
-        queue its overlaps of degree <= cap."""
-        lead, rhs = _make_rule(terms, self.n)
+        """Orient the reduced polynomial with these terms (word -> Laurent
+        tuple) into a rule and queue its overlaps of degree <= cap."""
+        lead, rhs = _make_rule(terms)
         # retire any rule whose lead the new lead divides, and re-reduce it
-        stale = [old for old in self.rules if _is_factor(lead, old)]
-        retired = [(NCPoly(self.n, {old: R_ONE}) - self.rules.pop(old)).terms for old in stale]
-        self.rules[lead] = rhs
+        retired = []
+        for old in [old for old in self.rules if _is_factor(lead, old)]:
+            del self.rules[old]
+            retired.append({old: L_ONE, **{u: _lneg(c) for u, c, _ in self._rhs[old]}})
+        self.rules[lead] = NCPoly._raw(self.n, {u: _ratq_of(c) for u, c in rhs.items()})
         self._refresh_automaton()
         for other in self.rules:
             pairs = [(lead, other)] if other == lead else [(lead, other), (other, lead)]
@@ -551,10 +613,14 @@ class RewriteSystem:
             if diff:
                 self._add_rule(diff, queue)
                 counted = None
-        for lead, rhs in self.rules.items():
-            self.rules[lead] = NCPoly._raw(self.n, self._reduce(rhs.terms))
-        # the rules may have changed: drop what callers cached before
+        for lead, rhs in self._rhs.items():
+            tail = self._reduce({u: c for u, c, _ in rhs})
+            self.rules[lead] = NCPoly._raw(self.n, {u: _ratq_of(c) for u, c in tail.items()})
+        # the rules may have changed: drop what callers cached before, with
+        # its interned coefficients, and make _rhs the tail-reduced rules
         self._nf_cache = {}
+        self._coeffs = {}
+        self._refresh_rhs()
 
     def _extend(self, degree: int):
         """Complete through `degree`.  Completion through cap resolved every
@@ -589,7 +655,8 @@ class RewriteSystem:
     def from_text(cls, text: str) -> "RewriteSystem":
         """The system that to_text wrote.  Raises CacheCorrupt when the text
         does not parse, uses a letter outside 1..n, has one lead that is a
-        factor of another, or has a rule out of order or not homogeneous.
+        factor of another, has a rule out of order or not homogeneous, or
+        has a coefficient that is not a Laurent polynomial.
         Only the benchmark (directly and through cli.load_or_build) and the
         tests read a system back; it is kept until ROADMAP item 2, then
         item 7, removes it."""
@@ -630,6 +697,8 @@ class RewriteSystem:
             for w in rhs.terms:
                 if word_multidegree(w, n) != mu or deglex_key(w) >= deglex_key(lead):
                     raise CacheCorrupt("rule violates order/homogeneity")
+            if any(c.den != P_ONE for c in rhs.terms.values()):
+                raise CacheCorrupt(f"rule {lead}: a coefficient is not a Laurent polynomial")
         rs._refresh_automaton()
         return rs
 
@@ -638,12 +707,59 @@ class RewriteSystem:
 # Completion
 # ----------------------------------------------------------------------------
 
-def _make_rule(terms: dict, n: int):
-    """Split the polynomial p with these terms into (lead, replacement) with
-    replacement = lead - p/c_lead."""
+def _make_rule(terms: dict):
+    """Split the polynomial p with these terms (word -> Laurent tuple) into
+    (lead, replacement) with replacement = lead - p/c_lead, as word ->
+    Laurent tuple.  Raises ValueError, naming the rule, unless c_lead
+    divides every coefficient in Z[q, 1/q]."""
     lead = max(terms, key=deglex_key)
-    inv = terms[lead].inverse()
-    return lead, NCPoly(n, {w: -(inv * x) for w, x in terms.items() if w != lead})
+    minus_lead = _lneg(terms[lead])
+    rhs = {}
+    for w, x in terms.items():
+        if w != lead:
+            rhs[w] = _ldiv(x, minus_lead)
+            if rhs[w] is None:
+                raise ValueError(f"rule {lead}: the leading coefficient "
+                                 f"{_ratq_of(terms[lead])} does not divide {_ratq_of(x)}")
+    return lead, rhs
+
+
+def _lneg(t):
+    return tuple([(k, -a) for k, a in t])
+
+
+def _nf_sum(ints: dict, nf_of, acc=None) -> dict:
+    """acc (or a new dict) plus the sum of c * nf_of(u) over the items
+    (u, c) of ints, as accumulators {word: {key: int}}: each c a scalar as
+    {key: int}, and nf_of(u) the image of u, {word: Laurent tuple}, under a
+    linear map (its normal form, or uqsl's free expansion of a PBW
+    monomial).  nf_of is called once for each u whose c is not zero.  Every
+    normal form of a polynomial is summed here."""
+    if acc is None:
+        acc = {}
+    for u, c in ints.items():
+        c = [ka for ka in c.items() if ka[1]]
+        if c:
+            for x, cx in nf_of(u).items():
+                d = acc.get(x)
+                if d is None:
+                    d = acc[x] = {}
+                _convolve(d, c, cx)
+    return acc
+
+
+def _word_product(a: dict, b: dict) -> dict:
+    """The free product of two polynomials given as {word: {key: int}},
+    as accumulators of the same form."""
+    out: dict = {}
+    for w1, c1 in a.items():
+        c1 = c1.items()
+        for w2, c2 in b.items():
+            d = out.get(w1 + w2)
+            if d is None:
+                d = out[w1 + w2] = {}
+            _convolve(d, c1, c2.items())
+    return out
 
 
 def _is_factor(u, w):
@@ -676,7 +792,10 @@ def complete(
     `dimensions`, if given, maps a degree d to the dimension of the
     quotient's degree-d part; the system keeps it and skips every degree
     whose normal words number it (see RewriteSystem._resolve).  Only a map
-    known to hold for these relations may be passed.
+    known to hold for these relations may be passed.  Raises ValueError,
+    naming the relation or rule, when a coefficient is not a Laurent
+    polynomial or a leading coefficient does not divide its remainder in
+    Z[q, 1/q].
     """
     relations = [rel for rel in relations if not rel.is_zero()]
     for rel in relations:
@@ -686,7 +805,11 @@ def complete(
     rs = RewriteSystem(relations[0].n if relations else n or 1, cap, dimensions)
     queue: list = []
     for rel in sorted(relations, key=lambda p: deglex_key(p.leading_word())):
-        q = rs._reduce(rel.terms)
+        try:
+            terms = {w: _laurent_of(c) for w, c in rel.terms.items()}
+        except ValueError as exc:
+            raise ValueError(f"relation {rel}: {exc}") from None
+        q = rs._reduce(terms)
         if q:
             rs._add_rule(q, queue)
     rs._resolve(queue)

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic over the rational function field k = Q(q).
+"""Exact scalar arithmetic over the rational function field k = Q(q), and the
+integer kernel that the rewriting engine and the Verma maps compute on.
 
 Two scalar types live here:
 
@@ -6,15 +7,11 @@ Two scalar types live here:
   as q**val * num/den with integer polynomials num and den whose constant
   terms are nonzero, in a canonical reduced form so that equality is a
   plain data comparison.  The power of q is kept out of the coefficient
-  tuples, so a Laurent polynomial (every rewrite-rule coefficient and
-  nearly every scalar of a numeric-weight computation) has den == (1,) and
-  adds and multiplies with no gcd at all.  True denominators go through
-  Henrici's gcd splitting, which only looks for the factors that can
-  actually cancel.  The (q**4 - 1)**j that 1/(v - v**-1) brings into a
-  symbolic-weight computation are cleared when a Verma vector is built:
-  ``common_denominator`` finds one multiple D of them, each coefficient is
-  made Laurent by exact division, and 1/D goes back on once, when the
-  vector's coefficients are read.
+  tuples, so a Laurent polynomial has den == (1,) and adds and multiplies
+  with no gcd at all.  True denominators go through Henrici's gcd
+  splitting, which only looks for the factors that can actually cancel.
+  RatQ is the type of the paper's formulas, which divide (quantum
+  integers over v - 1/v), and of every coefficient the package hands out.
   The square v = q**2 is used pervasively by the representation-theoretic
   formulas, so helpers for v-powers, quantum integers [r]_v and Gaussian
   binomial coefficients are provided alongside.
@@ -25,11 +22,16 @@ Two scalar types live here:
   WeightScalar is a scalar-valued function of a symbolic weight; substituting
   integers a_i via y_i -> q**a_i recovers a RatQ.  With prefix "k" the same
   type holds Cartan elements: the exponent vector gamma stands for k_gamma.
-  A Verma vector does not hold WeightScalars: once its denominators are
-  cleared, a WeightScalar is a sum of integers times q**k * y**e, so
-  verma's integer kernel takes it apart into those integers when a vector
-  is built, every Verma map runs on them, and one WeightScalar per word is
-  rebuilt only when the vector's coefficients are read.
+
+Below both types sits the integer kernel (the last section of this module).
+Every rewrite-rule coefficient, every normal form and every PBW column is a
+Laurent polynomial in q, which the kernel keeps as a tuple of (q-exponent,
+int) pairs.  A scalar of any kind is cleared into it once, by a common
+multiple D of its denominators (``common_denominator``; the (q**4 - 1)**j
+that 1/(v - v**-1) brings into a symbolic-weight computation), as integers
+keyed by its packed y- and q-exponents; linear maps then run on exact
+integers with no gcd, and a result is rebuilt as RatQ or WeightScalar
+values, divided by D once, only when it is handed out (``_rebuild``).
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -760,9 +762,135 @@ class WeightScalar:
         return f"WeightScalar({self})"
 
 
+def qbinom_formal(i: int, prefix: str = "t") -> WeightScalar:
+    """Gaussian binomial with a formal upper parameter.
+
+    The upper argument r enters only through t = v**r; the result is a
+    Laurent polynomial in t over Q(q) that specializes to qbinom(r, i) under
+    t -> v**r for every integer r.
+    """
+    if i < 0:
+        raise ValueError("qbinom_formal requires i >= 0")
+    out = WeightScalar.one(1, prefix)
+    for j in range(1, i + 1):
+        factor = WeightScalar(
+            1,
+            {(1,): RatQ.v_power(1 - j), (-1,): -RatQ.v_power(j - 1)},
+            prefix,
+        )
+        denom = RatQ.v_power(j) - RatQ.v_power(-j)
+        out = out * factor / denom
+    return out
+
+
 # ----------------------------------------------------------------------------
-# Common denominators before a Q(q)-linear computation
+# The integer kernel
 # ----------------------------------------------------------------------------
+#
+# Once its denominators are cleared, a scalar is a sum of integers times
+# q**k * y**e (e = () for a RatQ, and e = 0 at a numeric weight).  The
+# kernel keeps one such scalar as a dict {key: int}, where the int key packs
+# the q-exponent k and the y-exponent e as the digits of
+# k + e_1 * B + ... + e_n * B**n with B = 2**32; with no y-exponent the key
+# is k itself.  Packing is linear, so multiplying by q**dk * y**de adds the
+# key of (de, dk), and multiplying two scalars convolves their dicts.  Every
+# digit stays below B/2 in size, so the key can be read back: each exponent
+# that goes into a digit is checked against _LIMIT, and verma's maps check
+# the digits of every vector they make.  A Laurent polynomial that is kept
+# (a rule coefficient, a cached normal form, a PBW column) is the tuple of
+# its (q-exponent, int) pairs in ascending order with no zero int, so equal
+# ones compare, hash and intern as equal tuples; dicts are accumulators.
+
+_SHIFT = 32
+_HALF = 1 << (_SHIFT - 1)
+_MASK = (1 << _SHIFT) - 1
+_LIMIT = 1 << (_SHIFT - 4)
+# a rebuilt numerator is a dense tuple from its lowest to its highest power
+# of q; past this many powers (8 MB of pointers) _rebuild refuses it
+_MAX_SPAN = 1 << 20
+
+L_ONE = ((0, 1),)
+L_MINUS_ONE = ((0, -1),)
+
+
+def _digit(k) -> int:
+    """An exponent that goes into a digit of a key, checked against _LIMIT."""
+    if not -_LIMIT < k < _LIMIT:
+        raise ValueError("exponent out of range for the integer kernel")
+    return k
+
+
+def _pack(e, k=0) -> int:
+    """The key of q**k * y**e."""
+    key = 0
+    for x in reversed(e):
+        key = (key << _SHIFT) + _digit(x)
+    return (key << _SHIFT) + _digit(k)
+
+
+def _unpack(key, n) -> tuple:
+    """The y-exponent e of the key of y**e."""
+    e = []
+    for _ in range(n):
+        key >>= _SHIFT
+        d = ((key + _HALF) & _MASK) - _HALF
+        e.append(d)
+        key -= d
+    return tuple(e)
+
+
+def _laurent(acc: dict) -> tuple:
+    """The Laurent tuple of an accumulator {q-exponent: int}; () for 0."""
+    if len(acc) == 1:
+        ka, = acc.items()
+        return (ka,) if ka[1] else ()
+    return tuple(sorted([ka for ka in acc.items() if ka[1]]))
+
+
+def _laurent_of(x: RatQ) -> tuple:
+    """The Laurent tuple of a RatQ; ValueError if it has a true denominator."""
+    if x.den != P_ONE:
+        raise ValueError(f"{x} is not a Laurent polynomial in q")
+    return tuple([ka for ka in enumerate(x.num, x.val) if ka[1]])
+
+
+def _ratq_of(t) -> RatQ:
+    """The RatQ of a nonempty Laurent tuple."""
+    lo = t[0][0]
+    num = [0] * (t[-1][0] - lo + 1)
+    for k, a in t:
+        num[k - lo] = a
+    return _raw(lo, tuple(num), P_ONE)
+
+
+def _ldiv(a, b):
+    """a/b for Laurent tuples, or None when b does not divide a in
+    Z[q, 1/q]."""
+    if len(b) == 1 and b[0][1] in (1, -1):
+        (kb, s), = b
+        return tuple([(k - kb, s * x) for k, x in a])
+    quo = _pdiv(_ratq_of(a).num, _ratq_of(b).num)
+    return None if quo is None else _laurent_of(_raw(a[0][0] - b[0][0], quo, P_ONE))
+
+
+def _convolve(acc: dict, a, b) -> None:
+    """Add into acc the product of two scalars given as (key, int) pairs,
+    b the shorter; a is read once for each pair of b."""
+    get = acc.get
+    for kb, y in b:
+        if y == 1:
+            for key, x in a:
+                key += kb
+                acc[key] = get(key, 0) + x
+        elif y == -1:
+            for key, x in a:
+                key += kb
+                acc[key] = get(key, 0) - x
+        else:
+            for key, x in a:
+                key += kb
+                acc[key] = get(key, 0) + x * y
+
 
 def common_denominator(coeffs) -> tuple[int, ...]:
     """A common multiple D in Z[q] of the denominators of the given RatQ or
@@ -785,22 +913,113 @@ def common_denominator(coeffs) -> tuple[int, ...]:
     return D
 
 
-def qbinom_formal(i: int, prefix: str = "t") -> WeightScalar:
-    """Gaussian binomial with a formal upper parameter.
+class _Cleared:
+    """Scalars in n symbols multiplied by a common multiple D of their
+    denominators, read as {key: int}.  The keys of y-exponents and the
+    quotients D/den are computed once per value met."""
 
-    The upper argument r enters only through t = v**r; the result is a
-    Laurent polynomial in t over Q(q) that specializes to qbinom(r, i) under
-    t -> v**r for every integer r.
-    """
-    if i < 0:
-        raise ValueError("qbinom_formal requires i >= 0")
-    out = WeightScalar.one(1, prefix)
-    for j in range(1, i + 1):
-        factor = WeightScalar(
-            1,
-            {(1,): RatQ.v_power(1 - j), (-1,): -RatQ.v_power(j - 1)},
-            prefix,
-        )
-        denom = RatQ.v_power(j) - RatQ.v_power(-j)
-        out = out * factor / denom
+    __slots__ = ("n", "D", "_keys", "_quotients")
+
+    def __init__(self, n, D):
+        self.n, self.D = n, D
+        self._keys: dict = {}
+        self._quotients: dict = {}
+
+    def expand(self, c) -> dict:
+        """D * c as {key: int}, for a RatQ or a WeightScalar."""
+        if isinstance(c, WeightScalar):
+            if c.n != self.n:
+                raise ValueError("WeightScalar symbol-count mismatch")
+            terms = c.terms.items()
+        else:
+            terms = (((0,) * self.n, c),)
+        keys = self._keys
+        out = {}
+        for e, x in terms:
+            base = keys.get(e)
+            if base is None:
+                base = keys[e] = _pack(e)
+            num = x.num
+            if x.den != self.D:
+                quo = self._quotients.get(x.den)
+                if quo is None:
+                    quo = self._quotients[x.den] = _pdiv(self.D, x.den)
+                    if quo is None:
+                        raise ValueError("denominator does not divide the common denominator")
+                num = _pmul(num, quo)
+            _digit(x.val + len(num))
+            for k, a in enumerate(num, base + _digit(x.val)):
+                if a:
+                    out[k] = a
+        return out
+
+
+def _shape(coeffs):
+    """(n, prefix) of the first WeightScalar among coeffs, or (0, None)
+    when they are all RatQs: the arguments of _clear and _rebuild that keep
+    the scalars' type."""
+    for c in coeffs:
+        if isinstance(c, WeightScalar):
+            return c.n, c.prefix
+    return 0, None
+
+
+def _clear(coeffs: dict, n: int, D=None):
+    """(D, ints): D, by default a common multiple of the denominators of
+    the scalars c in coeffs (RatQs, or WeightScalars in n symbols), and
+    D * c as {key: int} under the same key for each c that is not zero."""
+    cleared = _Cleared(n, common_denominator(coeffs.values()) if D is None else D)
+    ints = {}
+    for u, c in coeffs.items():
+        c = cleared.expand(c)
+        if c:
+            ints[u] = c
+    return cleared.D, ints
+
+
+def _rebuild(D, ints: dict, n: int, prefix=None) -> dict:
+    """{u: c/D} for the items (u, c) of ints, each c a scalar as {key: int}
+    or as a tuple of (key, int) pairs, without the zero ones: RatQs when
+    prefix is None (the keys hold no y-exponent), else WeightScalars in n
+    symbols with that prefix.  They repeat a few numerators up to a power of
+    q, so each distinct one is divided by D once.  A numerator spanning more
+    than _MAX_SPAN powers of q raises ValueError before its dense
+    coefficient tuple is built."""
+    factor = None if D == P_ONE else R_ONE / RatQ(D)
+    exponents: dict = {}  # key of y**e -> e
+    scaled: dict = {}  # numerator -> numerator / D as a RatQ
+    out = {}
+    for u, acc in ints.items():
+        # group by y-exponent: the key minus its q digit
+        polys: dict = {}
+        for key, a in acc.items() if type(acc) is dict else acc:
+            if a:
+                k = ((key + _HALF) & _MASK) - _HALF
+                polys.setdefault(key - k, {})[k] = a
+        if not polys:
+            continue
+        ws = {}
+        for ekey, p in polys.items():
+            lo = min(p)
+            span = max(p) - lo + 1
+            if span > _MAX_SPAN:
+                raise ValueError(f"a numerator spans {span} powers of q, past {_MAX_SPAN}")
+            num = [0] * span
+            for k, a in p.items():
+                num[k - lo] = a
+            num = tuple(num)
+            if factor is None:
+                r = _raw(lo, num, P_ONE)
+            else:
+                r = scaled.get(num)
+                if r is None:
+                    r = scaled[num] = _raw(0, num, P_ONE) * factor
+                r = _raw(r.val + lo, r.num, r.den)
+            if prefix is not None:
+                e = exponents.get(ekey)
+                if e is None:
+                    e = exponents[ekey] = _unpack(ekey, n)
+                ekey = e
+            ws[ekey] = r
+        out[u] = ws[0] if prefix is None else WeightScalar._raw(n, ws, prefix)
     return out

@@ -25,19 +25,30 @@ the determinant comparison identity that ties consecutive ranks together.
 
 from __future__ import annotations
 
-from .freealg import NCPoly, RewriteSystem, get_rewrite_system, latex_document
+from .freealg import (
+    NCPoly,
+    RewriteSystem,
+    _nf_sum,
+    _word_product,
+    get_rewrite_system,
+    latex_document,
+)
 from .roots import alpha, dot_reflect, enumerate_II, eta_vec, pairing, r_of
 from .scalars import (
+    P_ONE,
     R_ONE,
     RatQ,
+    _clear as _clear_scalars,
+    _pmul,
+    _rebuild,
     add_terms,
     qint,
 )
 from .uqsl import (
     H_cartan,
+    _pbw_column,
     f_monomial_of_index_set,
     from_pbw,
-    pbw_normal_form,
     psi,
     to_pbw,
 )
@@ -157,7 +168,7 @@ def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVec
     weight), and the sum runs with no gcd on the integer kernel of verma;
     the vector keeps D, which act_e reads as it is."""
     D, ints = _clear(hw, {M: coords[M] for M in sorted(coords)})
-    return _kernel_sum(hw, D, ints, lambda M: pbw_normal_form(M, rs))
+    return _kernel_sum(hw, D, ints, lambda M: _pbw_column(M, rs))
 
 
 # ----------------------------------------------------------------------------
@@ -342,13 +353,16 @@ def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
     eta_pair = [pairing(eta, alpha(k, n)) for k in range(1, n + 1)]
     # normal-forming each factor and each partial product keeps the product
     # on the normal words of its multidegree; the free product would grow
-    # to as many as (N!)**m words
-    prod = NCPoly.one(n)
+    # to as many as (N!)**m words.  The product stays in the integer kernel,
+    # 1/D times {word: {q-exponent: int}}, until it is handed to to_pbw.
+    D, prod = P_ONE, {(): {0: 1}}
     for j in range(m - 1, -1, -1):
         shifted = tuple(lam[k] - j * eta_pair[k] for k in range(n))
         coords = base.evaluate(HighestWeight.numeric(shifted))
-        prod = rs.normal_form(prod * rs.normal_form(from_pbw(coords, n)))
-    return to_pbw(prod, rs)
+        E, free = _clear_scalars(from_pbw(coords, n).terms, 0)
+        prod = _nf_sum(_word_product(prod, _nf_sum(free, rs._nf_word)), rs._nf_word)
+        D = _pmul(D, E)
+    return to_pbw(NCPoly._raw(n, _rebuild(D, prod, 0)), rs)
 
 
 # ----------------------------------------------------------------------------

@@ -21,15 +21,30 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freealg import NCPoly, RewriteSystem, deglex_key, word_multidegree
+from .freealg import (
+    NCPoly,
+    RewriteSystem,
+    _nf_sum,
+    _word_product,
+    deglex_key,
+    word_multidegree,
+)
 from .roots import alpha, cartan_entry, kostant_partitions, pairing
 from .scalars import (
-    R_ONE,
+    L_ONE,
+    P_ONE,
     R_ZERO,
     V_MINUS_VINV,
     RatQ,
     WeightScalar,
+    _clear,
+    _convolve,
+    _laurent,
+    _laurent_of,
+    _rebuild,
+    _shape,
     add_terms,
+    common_denominator,
     qbinom,
     qbinom_formal,
 )
@@ -38,6 +53,12 @@ from .scalars import (
 class SingularSystem(Exception):
     """A PBW change-of-basis system was singular: the rewrite system is
     inconsistent with the PBW count and the computation must stop."""
+
+
+class NonUnitPivot(SingularSystem):
+    """A solve met a leading coefficient that is not +-q**k, so it cannot
+    stay in Z[q, 1/q].  Every PBW and right-division system measured has
+    unit pivots; this one would need the RatQ elimination."""
 
 
 class NotRightDivisible(Exception):
@@ -67,12 +88,24 @@ def jimbo(i: int, j: int, n: int) -> NCPoly:
     return (a * b).scale(q) - (b * a).scale(q.inverse())
 
 
+@lru_cache(maxsize=None)
+def _jimbo_ints(i: int, j: int, n: int) -> dict:
+    """jimbo(i, j, n) as {word: {q-exponent: int}}, its coefficients being
+    Laurent.  Never to be mutated."""
+    return {w: dict(_laurent_of(c)) for w, c in jimbo(i, j, n).terms.items()}
+
+
+def _pbw_expansion(factors, n: int) -> dict:
+    """expand_pbw(factors, n) as {word: Laurent tuple}."""
+    prod = {(): {0: 1}}
+    for (i, j) in factors:
+        prod = _word_product(prod, _jimbo_ints(i, j, n))
+    return {w: t for w, d in prod.items() if (t := _laurent(d))}
+
+
 def expand_pbw(factors, n: int) -> NCPoly:
     """Expansion of an ordered product of root vectors into free words."""
-    out = NCPoly.one(n)
-    for (i, j) in factors:
-        out = out * jimbo(i, j, n)
-    return out
+    return NCPoly._raw(n, _rebuild(P_ONE, _pbw_expansion(factors, n), 0))
 
 
 def f_monomial_of_index_set(I) -> tuple[tuple[int, int], ...]:
@@ -93,9 +126,10 @@ def pbw_monomials(mu, n: int) -> list[tuple[tuple[int, int], ...]]:
 # ----------------------------------------------------------------------------
 
 def solve_linear(cols: list[dict], rhs: dict):
-    """Solve sum_c x_c * cols[c] = rhs, the columns over RatQ and rhs over
-    anything they multiply; both PBW coordinates and right division by
-    powers of F are such solves.
+    """Solve sum_c x_c * cols[c] = rhs, the columns {word: Laurent tuple}
+    and rhs {word: RatQ or WeightScalar}; both PBW coordinates and right
+    division by powers of F are such solves.  rhs is cleared once into the
+    integer kernel, and the solution is rebuilt as the same kind of scalars.
 
     The columns are taken in order.  While a column's deglex-leading word is
     already a pivot's lead, that pivot's multiple is subtracted, and the
@@ -104,13 +138,16 @@ def solve_linear(cols: list[dict], rhs: dict):
     solution: each lead still in the remainder fixes one coefficient.  When
     the columns' leads are distinct from the start, as in every PBW system
     (Lyndon-word triangularity) and every right-division system measured,
-    no column is reduced.
+    no column is reduced.  Every pivot, the leading coefficient of a column
+    as reduced, must be +-q**k (NonUnitPivot otherwise), so no step leaves
+    Z[q, 1/q].
 
     Returns ("ok", xs), ("singular",) when the columns are dependent, or
     ("inconsistent",) when rhs is outside the column span.
     """
-    # lead -> (column index, column, inverse of its lead coefficient, and
-    # None or the combination {original column: coefficient} it stands for)
+    # lead -> (column index, column, (k, s) with its lead coefficient
+    # s * q**k, and None or the combination {original column: Laurent
+    # tuple} it stands for)
     pivots = {}
     for c, col in enumerate(cols):
         combo = None
@@ -119,62 +156,92 @@ def solve_linear(cols: list[dict], rhs: dict):
             hit = pivots.get(lead)
             if hit is None:
                 break
-            pc, pcol, pinv, pcombo = hit
-            f = col[lead] * pinv
-            col = add_terms(dict(col), ((w, -(f * y)) for w, y in pcol.items()))
-            combo = add_terms(
-                combo or {c: R_ONE},
-                ((k, -(f * y)) for k, y in (pcombo or {pc: R_ONE}).items()),
-            )
+            pc, pcol, (k, s), pcombo = hit
+            # col - f * pcol, f = col[lead] / (s * q**k)
+            f = [(j - k, -s * a) for j, a in col[lead]]
+            col = _axpy(col, f, pcol)
+            combo = _axpy(combo or {c: L_ONE}, f, pcombo or {pc: L_ONE})
         else:
             return ("singular",)
-        pivots[lead] = (c, col, col[lead].inverse(), combo)
-    rest = dict(rhs)
+        t = col[lead]
+        if len(t) != 1 or t[0][1] not in (1, -1):
+            raise NonUnitPivot(f"pivot {t} at {lead} is not a signed power of q")
+        pivots[lead] = (c, col, t[0], combo)
+    n, prefix = _shape(rhs.values())
+    D, rest = _clear(rhs, n)
     xs: dict = {}
     for lead in sorted(pivots, key=deglex_key, reverse=True):
         r = rest.get(lead)
         if r is None:
             continue
-        c, col, inv, combo = pivots[lead]
-        x = r * inv
-        add_terms(rest, ((w, -(x * y)) for w, y in col.items()))
-        add_terms(xs, ((k, x * y) for k, y in combo.items()) if combo else ((c, x),))
-    if rest:
+        c, col, (k, s), combo = pivots[lead]
+        x = [(key - k, s * a) for key, a in r.items() if a]
+        if not x:
+            continue
+        minus_x = [(key, -a) for key, a in x]
+        for w, y in col.items():
+            _convolve(rest.setdefault(w, {}), minus_x, y)
+        for j, y in (combo or {c: L_ONE}).items():
+            _convolve(xs.setdefault(j, {}), x, y)
+    if any(a for r in rest.values() for a in r.values()):
         return ("inconsistent",)
+    xs = _rebuild(D, xs, n, prefix)
     return ("ok", [xs.get(c, R_ZERO) for c in range(len(cols))])
+
+
+def _axpy(col: dict, f, pcol: dict) -> dict:
+    """col + f * pcol for {key: Laurent tuple} dicts and f as (q-exponent,
+    int) pairs, without the zero entries."""
+    acc = {w: dict(t) for w, t in col.items()}
+    for w, t in pcol.items():
+        _convolve(acc.setdefault(w, {}), t, f)
+    return {w: t for w, d in acc.items() if (t := _laurent(d))}
 
 
 def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
     """The normal forms of the PBW monomials of multidegree mu, as a dict
-    monomial -> column (dict word -> RatQ) in pbw_monomials order, cached on
-    rs so that they can never outlive or cross to another system.  Each
-    column is built factor by factor, every partial product normal-formed,
-    so no product leaves the normal words.  Raises SingularSystem if the
-    columns are dependent."""
+    monomial -> column (dict word -> Laurent tuple) in pbw_monomials order,
+    cached on rs so that they can never outlive or cross to another system.
+    Each column is built factor by factor, every partial product
+    normal-formed, so no product leaves the normal words; consecutive
+    monomials mostly share a prefix, whose partial products are reused.
+    Raises SingularSystem if the columns are dependent."""
     key = tuple(mu)
     got = rs._pbw_cache.get(key)
     if got is None:
         n = rs.n
         got = {}
+        # chain[k]: the partial product of the first k factors of prev
+        prev, chain = (), [{(): {0: 1}}]
         for M in pbw_monomials(mu, n):
-            prod = NCPoly.one(n)
-            for (i, j) in M:
-                prod = rs.normal_form(prod * jimbo(i, j, n))
-            got[M] = prod.terms
+            k = 0
+            while k < min(len(M), len(prev)) and M[k] == prev[k]:
+                k += 1
+            del chain[k + 1 :]
+            for (i, j) in M[k:]:
+                prod = _word_product(chain[-1], _jimbo_ints(i, j, n))
+                chain.append(_nf_sum(prod, rs._nf_word))
+            got[M], prev = rs._interned(chain[-1]), M
         if solve_linear(list(got.values()), {})[0] == "singular":
             raise SingularSystem(f"PBW basis matrix singular at multidegree {key}")
         rs._pbw_cache[key] = got
     return got
 
 
-def pbw_normal_form(M, rs: RewriteSystem) -> dict:
-    """Normal form (dict word -> RatQ) of the PBW monomial M, read from the
-    column cache; M must be in the sorted form pbw_monomials gives."""
+def _pbw_column(M, rs: RewriteSystem) -> dict:
+    """Normal form {word: Laurent tuple} of the PBW monomial M, read from
+    the column cache; M must be in the sorted form pbw_monomials gives."""
     mu = word_multidegree([k for (i, j) in M for k in range(i, j)], rs.n)
     col = _pbw_basis_columns(mu, rs).get(M)
     if col is None:
         raise ValueError(f"{M} is not a sorted PBW monomial")
     return col
+
+
+def pbw_normal_form(M, rs: RewriteSystem) -> dict:
+    """Normal form (dict word -> RatQ) of the PBW monomial M, read from the
+    column cache; M must be in the sorted form pbw_monomials gives."""
+    return _rebuild(P_ONE, _pbw_column(M, rs), 0)
 
 
 def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
@@ -195,11 +262,12 @@ def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
 
 
 def from_pbw(coords: dict, n: int) -> NCPoly:
-    """The free-algebra expansion of an element given in PBW coordinates."""
-    terms: dict = {}
-    for M, c in coords.items():
-        add_terms(terms, ((w, c * x) for w, x in expand_pbw(M, n).terms.items()))
-    return NCPoly._raw(n, terms)
+    """The free-algebra expansion of an element given in PBW coordinates,
+    summed in the integer kernel."""
+    symbols, prefix = _shape(coords.values())
+    D, ints = _clear(coords, symbols)
+    terms = _nf_sum(ints, lambda M: _pbw_expansion(M, n))
+    return NCPoly._raw(n, _rebuild(D, terms, symbols, prefix))
 
 
 # ----------------------------------------------------------------------------
@@ -377,16 +445,18 @@ class LocElement:
         return max(0, -min(self.terms, default=0))
 
     def cleared(self, rs: RewriteSystem):
-        """Return (W, d) with this element equal to W * F**-d, W polynomial."""
+        """Return (W, d) with this element equal to W * F**-d, W polynomial
+        in normal form: the parts' normal forms are summed in the integer
+        kernel, at one common denominator."""
         d = self.tail_depth()
         F = (self.beta,)
-        out = None
-        for j, p in self.terms.items():
-            q = rs.normal_form(p.rmul_word(F * (j + d)))
-            out = q if out is None else out + q
-        if out is None:
-            out = NCPoly.zero(self.n)
-        return out, d
+        parts = [p.rmul_word(F * (j + d)).terms for j, p in self.terms.items()]
+        coeffs = [c for t in parts for c in t.values()]
+        n, prefix = _shape(coeffs)
+        D, acc = common_denominator(coeffs), {}
+        for t in parts:
+            _nf_sum(_clear(t, n, D)[1], rs._nf_word, acc)
+        return NCPoly._raw(self.n, _rebuild(D, acc, n, prefix)), d
 
     def to_ncpoly(self, rs: RewriteSystem) -> NCPoly:
         """Resolve to an honest polynomial, dividing the cleared form by
@@ -418,7 +488,7 @@ def divide_right_F(W: NCPoly, d: int, beta: int, rs: RewriteSystem) -> NCPoly:
         raise NotRightDivisible("multidegree lacks the required F letters")
     basis = rs.normal_words(tuple(mu))
     F = (beta,) * d
-    cols = [rs.normal_form(NCPoly.word(b + F, W.n)).terms for b in basis]
+    cols = [rs._nf_word(b + F) for b in basis]
     res = solve_linear(cols, rs.normal_form(W).terms)
     if res[0] == "singular":
         raise SingularSystem("right-division basis became dependent")

@@ -13,9 +13,9 @@ M(lam) is free of rank one over the lowering subalgebra, so a vector of the
 module is a polynomial in normal form (on the normal-word basis of the
 quotient algebra) whose coefficients are scalars of the weight, applied to
 the highest weight vector.  VermaVector keeps it in one form, that of the
-integer kernel at the end of this module: a common denominator D in Z[q]
-and, for each word, D times its coefficient as exact integers keyed by the
-y-exponent and the q-exponent.  Scalars of the weight are cleared into that
+integer kernel of scalars: a common denominator D in Z[q] and, for each
+word, D times its coefficient as exact integers keyed by the packed
+y-exponent and q-exponent.  Scalars of the weight are cleared into that
 form once, when a vector is built from them, and rebuilt only when its
 coefficients are read (``terms``, printing, ``==``).  Every left action of
 a polynomial goes through act_poly, the one place where a product is put in
@@ -29,26 +29,39 @@ available as independent test oracles.
 The maps are Q(q)-linear, so they read and write the integers and leave D
 alone, or multiply it by the one denominator they bring (q**4 - 1 for the
 1/(v - 1/v) of act_e).  The eigenvalues of k_gamma are single terms
-+-q**k * y**e, so a shift by one adds to the key, and a rule coefficient
-multiplies integers; no map runs a gcd, and raising a vector clears no
-scalar.
++-q**k * y**e, so a shift by one adds to the key, and the normal forms of
+the rewriting engine are Laurent tuples in the same q-exponents, so a rule
+coefficient multiplies integers; no map runs a gcd, and raising a vector
+clears no scalar.
 """
 
 from __future__ import annotations
 
-from .freealg import NCPoly, RewriteSystem, deglex_key, latex_document, word_multidegree
+from .freealg import (
+    NCPoly,
+    RewriteSystem,
+    _nf_sum,
+    deglex_key,
+    latex_document,
+    word_multidegree,
+)
 from .roots import cartan_entry, sigma_vec
 from .scalars import (
+    _LIMIT,
+    _MASK,
+    _SHIFT,
     P_ONE,
     R_ONE,
     V_MINUS_VINV,
     RatQ,
     WeightScalar,
-    _pdiv,
+    _clear as _clear_scalars,
+    _convolve,
+    _digit,
+    _pack,
     _pmul,
-    _raw,
+    _rebuild,
     add_terms,
-    common_denominator,
 )
 from .uqsl import H_cartan, h_cartan
 
@@ -153,36 +166,11 @@ class VermaVector:
     @property
     def terms(self) -> dict:
         """The coefficients as scalars of the weight, {word: WeightScalar}
-        or {word: RatQ} at a numeric weight.  They repeat a few numerators
-        up to a power of q, so each distinct one is multiplied by 1/D once."""
-        n = self.n
-        factor = R_ONE / RatQ(self.D)
-        exponents: dict = {}  # key of y**e -> e
-        scaled: dict = {}  # numerator -> numerator / D as a RatQ
-        terms = {}
-        for x, acc in self.ints.items():
-            # group by y-exponent: the key minus its q digit
-            polys: dict = {}
-            for key, a in acc.items():
-                k = ((key + _HALF) & _MASK) - _HALF
-                polys.setdefault(key - k, {})[k] = a
-            ws = {}
-            for ekey, p in polys.items():
-                e = exponents.get(ekey)
-                if e is None:
-                    e = exponents[ekey] = _unpack(ekey, n)
-                lo = min(p)
-                num = [0] * (max(p) - lo + 1)
-                for k, a in p.items():
-                    num[k - lo] = a
-                num = tuple(num)
-                r = scaled.get(num)
-                if r is None:
-                    r = scaled[num] = _raw(0, num, P_ONE) * factor
-                ws[e] = _raw(r.val + lo, r.num, r.den)
-            # a numeric weight packs no y-exponent (see _clear)
-            terms[x] = WeightScalar._raw(n, ws, "y") if self.hw.mode == "symbolic" else ws[(0,) * n]
-        return terms
+        or {word: RatQ} at a numeric weight, rebuilt by scalars._rebuild
+        (which refuses a numerator too long to densify)."""
+        # a numeric weight packs no y-exponent (see _clear)
+        prefix = "y" if self.hw.mode == "symbolic" else None
+        return _rebuild(self.D, self.ints, self.n, prefix)
 
     def is_zero(self) -> bool:
         return not self.ints
@@ -379,123 +367,24 @@ def quantum_bracket(hw: HighestWeight, L_shift: int, sigma_i: int):
 
 
 # ----------------------------------------------------------------------------
-# The integer kernel
+# The integer kernel (scalars' last section) at a weight
 # ----------------------------------------------------------------------------
 #
-# Once its denominators are cleared, a scalar of a weight is a sum of
-# integers times q**k * y**e; a numeric weight has only e = 0.  The kernel
-# keeps one such scalar as a dict {key: int}, where the int key packs the
-# q-exponent k and the y-exponent e as the digits of
-# k + e_1 * B + ... + e_n * B**n with B = 2**32.  Packing is linear, so
-# multiplying by q**dk * y**de adds the key of (de, dk), and multiplying two
-# scalars convolves their dicts.  Every digit stays below B/2 in size, so
-# the key can be read back: each exponent that goes into a digit is checked
-# against _LIMIT, a map adds at most three of them to a stored digit, and
-# VermaVector._kernel checks every digit of a map's output against _LIMIT,
-# so a vector stays readable through any number of maps.  A vector is
-# {word: {key: int}} over one common denominator D; its scalars are rebuilt
-# only when VermaVector.terms is read.
-
-_SHIFT = 32
-_HALF = 1 << (_SHIFT - 1)
-_MASK = (1 << _SHIFT) - 1
-_LIMIT = 1 << (_SHIFT - 4)
-
-
-def _digit(k) -> int:
-    """An exponent that goes into a digit of a key, checked against _LIMIT."""
-    if not -_LIMIT < k < _LIMIT:
-        raise ValueError("exponent out of range for the integer kernel")
-    return k
-
-
-def _pack(e, k=0) -> int:
-    """The key of q**k * y**e."""
-    key = 0
-    for x in reversed(e):
-        key = (key << _SHIFT) + _digit(x)
-    return (key << _SHIFT) + _digit(k)
-
-
-def _unpack(key, n) -> tuple:
-    """The y-exponent e of the key of y**e."""
-    e = []
-    for _ in range(n):
-        key >>= _SHIFT
-        d = ((key + _HALF) & _MASK) - _HALF
-        e.append(d)
-        key -= d
-    return tuple(e)
-
-
-class _Cleared:
-    """Scalars in n symbols multiplied by a common multiple D of their
-    denominators, read as {key: int}.  The keys of y-exponents and the
-    quotients D/den are computed once per value met."""
-
-    __slots__ = ("n", "D", "_keys", "_quotients")
-
-    def __init__(self, n, D):
-        self.n, self.D = n, D
-        self._keys: dict = {}
-        self._quotients: dict = {}
-
-    def laurent(self, x: RatQ) -> list:
-        """(k, a) for the terms a * q**k of the Laurent polynomial D * x."""
-        num = x.num
-        if x.den != self.D:
-            quo = self._quotients.get(x.den)
-            if quo is None:
-                quo = self._quotients[x.den] = _pdiv(self.D, x.den)
-                if quo is None:
-                    raise ValueError("denominator does not divide the common denominator")
-            num = _pmul(num, quo)
-        lo = _digit(x.val)
-        _digit(lo + len(num))
-        return [(k, a) for k, a in enumerate(num, lo) if a]
-
-    def expand(self, c) -> dict:
-        """D * c as {key: int}, for a RatQ or a WeightScalar."""
-        if isinstance(c, WeightScalar):
-            if c.n != self.n:
-                raise ValueError("WeightScalar symbol-count mismatch")
-            terms = c.terms.items()
-        else:
-            terms = (((0,) * self.n, c),)
-        keys = self._keys
-        out = {}
-        for e, x in terms:
-            base = keys.get(e)
-            if base is None:
-                base = keys[e] = _pack(e)
-            for k, a in self.laurent(x):
-                out[base + k] = a
-        return out
+# A vector is {word: {key: int}} over one common denominator D; each map
+# adds at most three exponents, each checked against _LIMIT, to a stored
+# digit, and VermaVector._kernel checks every digit of a map's output
+# against _LIMIT, so a vector stays readable through any number of maps.
 
 
 def _clear(hw: HighestWeight, coeffs: dict):
     """(D, ints): a common multiple D of the denominators of the scalars c
     in coeffs, and D * c as {key: int} under the same key for each c that
     is not zero.  A y-monomial at a numeric weight raises ValueError."""
-    numeric = hw.mode == "numeric"
-    cleared = _Cleared(hw.n, common_denominator(coeffs.values()))
-    ints = {}
-    for u, c in coeffs.items():
-        if numeric and isinstance(c, WeightScalar) and any(map(any, c.terms)):
-            raise ValueError("a y-monomial at a numeric weight")
-        c = cleared.expand(c)
-        if c:
-            ints[u] = c
-    return cleared.D, ints
-
-
-def _convolve(acc: dict, a, b) -> None:
-    """Add into acc the product of two scalars given as (key, int) pairs,
-    b the shorter."""
-    for kb, y in b:
-        for key, x in a:
-            key += kb
-            acc[key] = acc.get(key, 0) + x * y
+    if hw.mode == "numeric":
+        for c in coeffs.values():
+            if isinstance(c, WeightScalar) and any(map(any, c.terms)):
+                raise ValueError("a y-monomial at a numeric weight")
+    return _clear_scalars(coeffs, hw.n)
 
 
 def _monomial_key(c):
@@ -512,17 +401,6 @@ def _monomial_key(c):
 def _kernel_sum(hw: HighestWeight, D, ints: dict, nf_of) -> VermaVector:
     """The vector 1/D times the sum of c * nf_of(u) over the items (u, c) of
     ints, each c a scalar as {key: int} and nf_of(u) a normal form
-    {word: RatQ}.  nf_of is called once for each u whose c is not zero."""
-    pairs = []
-    for u, c in ints.items():
-        c = [(key, a) for key, a in c.items() if a]
-        if c:
-            pairs.append((nf_of(u), c))
-    # the normal forms met so far have Laurent coefficients; any other
-    # denominator is cleared by a second common multiple E
-    nf_ints = _Cleared(hw.n, common_denominator(x for nf, _ in pairs for x in nf.values()))
-    out: dict = {}
-    for nf, c in pairs:
-        for x, cx in nf.items():
-            _convolve(out.setdefault(x, {}), c, nf_ints.laurent(cx))
-    return VermaVector._kernel(hw, _pmul(D, nf_ints.D), out)
+    {word: Laurent tuple}.  nf_of is called once for each u whose c is not
+    zero."""
+    return VermaVector._kernel(hw, D, _nf_sum(ints, nf_of))

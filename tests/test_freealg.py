@@ -19,7 +19,17 @@ from qshapo.freealg import (
     serre_relations,
 )
 from qshapo.roots import kostant_count, pbw_dimension
-from qshapo.scalars import R_ONE, V_MINUS_VINV, RatQ, add_terms
+from qshapo.scalars import (
+    R_ONE,
+    V_MINUS_VINV,
+    RatQ,
+    WeightScalar,
+    _clear,
+    _rebuild,
+    add_terms,
+    qbinom_formal,
+)
+from ratq_oracles import RatQNormalForms, ratq_terms
 
 
 def test_serre_relation_counts():
@@ -372,7 +382,7 @@ def test_nf_word_matches_a_cache_free_reduction(case):
     # the systems keep their caches from one example to the next, so later
     # words meet cached and shared dicts
     rs, w = case
-    assert rs._nf_word(w) == _reduce_without_cache(rs, w)
+    assert ratq_terms(rs._nf_word(w)) == _reduce_without_cache(rs, w)
 
 
 @pytest.mark.parametrize("rank", [3, "mixed"])
@@ -385,7 +395,7 @@ def test_filling_the_cache_changes_no_cached_normal_form(rank):
     for w in itertools.product((1, 2, 3), repeat=6):
         rs._nf_word(w)
     for w, got in rs._nf_cache.items():
-        assert got == _reduce_without_cache(rs, w), w
+        assert ratq_terms(got) == _reduce_without_cache(rs, w), w
 
 
 @st.composite
@@ -549,7 +559,11 @@ def test_reduce_is_the_normal_form(data):
     # b is -a half the time, so that the two sides cancel
     b = data.draw(st.one_of(_homogeneous(rs.n, letters=next(iter(a.terms))), st.just(-a)))
     p = a + b.scale(data.draw(_coeffs))
-    assert rs._reduce(p.terms) == rs.normal_form(p).terms
+    # cleared to Laurent coefficients by one common denominator D
+    D, ints = _clear(p.terms, 0)
+    got = rs._reduce({w: tuple(sorted(c.items())) for w, c in ints.items()})
+    got = _rebuild(D, {w: dict(t) for w, t in got.items()}, 0)
+    assert got == rs.normal_form(p).terms == RatQNormalForms(rs).normal_form(p).terms
 
 
 def test_reduce_refuses_mixed_lengths():
@@ -563,3 +577,92 @@ def test_audit_fills_no_normal_form_cache():
     rs = RewriteSystem.from_text(complete(serre_relations(4), 10, n=4).to_text())
     assert audit_confluence(rs) == []
     assert rs._nf_cache == {}
+
+
+# ----------------------------------------------------------------------------
+# Laurent coefficients: the engine's edges, the RatQ oracle, interning
+# ----------------------------------------------------------------------------
+
+def test_completion_refuses_a_lead_coefficient_that_does_not_divide():
+    # f2 f1 = (v + 1/v)**-1 f1 f2 would be a rule with a true denominator
+    v = RatQ.v_power(1)
+    rel = NCPoly(2, {(2, 1): v + v.inverse(), (1, 2): -R_ONE})
+    with pytest.raises(ValueError, match=r"rule \(2, 1\): .* does not divide"):
+        complete([rel], 4)
+    # a relation whose coefficient is not Laurent is refused by name
+    rel = NCPoly(2, {(2, 1): R_ONE, (1, 2): V_MINUS_VINV.inverse()})
+    with pytest.raises(ValueError, match=r"relation .* not a Laurent polynomial"):
+        complete([rel], 4)
+
+
+_ONE_RULE = "qshapo-rws-v1\nn=2 cap=3 rules=1\nLEAD 2,1\n  1,2 : {}\n"
+
+
+def test_from_text_refuses_a_coefficient_with_a_true_denominator():
+    rs = RewriteSystem.from_text(_ONE_RULE.format("q^2"))
+    assert rs.normal_form(NCPoly(2, {(2, 1): R_ONE})) == NCPoly(2, {(1, 2): RatQ.q_power(2)})
+    with pytest.raises(CacheCorrupt, match=r"rule \(2, 1\): .* not a Laurent polynomial"):
+        RewriteSystem.from_text(_ONE_RULE.format("1/(q^4+1)"))
+
+
+_laurent_ratqs = st.builds(
+    lambda a, e: RatQ(tuple(a)) * RatQ.q_power(e),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+    st.integers(-4, 4),
+)
+
+
+def _scalars(kind, n):
+    """Coefficients of one kind: Laurent RatQs, WeightScalars of a symbolic
+    weight in n symbols ("y"), or formal ones in t = v**r ("t") as
+    psi(formal=True) makes them, the last two with true denominators."""
+    if kind == "laurent":
+        return _laurent_ratqs
+    if kind == "y":
+        monomial = st.builds(
+            lambda e, c: WeightScalar.monomial(n, e, c),
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple),
+            st.one_of(_coeffs, _laurent_ratqs),
+        )
+        return st.lists(monomial, min_size=1, max_size=3).map(
+            lambda ms: sum(ms[1:], ms[0])).filter(bool)
+    return st.builds(
+        lambda j, e, c: qbinom_formal(j) * WeightScalar.monomial(1, (e,), c, "t"),
+        st.integers(0, 3), st.integers(-2, 2), st.one_of(_coeffs, _laurent_ratqs),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_normal_form_matches_the_ratq_oracle(data):
+    n = data.draw(st.integers(2, 4))
+    kind = data.draw(st.sampled_from(["laurent", "y", "t"]))
+    letters = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
+    words = data.draw(st.lists(st.permutations(letters).map(tuple), min_size=1, max_size=4))
+    p = NCPoly(n, {w: data.draw(_scalars(kind, n)) for w in words})
+    rs = get_rewrite_system(n)
+    got, want = rs.normal_form(p), RatQNormalForms(rs).normal_form(p)
+    assert got == want and str(got) == str(want)
+
+
+def test_interned_coefficients_are_shared_and_emptied_with_the_cache():
+    from qshapo.shapovalov import theta_power
+
+    rs = complete(serre_relations(3), 5, n=3, dimensions=functools.partial(pbw_dimension, 3))
+    theta_power(3, 2, (1, 0, -2), rs)
+    kept = [t for triples in rs._rhs.values() for _, t, _ in triples]
+    for nf in rs._nf_cache.values():
+        kept += nf.values()
+    for cols in rs._pbw_cache.values():
+        for col in cols.values():
+            kept += col.values()
+    # one object for each value, and that object is the table's
+    assert len({id(t) for t in kept}) == len(set(kept)) > 3
+    assert all(rs._coeffs[t] is t for t in kept)
+    # extending the completion empties the table with the cache; only the
+    # rules' coefficients are interned again
+    rs._extend(rs.cap + 1)
+    assert rs._nf_cache == {}
+    rhs = {t for triples in rs._rhs.values() for _, t, _ in triples}
+    assert set(rs._coeffs) == rhs
+

@@ -1,8 +1,9 @@
 """Golden command-line output: SHA-256 digests of stdout, and exit codes.
 
 The digests pin the report format byte for byte: every verification suite
-at N = 2 and N = 3, and the theta renderings of each method.  A change that
-alters any of these outputs has to update the digest here on purpose.
+at N = 2 and N = 3, the theta renderings of each method, and a few larger
+level-m outputs.  A change that alters any of these outputs has to update
+the digest here on purpose.
 """
 
 import hashlib
@@ -80,6 +81,11 @@ GOLDEN = [
      "651fbd8b5d02eb0c736910cf251f3e36fc691bc80ed83458f93332741b1eba56"),
     ("theta --n 4 --m 2 --method inductive --lambda 3,1,0,-6", 0,
      "0f66ec89acdfd297cae6f9ad79019c4bf8df44b8da910fbc552e75e45274520b"),
+    # larger level-m outputs: a degree-12 power and the level-2 powers suite
+    ("theta --n 4 --m 3 --method power --lambda 1,0,0,-2", 0,
+     "9140f701343b3107193c2c27cd1862e97b69af81f04970b37c3b93ca798c7654"),
+    ("verify --suite powers --n 4 --m 2", 0,
+     "253895c363df9466a69eb0dd925fe4867ecc7a30a700124c9a046e78c236df1a"),
 ]
 
 

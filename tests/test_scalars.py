@@ -8,21 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshapo.scalars import (
+    _HALF,
+    _MASK,
     R_ONE,
     R_ZERO,
     RatQ,
     WeightScalar,
+    _Cleared,
     _pcontent,
     _pdiv,
     _pgcd,
     _pmul,
+    _unpack,
     add_terms,
     common_denominator,
     qbinom,
     qbinom_formal,
     qint,
 )
-from qshapo.verma import _HALF, _MASK, _Cleared, _unpack
 
 try:
     import sympy

@@ -14,8 +14,10 @@ from qshapo.roots import enumerate_II, enumerate_JJ, positive_roots
 from qshapo.scalars import R_ONE, R_ZERO, RatQ, WeightScalar, qbinom
 from qshapo.uqsl import (
     LocElement,
+    NonUnitPivot,
     NotRightDivisible,
     _pbw_basis_columns,
+    _pbw_column,
     ad_F,
     ad_F_nilpotency,
     ad_F_pow,
@@ -36,6 +38,8 @@ from qshapo.uqsl import (
     to_pbw,
     ws_t_rescale,
 )
+from ratq_oracles import RatQNormalForms, laurent_terms, ratq_terms
+from ratq_oracles import solve_linear as solve_linear_ratq
 
 Q = RatQ.q_power
 
@@ -102,9 +106,9 @@ def test_to_pbw_examples():
     assert rs.normal_form(from_pbw(coords, 2)) == rs.normal_form(p)
 
 
-def _leading_coefficient_is_unit(x):
-    """x == +-q**k for some k."""
-    return x in (Q(x.val), -Q(x.val))
+def _leading_coefficient_is_unit(t):
+    """The Laurent tuple t is +-q**k for some k."""
+    return len(t) == 1 and t[0][1] in (1, -1)
 
 
 def test_pbw_leads_are_the_normal_words():
@@ -127,8 +131,9 @@ def test_pbw_normal_form_reads_the_cache():
     basis = _pbw_basis_columns((2, 1, 1), rs)
     assert list(basis) == pbw_monomials((2, 1, 1), 3)
     for M, col in basis.items():
-        assert pbw_normal_form(M, rs) is col
-        assert col == rs.normal_form(expand_pbw(M, 3)).terms
+        assert _pbw_column(M, rs) is col
+        assert pbw_normal_form(M, rs) == ratq_terms(col)
+        assert ratq_terms(col) == rs.normal_form(expand_pbw(M, 3)).terms
     assert pbw_normal_form((), rs) == {(): R_ONE}
     with pytest.raises(ValueError):
         pbw_normal_form(((2, 3), (1, 2)), rs)  # not in sorted order
@@ -156,7 +161,7 @@ def test_to_pbw_matches_dense_solve(p):
         assert got == {}
         return
     basis = _pbw_basis_columns(nf.multidegree(), rs)
-    status, xs = _dense_solve(list(basis.values()), nf.terms)
+    status, xs = _dense_solve([ratq_terms(col) for col in basis.values()], nf.terms)
     assert status == "ok"
     assert got == {M: x for M, x in zip(basis, xs) if x}
     assert list(got) == [M for M in basis if M in got]
@@ -384,8 +389,8 @@ def test_divide_right_F():
 
 def test_solve_linear_paths():
     one = R_ONE
-    a = {(1,): one}
-    b = {(2,): one}
+    a = laurent_terms({(1,): one})
+    b = laurent_terms({(2,): one})
     st, xs = solve_linear([a, b], {(1,): RatQ.from_int(3)})
     assert st == "ok" and xs == [RatQ.from_int(3), RatQ.from_int(0)]
     assert solve_linear([a, a], {(1,): one})[0] == "singular"
@@ -400,17 +405,18 @@ def test_solve_linear_reduces_a_shared_leading_word():
     one, two, three = R_ONE, RatQ.from_int(2), RatQ.from_int(3)
     a = {(2,): one, (1,): one}
     b = {(2,): one}
+    la, lb = laurent_terms(a), laurent_terms(b)
     rhs = {(2,): two * Q(1) + three, (1,): Q(1) * two}
-    assert solve_linear([a, b], rhs) == ("ok", [Q(1) * two, three])
-    assert solve_linear([a, b], rhs) == _dense_solve([a, b], rhs)
-    assert solve_linear([b, a], {(1,): one}) == ("ok", [-one, one])
-    assert solve_linear([a, b], {(3,): one})[0] == "inconsistent"
-    # a dependent pair with a shared leading word: a reduces to 0 against 2a
-    twice = {w: two * x for w, x in a.items()}
-    assert solve_linear([twice, a], {(1,): one})[0] == "singular"
+    assert solve_linear([la, lb], rhs) == ("ok", [Q(1) * two, three])
+    assert solve_linear([la, lb], rhs) == _dense_solve([a, b], rhs)
+    assert solve_linear([lb, la], {(1,): one}) == ("ok", [-one, one])
+    assert solve_linear([la, lb], {(3,): one})[0] == "inconsistent"
+    # a dependent pair with a shared leading word: a reduces to 0 against q*a
+    qa = laurent_terms({w: Q(1) * x for w, x in a.items()})
+    assert solve_linear([qa, la], {(1,): one})[0] == "singular"
     # three columns on one lead, the third a combination of the first two
-    c = {w: a.get(w, R_ZERO) - Q(2) * b.get(w, R_ZERO) for w in a}
-    assert solve_linear([a, b, c], {})[0] == "singular"
+    c = laurent_terms({w: a.get(w, R_ZERO) - Q(2) * b.get(w, R_ZERO) for w in a})
+    assert solve_linear([la, lb, c], {})[0] == "singular"
 
 
 def test_cartan_elements():
@@ -456,45 +462,48 @@ _nonzero_entries = st.one_of(
     st.builds(lambda a, e: a * Q(e), st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-4, 4)),
     st.builds(lambda a, b: RatQ((a, 0, b), (1, 1)), st.integers(-2, 2), st.integers(1, 2)),
 )
-# half zero, so that columns and solutions miss some words
-_entries = st.one_of(st.just(R_ZERO), _nonzero_entries)
 
 
 @st.composite
-def _linear_systems(draw):
+def _linear_systems(draw, nonzero=_nonzero_entries):
     """(cols, rhs, expected outcome) with the outcome forced by the shape:
     a triangular block with a nonzero diagonal is solvable; a column that is
     a multiple of another is singular; a rhs on a row no column touches is
-    inconsistent."""
+    inconsistent.  The entries are drawn from `nonzero`, or half of
+    them zero, so that columns and solutions miss some words."""
+    entries = st.one_of(st.just(R_ZERO), nonzero)
     kind = draw(st.sampled_from(["ok", "singular", "inconsistent"]))
     k = draw(st.integers(1, 4))
     extra = draw(st.integers(0, 3))
     words = [(r + 1,) for r in range(k + extra)]
     cols = []
     for c in range(k):
-        col = {words[c]: draw(_nonzero_entries)}
+        col = {words[c]: draw(nonzero)}
         for r in list(range(c)) + list(range(k, k + extra)):
-            col[words[r]] = draw(_entries)
+            col[words[r]] = draw(entries)
         cols.append({w: x for w, x in col.items() if x})
-    xs = [draw(_entries) for _ in range(k)]
+    xs = [draw(entries) for _ in range(k)]
     rhs = {}
     for x, col in zip(xs, cols):
         for w, y in col.items():
             rhs[w] = rhs.get(w, R_ZERO) + x * y
     if kind == "singular":
-        f = draw(_nonzero_entries)
+        f = draw(nonzero)
         src = cols[draw(st.integers(0, k - 1))]
         cols.insert(draw(st.integers(0, k)), {w: f * y for w, y in src.items()})
     elif kind == "inconsistent":
-        rhs[(k + extra + 1,)] = draw(_nonzero_entries)
+        rhs[(k + extra + 1,)] = draw(nonzero)
     return cols, {w: x for w, x in rhs.items() if x}, kind, xs
 
 
 @settings(max_examples=150, deadline=None)
 @given(_linear_systems())
 def test_solve_linear_matches_dense_reference(system):
+    # the RatQ elimination, kept as the oracle of the Laurent solve; these
+    # systems have non-unit pivots and true denominators, which the Laurent
+    # solve refuses
     cols, rhs, kind, xs = system
-    got = solve_linear(cols, rhs)
+    got = solve_linear_ratq(cols, rhs)
     assert got == _dense_solve(cols, rhs)
     assert got[0] == kind
     if kind == "ok":
@@ -513,7 +522,86 @@ def test_pbw_cache_is_per_system():
         want = [rs.normal_form(expand_pbw(M, n)).terms for M in monos]
         entry = _pbw_basis_columns(mu, rs)
         assert list(entry) == monos
-        assert list(entry.values()) == want
+        assert [ratq_terms(col) for col in entry.values()] == want
         assert rs._pbw_cache == {mu: entry}
         del rs
         gc.collect()
+
+
+# ----------------------------------------------------------------------------
+# The Laurent solve and PBW columns against the RatQ oracles
+# ----------------------------------------------------------------------------
+
+# mostly +-q**k, so that most systems keep unit pivots
+_laurent_entries = st.one_of(
+    st.builds(lambda s, e: s * Q(e), st.sampled_from([-1, 1]), st.integers(-4, 4)),
+    st.builds(lambda s, e: s * Q(e), st.sampled_from([-1, 1]), st.integers(-4, 4)),
+    st.builds(lambda a, e: a * Q(e), st.sampled_from([-3, -2, 2, 3]), st.integers(-4, 4)),
+    st.builds(lambda a, b: RatQ((a, 0, b)), st.integers(-2, 2), st.integers(1, 2)),
+)
+
+
+def _is_unit(x):
+    return x in (Q(x.val), -Q(x.val))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_linear_systems(_laurent_entries))
+def test_laurent_solve_matches_the_ratq_oracle(system):
+    # equal wherever every pivot the oracle meets is +-q**k, refused
+    # wherever one is not
+    cols, rhs, kind, xs = system
+    pivots = []
+    want = solve_linear_ratq(cols, rhs, pivots)
+    laurent = [laurent_terms(col) for col in cols]
+    if all(map(_is_unit, pivots)):
+        assert solve_linear(laurent, rhs) == want
+    else:
+        with pytest.raises(NonUnitPivot, match="not a signed power of q"):
+            solve_linear(laurent, rhs)
+
+
+def test_solve_linear_refuses_a_pivot_that_is_not_a_signed_power_of_q():
+    one = R_ONE
+    with pytest.raises(NonUnitPivot):
+        solve_linear([laurent_terms({(1,): RatQ.from_int(2)})], {(1,): one})
+    # a reduced column's pivot: b - a leads with (1 + q**2) f1
+    a = {(2,): one, (1,): one}
+    b = {(2,): one, (1,): RatQ((2, 0, 1))}
+    rhs = {(2,): one, (1,): RatQ.from_int(3)}
+    assert solve_linear_ratq([a, b], rhs)[0] == "ok"
+    with pytest.raises(NonUnitPivot):
+        solve_linear([laurent_terms(a), laurent_terms(b)], rhs)
+
+
+def _theta_power_ratq(n, m, lam, oracle):
+    """theta_power in the RatQ oracle's arithmetic."""
+    from qshapo.roots import alpha, eta_vec, pairing
+    from qshapo.shapovalov import theta_sum
+    from qshapo.verma import HighestWeight
+
+    eta = eta_vec(n)
+    prod = NCPoly.one(n)
+    for j in range(m - 1, -1, -1):
+        shifted = tuple(lam[k] - j * pairing(eta, alpha(k + 1, n)) for k in range(n))
+        coords = theta_sum(n).evaluate(HighestWeight.numeric(shifted))
+        prod = oracle.normal_form(prod * oracle.normal_form(from_pbw(coords, n)))
+    return oracle.to_pbw(prod)
+
+
+@pytest.mark.parametrize("n, m, lam", [
+    (3, 3, (4, 1, -5)), (4, 2, (1, 0, 0, -3)), (5, 2, (1, 0, 0, 0, -4)),
+])
+def test_pbw_columns_and_to_pbw_match_the_ratq_oracle(n, m, lam):
+    from qshapo.shapovalov import theta_power
+
+    rs = get_rewrite_system(n)
+    oracle = RatQNormalForms(rs)
+    mu = (m,) * n
+    cols, want = _pbw_basis_columns(mu, rs), oracle.pbw_columns(mu)
+    assert list(cols) == list(want)
+    assert [ratq_terms(col) for col in cols.values()] == list(want.values())
+    got, want = theta_power(n, m, lam, rs), _theta_power_ratq(n, m, lam, oracle)
+    assert got == want
+    assert [(M, str(c)) for M, c in got.items()] == [(M, str(c)) for M, c in want.items()]
+

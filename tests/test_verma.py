@@ -1,6 +1,10 @@
 """Verma-module engine: generator actions, Cartan evaluation, raising tests."""
 
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from qshapo.verma import (
     quantum_bracket,
     vector_from_ncpoly,
 )
+from ratq_oracles import RatQNormalForms
 
 V = RatQ.v_power
 Q = RatQ.q_power
@@ -359,7 +364,7 @@ def act_e_unhoisted(i, vec, rs):
 def normal_form_unhoisted(p, hw, rs):
     """vector_from_ncpoly in RatQ and WeightScalar arithmetic: the normal
     form of p with each coefficient read as a scalar of the weight."""
-    nf = rs.normal_form(p)
+    nf = RatQNormalForms(rs).normal_form(p)
     return VermaVector(hw, {w: hw.coerce(c) for w, c in nf.terms.items()})
 
 
@@ -441,11 +446,11 @@ def test_raising_a_kernel_form_vector_clears_no_scalar(monkeypatch):
     # verify_hwv raises each theta*v with several e_k; its scalars are
     # cleared into integers once, when theta_vector builds it, however often
     # it is raised
+    import qshapo.scalars as scalars
     import qshapo.shapovalov as shapovalov
-    import qshapo.verma as verma
 
     counts = {"expand": 0, "act_e": 0}
-    expand, raising = verma._Cleared.expand, shapovalov.act_e
+    expand, raising = scalars._Cleared.expand, shapovalov.act_e
 
     def counting_expand(self, c):
         counts["expand"] += 1
@@ -455,7 +460,7 @@ def test_raising_a_kernel_form_vector_clears_no_scalar(monkeypatch):
         counts["act_e"] += 1
         return raising(*args)
 
-    monkeypatch.setattr(verma._Cleared, "expand", counting_expand)
+    monkeypatch.setattr(scalars._Cleared, "expand", counting_expand)
     monkeypatch.setattr(shapovalov, "act_e", counting_act_e)
     n = 4
     rs = get_rewrite_system(n)
@@ -607,24 +612,6 @@ def test_act_e_refuses_an_eigenvalue_off_a_monomial(bend):
             act_e(i, vec, rs)
 
 
-def test_symbolic_normal_form_clears_a_rule_with_a_true_denominator():
-    # f2 f1 = (v + 1/v)**-1 f1 f2: a rule coefficient that is not Laurent
-    from qshapo.freealg import complete
-
-    rel = NCPoly(2, {(2, 1): V(1) + V(-1), (1, 2): -R_ONE})
-    rs = complete([rel], 4)
-    assert rs.rules[(2, 1)].terms[(1, 2)].den != (1,)
-    for hw in (HighestWeight.symbolic(2), HighestWeight.symbolic(2, hyperplane_m=1)):
-        c = (hw.k_eigen((1, -1)) + hw.one()) / VMV
-        p = NCPoly(2, {(2, 1, 2): c, (2, 2, 1): hw.one(), (1, 2, 1): -c})
-        got, expect = vector_from_ncpoly(p, hw, rs), normal_form_unhoisted(p, hw, rs)
-        assert got == expect and str(got) == str(expect)
-        vec = VermaVector(hw, {(1, 2, 1): c, (2, 1, 1): hw.one(), (1, 1, 2): -c})
-        for i in (1, 2):
-            got, expect = act_e(i, vec, rs), act_e_unhoisted(i, vec, rs)
-            assert got == expect and str(got) == str(expect)
-
-
 @pytest.mark.parametrize("c", [
     WeightScalar.monomial(2, (1 << 40, 0)),
     WeightScalar.monomial(2, (0, -(1 << 28))),
@@ -659,6 +646,34 @@ def test_chained_maps_refuse_a_key_digit_past_the_kernel_limit():
     assert not vec.is_zero()
     with pytest.raises(ValueError, match="out of range"):
         act_e(1, act_f(1, vec, rs), rs)
+
+
+def test_reading_a_vector_refuses_a_numerator_too_long_to_densify():
+    # one term near q**(2**27) and one near q**(-2**27): a dense numerator
+    # would take gigabytes, so the child runs under a 1 GB address-space
+    # limit, where a regression fails fast instead of filling the machine
+    import qshapo
+
+    child = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from qshapo.freealg import get_rewrite_system
+        from qshapo.verma import HighestWeight, VermaVector, act_e, act_f
+        rs = get_rewrite_system(2)
+        hw = HighestWeight.numeric((1 << 26, 0))
+        vec = act_e(1, act_f(1, VermaVector.highest(hw), rs), rs)
+        try:
+            vec.terms
+        except ValueError as exc:
+            print("refused:", exc)
+    """)
+    src = str(Path(qshapo.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("refused: a numerator spans"), out.stdout
 
 
 def test_numeric_maps_refuse_a_y_monomial():
