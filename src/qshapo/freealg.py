@@ -64,14 +64,12 @@ from .scalars import (
     P_ONE,
     R_ONE,
     RatQ,
-    _clear,
     _convolve,
     _laurent,
     _laurent_of,
     _ldiv,
     _ratq_of,
-    _rebuild,
-    _shape,
+    _through_kernel,
     add_terms,
 )
 
@@ -297,9 +295,11 @@ class RewriteSystem:
     proper prefixes of leads, 0 the empty one, and ``_delta[s][a]`` is the
     state after reading letter a, or -k when that letter completes a lead of
     k letters.  The first lead to end in a word is then also the leftmost.
-    ``_rhs`` holds each replacement of ``rules`` as (word, coefficient,
-    unit) triples, the coefficient as a Laurent tuple of the integer kernel
-    and unit 1 or -1 for a coefficient of +-1, 0 otherwise.  ``_nf_cache``
+    ``_rhs`` holds the rules the engine rewrites by: each lead's replacement
+    as (word, coefficient, unit) triples, the coefficient as a Laurent tuple
+    of the integer kernel and unit 1 or -1 for a coefficient of +-1, 0
+    otherwise.  ``rules`` is their copy in RatQs for readers, built once
+    when a completion ends (``_publish_rules``).  ``_nf_cache``
     maps a word to its normal form {word: Laurent tuple}; a dict there may
     be shared by several words and is never mutated, and every reader
     builds a new dict.  The Laurent tuples of ``_rhs``, ``_nf_cache`` and
@@ -328,11 +328,28 @@ class RewriteSystem:
 
     # -- rule bookkeeping ------------------------------------------------
 
-    def _refresh_automaton(self):
-        """Rebuild ``_delta`` and ``_rhs`` from the rules; ValueError if a
+    def _set_rules(self, rules: dict):
+        """Rewrite by these rules, {lead: NCPoly}: ValueError if a
         coefficient is not a Laurent polynomial."""
+        self._rhs = {lead: self._triples({u: _laurent_of(c) for u, c in rule.terms.items()})
+                     for lead, rule in rules.items()}
+        self.rules = rules
+        self._refresh_automaton()
+
+    def _publish_rules(self):
+        """Set ``rules`` to the RatQ copy of ``_rhs``."""
+        self.rules = {lead: NCPoly._raw(self.n, {u: _ratq_of(c) for u, c, _ in rhs})
+                      for lead, rhs in self._rhs.items()}
+
+    def _triples(self, terms: dict) -> tuple:
+        """The ``_rhs`` entry of a replacement {word: Laurent tuple}."""
+        return tuple((u, t, 1 if t == L_ONE else -1 if t == L_MINUS_ONE else 0)
+                     for u, t in self._interned(terms).items())
+
+    def _refresh_automaton(self):
+        """Rebuild ``_delta`` from the leads of ``_rhs``."""
         trie: list[dict] = [{}]
-        for lead in self.rules:
+        for lead in self._rhs:
             s = 0
             for a in lead[:-1]:
                 nxt = trie[s].get(a)
@@ -356,15 +373,6 @@ class RewriteSystem:
                     queue.append(child)
             delta[s] = row
         self._delta = delta
-        self._refresh_rhs()
-
-    def _refresh_rhs(self):
-        rhs = {}
-        for lead, rule in self.rules.items():
-            terms = self._interned({u: _laurent_of(c) for u, c in rule.terms.items()})
-            rhs[lead] = tuple((u, t, 1 if t == L_ONE else -1 if t == L_MINUS_ONE else 0)
-                              for u, t in terms.items())
-        self._rhs = rhs
 
     def _interned(self, acc: dict) -> dict:
         """{word: Laurent tuple} from {word: Laurent tuple or accumulator
@@ -449,10 +457,10 @@ class RewriteSystem:
     def normal_form(self, p: NCPoly) -> NCPoly:
         """Canonical representative of p in the quotient.  Its coefficients,
         RatQs or WeightScalars, are cleared once into the integer kernel and
-        the result is rebuilt as the same kind of scalars."""
-        n, prefix = _shape(p.terms.values())
-        D, ints = _clear(p.terms, n)
-        return NCPoly._raw(p.n, _rebuild(D, _nf_sum(ints, self._nf_word), n, prefix))
+        the result is rebuilt as the same kind of scalars, so the kernel's
+        refusals apply: ValueError for a q-exponent of size 2**28 or more,
+        or for a result whose numerator spans more than 2**20 powers of q."""
+        return NCPoly._raw(p.n, _through_kernel(p.terms, lambda ints: _nf_sum(ints, self._nf_word)))
 
     def is_zero(self, p: NCPoly) -> bool:
         return self.normal_form(p).is_zero()
@@ -571,12 +579,11 @@ class RewriteSystem:
         lead, rhs = _make_rule(terms)
         # retire any rule whose lead the new lead divides, and re-reduce it
         retired = []
-        for old in [old for old in self.rules if _is_factor(lead, old)]:
-            del self.rules[old]
-            retired.append({old: L_ONE, **{u: _lneg(c) for u, c, _ in self._rhs[old]}})
-        self.rules[lead] = NCPoly._raw(self.n, {u: _ratq_of(c) for u, c in rhs.items()})
+        for old in [old for old in self._rhs if _is_factor(lead, old)]:
+            retired.append({old: L_ONE, **{u: _lneg(c) for u, c, _ in self._rhs.pop(old)}})
+        self._rhs[lead] = self._triples(rhs)
         self._refresh_automaton()
-        for other in self.rules:
+        for other in self._rhs:
             pairs = [(lead, other)] if other == lead else [(lead, other), (other, lead)]
             for la, lb in pairs:
                 for w in _overlaps(la, lb):
@@ -607,20 +614,19 @@ class RewriteSystem:
                     continue
                 counted = d
             _, w, la, lb = heapq.heappop(queue)
-            if la not in self.rules or lb not in self.rules:
+            if la not in self._rhs or lb not in self._rhs:
                 continue  # a participant was retired
             diff = self._overlap_remainder(w, la, lb)
             if diff:
                 self._add_rule(diff, queue)
                 counted = None
-        for lead, rhs in self._rhs.items():
-            tail = self._reduce({u: c for u, c, _ in rhs})
-            self.rules[lead] = NCPoly._raw(self.n, {u: _ratq_of(c) for u, c in tail.items()})
+        tails = {lead: self._reduce({u: c for u, c, _ in rhs}) for lead, rhs in self._rhs.items()}
         # the rules may have changed: drop what callers cached before, with
-        # its interned coefficients, and make _rhs the tail-reduced rules
+        # its interned coefficients, and rewrite by the tail-reduced rules
         self._nf_cache = {}
         self._coeffs = {}
-        self._refresh_rhs()
+        self._rhs = {lead: self._triples(tail) for lead, tail in tails.items()}
+        self._publish_rules()
 
     def _extend(self, degree: int):
         """Complete through `degree`.  Completion through cap resolved every
@@ -631,8 +637,8 @@ class RewriteSystem:
         done, self.cap = self.cap, degree
         queue = [
             (len(w), w, la, lb)
-            for la in self.rules
-            for lb in self.rules
+            for la in self._rhs
+            for lb in self._rhs
             for w in _overlaps(la, lb)
             if done < len(w) <= degree
         ]
@@ -666,7 +672,7 @@ class RewriteSystem:
         try:
             header = dict(part.split("=") for part in lines[1].split())
             n, cap, nrules = int(header["n"]), int(header["cap"]), int(header["rules"])
-            rs = cls(n, cap)
+            rules: dict = {}
             i = 2
             while i < len(lines):
                 if not lines[i].startswith("LEAD "):
@@ -679,27 +685,28 @@ class RewriteSystem:
                     w = tuple(int(x) for x in ws.split(",")) if ws else ()
                     terms[w] = RatQ.parse(cs)
                     i += 1
-                rs.rules[lead] = NCPoly(n, terms)
+                rules[lead] = NCPoly(n, terms)
         except CacheCorrupt:
             raise
         except Exception as exc:  # malformed ints, bad header, ...
             raise CacheCorrupt(f"parse failure: {exc}") from exc
-        if len(rs.rules) != nrules:
+        if len(rules) != nrules:
             raise CacheCorrupt("rule count mismatch")
-        words = [w for lead, rhs in rs.rules.items() for w in (lead, *rhs.terms)]
+        words = [w for lead, rhs in rules.items() for w in (lead, *rhs.terms)]
         if any(not 1 <= a <= n for w in words for a in w):
             raise CacheCorrupt("letter out of range")
         # the automaton needs it, and completion never leaves one
-        if _nested_leads(list(rs.rules)):
+        if _nested_leads(list(rules)):
             raise CacheCorrupt("one lead is a factor of another")
-        for lead, rhs in rs.rules.items():
+        for lead, rhs in rules.items():
             mu = word_multidegree(lead, n)
             for w in rhs.terms:
                 if word_multidegree(w, n) != mu or deglex_key(w) >= deglex_key(lead):
                     raise CacheCorrupt("rule violates order/homogeneity")
             if any(c.den != P_ONE for c in rhs.terms.values()):
                 raise CacheCorrupt(f"rule {lead}: a coefficient is not a Laurent polynomial")
-        rs._refresh_automaton()
+        rs = cls(n, cap)
+        rs._set_rules(rules)
         return rs
 
 
@@ -826,7 +833,7 @@ def audit_confluence(rs: RewriteSystem) -> list[tuple]:
     the system is locally -- hence, by the diamond lemma, globally --
     confluent on words within the cap).
     """
-    leads = sorted(rs.rules, key=deglex_key)
+    leads = sorted(rs._rhs, key=deglex_key)
     # overlap ambiguities are the only ones to check provided no lead
     # contains another as a factor; assert that invariant first
     failures = [(la, la, lb) for la, lb in _nested_leads(leads)]

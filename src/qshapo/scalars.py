@@ -31,7 +31,11 @@ multiple D of its denominators (``common_denominator``; the (q**4 - 1)**j
 that 1/(v - v**-1) brings into a symbolic-weight computation), as integers
 keyed by its packed y- and q-exponents; linear maps then run on exact
 integers with no gcd, and a result is rebuilt as RatQ or WeightScalar
-values, divided by D once, only when it is handed out (``_rebuild``).
+values, divided by D once, only when it is handed out (``_rebuild``;
+``_through_kernel`` is the round trip).  So every public map that computes
+in the kernel refuses, with ValueError, a q-exponent of size 2**28 or more
+(``_LIMIT``) and a result whose numerator spans more than 2**20 powers of q
+(``_MAX_SPAN``).
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -964,17 +968,27 @@ def _shape(coeffs):
     return 0, None
 
 
-def _clear(coeffs: dict, n: int, D=None):
-    """(D, ints): D, by default a common multiple of the denominators of
-    the scalars c in coeffs (RatQs, or WeightScalars in n symbols), and
-    D * c as {key: int} under the same key for each c that is not zero."""
-    cleared = _Cleared(n, common_denominator(coeffs.values()) if D is None else D)
+def _clear(coeffs: dict, n: int):
+    """(D, ints): D a common multiple of the denominators of the scalars c
+    in coeffs (RatQs, or WeightScalars in n symbols), and D * c as {key:
+    int} under the same key for each c that is not zero."""
+    cleared = _Cleared(n, common_denominator(coeffs.values()))
     ints = {}
     for u, c in coeffs.items():
         c = cleared.expand(c)
         if c:
             ints[u] = c
     return cleared.D, ints
+
+
+def _through_kernel(coeffs: dict, fn) -> dict:
+    """fn(ints) / D as the same kind of scalars as coeffs (RatQs or
+    WeightScalars), where (D, ints) = _clear(coeffs) and fn is a linear map
+    to {u: {key: int}}: the round trip of the public maps that compute in
+    the kernel."""
+    n, prefix = _shape(coeffs.values())
+    D, ints = _clear(coeffs, n)
+    return _rebuild(D, fn(ints), n, prefix)
 
 
 def _rebuild(D, ints: dict, n: int, prefix=None) -> dict:

@@ -40,13 +40,14 @@ from .scalars import (
     RatQ,
     _clear as _clear_scalars,
     _pmul,
-    _rebuild,
     add_terms,
     qint,
 )
 from .uqsl import (
     H_cartan,
+    _kernel_to_pbw,
     _pbw_column,
+    _pbw_expansion,
     f_monomial_of_index_set,
     from_pbw,
     psi,
@@ -354,15 +355,15 @@ def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
     # normal-forming each factor and each partial product keeps the product
     # on the normal words of its multidegree; the free product would grow
     # to as many as (N!)**m words.  The product stays in the integer kernel,
-    # 1/D times {word: {q-exponent: int}}, until it is handed to to_pbw.
+    # 1/D times {word: {q-exponent: int}}, through the PBW solve.
     D, prod = P_ONE, {(): {0: 1}}
     for j in range(m - 1, -1, -1):
         shifted = tuple(lam[k] - j * eta_pair[k] for k in range(n))
-        coords = base.evaluate(HighestWeight.numeric(shifted))
-        E, free = _clear_scalars(from_pbw(coords, n).terms, 0)
-        prod = _nf_sum(_word_product(prod, _nf_sum(free, rs._nf_word)), rs._nf_word)
+        E, coords = _clear_scalars(base.evaluate(HighestWeight.numeric(shifted)), 0)
+        factor = _nf_sum(_nf_sum(coords, lambda M: _pbw_expansion(M, n)), rs._nf_word)
+        prod = _nf_sum(_word_product(prod, factor), rs._nf_word)
         D = _pmul(D, E)
-    return to_pbw(NCPoly._raw(n, _rebuild(D, prod, 0)), rs)
+    return _kernel_to_pbw(prod, (D, 0, None), rs)
 
 
 # ----------------------------------------------------------------------------

@@ -43,8 +43,8 @@ from .scalars import (
     _laurent_of,
     _rebuild,
     _shape,
+    _through_kernel,
     add_terms,
-    common_denominator,
     qbinom,
     qbinom_formal,
 )
@@ -125,11 +125,13 @@ def pbw_monomials(mu, n: int) -> list[tuple[tuple[int, int], ...]]:
 # Exact linear algebra: one elimination by leading words
 # ----------------------------------------------------------------------------
 
-def solve_linear(cols: list[dict], rhs: dict):
+def solve_linear(cols: list[dict], rhs: dict, cleared=None):
     """Solve sum_c x_c * cols[c] = rhs, the columns {word: Laurent tuple}
     and rhs {word: RatQ or WeightScalar}; both PBW coordinates and right
     division by powers of F are such solves.  rhs is cleared once into the
     integer kernel, and the solution is rebuilt as the same kind of scalars.
+    A caller that holds rhs in the kernel already passes cleared = (D, n,
+    prefix) and rhs as D * rhs, {word: {key: int}}, which the solve consumes.
 
     The columns are taken in order.  While a column's deglex-leading word is
     already a pivot's lead, that pivot's multiple is subtracted, and the
@@ -167,8 +169,11 @@ def solve_linear(cols: list[dict], rhs: dict):
         if len(t) != 1 or t[0][1] not in (1, -1):
             raise NonUnitPivot(f"pivot {t} at {lead} is not a signed power of q")
         pivots[lead] = (c, col, t[0], combo)
-    n, prefix = _shape(rhs.values())
-    D, rest = _clear(rhs, n)
+    if cleared is None:
+        n, prefix = _shape(rhs.values())
+        D, rest = _clear(rhs, n)
+    else:
+        (D, n, prefix), rest = cleared, rhs
     xs: dict = {}
     for lead in sorted(pivots, key=deglex_key, reverse=True):
         r = rest.get(lead)
@@ -203,25 +208,18 @@ def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
     monomial -> column (dict word -> Laurent tuple) in pbw_monomials order,
     cached on rs so that they can never outlive or cross to another system.
     Each column is built factor by factor, every partial product
-    normal-formed, so no product leaves the normal words; consecutive
-    monomials mostly share a prefix, whose partial products are reused.
-    Raises SingularSystem if the columns are dependent."""
+    normal-formed, so no product leaves the normal words.  Raises
+    SingularSystem if the columns are dependent."""
     key = tuple(mu)
     got = rs._pbw_cache.get(key)
     if got is None:
         n = rs.n
         got = {}
-        # chain[k]: the partial product of the first k factors of prev
-        prev, chain = (), [{(): {0: 1}}]
         for M in pbw_monomials(mu, n):
-            k = 0
-            while k < min(len(M), len(prev)) and M[k] == prev[k]:
-                k += 1
-            del chain[k + 1 :]
-            for (i, j) in M[k:]:
-                prod = _word_product(chain[-1], _jimbo_ints(i, j, n))
-                chain.append(_nf_sum(prod, rs._nf_word))
-            got[M], prev = rs._interned(chain[-1]), M
+            col = {(): {0: 1}}
+            for (i, j) in M:
+                col = _nf_sum(_word_product(col, _jimbo_ints(i, j, n)), rs._nf_word)
+            got[M] = rs._interned(col)
         if solve_linear(list(got.values()), {})[0] == "singular":
             raise SingularSystem(f"PBW basis matrix singular at multidegree {key}")
         rs._pbw_cache[key] = got
@@ -248,14 +246,33 @@ def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
     """Coordinates of a homogeneous element in the PBW basis: one
     solve_linear against the PBW columns of its multidegree.  An element
     outside their span means the rewriting engine contradicts the PBW
-    theorem, which is reported loudly.
+    theorem, which is reported loudly.  As in RewriteSystem.normal_form,
+    p's scalars are cleared into the integer kernel once, and ValueError
+    refuses a q-exponent of size 2**28 or more or a coordinate whose
+    numerator spans more than 2**20 powers of q; so do from_pbw,
+    divide_right_F and theta_power.
     """
-    nf = rs.normal_form(p)
-    if nf.is_zero():
+    return _kernel_to_pbw(*_kernel_nf(p, rs), rs)
+
+
+def _kernel_nf(p: NCPoly, rs: RewriteSystem):
+    """(nf, (D, n, prefix)): p's scalars cleared once into the kernel by a
+    common denominator D, and nf = D * the normal form of p as {word: {key:
+    int}}, as solve_linear takes a cleared right-hand side."""
+    n, prefix = _shape(p.terms.values())
+    D, ints = _clear(p.terms, n)
+    return _nf_sum(ints, rs._nf_word), (D, n, prefix)
+
+
+def _kernel_to_pbw(nf: dict, cleared, rs: RewriteSystem) -> dict:
+    """to_pbw of the element nf / D, nf a normal form in the kernel as
+    {word: {key: int}} and cleared = (D, n, prefix) as in solve_linear."""
+    nf = {w: d for w, d in nf.items() if any(d.values())}
+    if not nf:
         return {}
-    mu = nf.multidegree()
+    mu = NCPoly._raw(rs.n, nf).multidegree()
     basis = _pbw_basis_columns(mu, rs)
-    res = solve_linear(list(basis.values()), nf.terms)
+    res = solve_linear(list(basis.values()), nf, cleared)
     if res[0] != "ok":
         raise SingularSystem(f"element outside PBW span at multidegree {mu}")
     return {M: x for M, x in zip(basis, res[1]) if x}
@@ -264,10 +281,9 @@ def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
 def from_pbw(coords: dict, n: int) -> NCPoly:
     """The free-algebra expansion of an element given in PBW coordinates,
     summed in the integer kernel."""
-    symbols, prefix = _shape(coords.values())
-    D, ints = _clear(coords, symbols)
-    terms = _nf_sum(ints, lambda M: _pbw_expansion(M, n))
-    return NCPoly._raw(n, _rebuild(D, terms, symbols, prefix))
+    return NCPoly._raw(
+        n, _through_kernel(coords, lambda ints: _nf_sum(ints, lambda M: _pbw_expansion(M, n)))
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -450,13 +466,11 @@ class LocElement:
         kernel, at one common denominator."""
         d = self.tail_depth()
         F = (self.beta,)
-        parts = [p.rmul_word(F * (j + d)).terms for j, p in self.terms.items()]
-        coeffs = [c for t in parts for c in t.values()]
-        n, prefix = _shape(coeffs)
-        D, acc = common_denominator(coeffs), {}
-        for t in parts:
-            _nf_sum(_clear(t, n, D)[1], rs._nf_word, acc)
-        return NCPoly._raw(self.n, _rebuild(D, acc, n, prefix)), d
+        # keyed by (j, word): two parts may share a word
+        coeffs = {(j, w): c for j, p in self.terms.items()
+                  for w, c in p.rmul_word(F * (j + d)).terms.items()}
+        nf = _through_kernel(coeffs, lambda ints: _nf_sum(ints, lambda jw: rs._nf_word(jw[1])))
+        return NCPoly._raw(self.n, nf), d
 
     def to_ncpoly(self, rs: RewriteSystem) -> NCPoly:
         """Resolve to an honest polynomial, dividing the cleared form by
@@ -489,7 +503,7 @@ def divide_right_F(W: NCPoly, d: int, beta: int, rs: RewriteSystem) -> NCPoly:
     basis = rs.normal_words(tuple(mu))
     F = (beta,) * d
     cols = [rs._nf_word(b + F) for b in basis]
-    res = solve_linear(cols, rs.normal_form(W).terms)
+    res = solve_linear(cols, *_kernel_nf(W, rs))
     if res[0] == "singular":
         raise SingularSystem("right-division basis became dependent")
     if res[0] == "inconsistent":

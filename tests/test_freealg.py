@@ -63,6 +63,22 @@ def test_normal_form_examples():
         assert rs.normal_form(rel).is_zero()
 
 
+def test_normal_form_refuses_a_q_exponent_out_of_the_kernels_range():
+    # normal_form and to_pbw clear their scalars into the integer kernel,
+    # whose keys hold q-exponents of size below 2**28
+    from qshapo.uqsl import to_pbw
+
+    rs = get_rewrite_system(2)
+    for k in (1 << 28, -(1 << 28)):
+        p = NCPoly(2, {(2, 1): RatQ.q_power(k)})
+        with pytest.raises(ValueError, match="out of range for the integer kernel"):
+            rs.normal_form(p)
+        with pytest.raises(ValueError, match="out of range for the integer kernel"):
+            to_pbw(p, rs)
+    inside = NCPoly(2, {(2, 1): RatQ.q_power((1 << 28) - 8)})
+    assert rs.normal_form(inside) == inside
+
+
 def test_normal_form_is_linear_and_idempotent():
     rs = get_rewrite_system(3)
     rng = random.Random(11)
@@ -338,20 +354,21 @@ def _kernel_systems(rank):
 
     def record(self):
         refresh(self)
-        snapshots.append(dict(self.rules))
+        snapshots.append(dict(self._rhs))
 
     # the completion reduces by the slicing scan, so that these systems do
     # not depend on the automaton under test
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RewriteSystem, "_refresh_automaton", record)
         mp.setattr(RewriteSystem, "_first_reduction",
-                   lambda self, w: _slicing_first_reduction(self.rules, w))
+                   lambda self, w: _slicing_first_reduction(self._rhs, w))
         done = complete(relations, 8, n=n)
     systems = []
-    for rules in [done.rules, *snapshots]:
+    for rhs in [done._rhs, *snapshots]:
         rs = RewriteSystem(n, 8)
-        rs.rules = dict(rules)
+        rs._rhs = dict(rhs)
         rs._refresh_automaton()
+        rs._publish_rules()
         systems.append(rs)
     return systems
 
@@ -390,8 +407,7 @@ def test_filling_the_cache_changes_no_cached_normal_form(rank):
     # a cached dict may be shared by several words, so rewriting one word
     # must leave the dicts of the words it reduces to as they were
     rs = RewriteSystem(3, 8)
-    rs.rules = dict(_kernel_systems(rank)[0].rules)
-    rs._refresh_automaton()
+    rs._set_rules(dict(_kernel_systems(rank)[0].rules))
     for w in itertools.product((1, 2, 3), repeat=6):
         rs._nf_word(w)
     for w, got in rs._nf_cache.items():
