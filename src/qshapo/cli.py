@@ -6,12 +6,12 @@ it calls; nothing is read from or written to disk.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid weight
 (including a --lambda off the hyperplane (lam + rho, eta) = m where the
-element needs it) or arguments, 4 an internal inconsistency (a singular PBW
-system, a failed right division, an ad_F iterate that does not vanish, or a
-construction result its derivation rules out).  No degree is refused: the
-rewriting system completes itself as far as a computation needs.  Output is
-deterministic for a fixed argument vector (sampling is seeded, never
-wall-clock)."""
+element needs it, or one the command would not read) or arguments, 4 an
+internal inconsistency (a singular PBW system, a failed right division, an
+ad_F iterate that does not vanish, or a construction result its derivation
+rules out).  No degree is refused: the rewriting system completes itself
+as far as a computation needs.  Output is deterministic for a fixed
+argument vector (sampling is seeded, never wall-clock)."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -44,20 +43,6 @@ from .shapovalov import (
 from .suites import SUITES, run_suite
 from .uqsl import NilpotencyCapExceeded, NotRightDivisible, SingularSystem
 from .verma import HighestWeight
-
-
-@dataclass
-class JobConfig:
-    command: str
-    n: int = 1
-    m: int = 1
-    lam: tuple | None = None
-    mode: str = "symbolic"
-    samples: int = 5
-    seed: int = 0
-    fmt: str = "text"
-    method: str = "sum"
-    suite: str | None = None
 
 
 # ----------------------------------------------------------------------------
@@ -119,7 +104,7 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
 # theta
 # ----------------------------------------------------------------------------
 
-def _render_evaluated(coords: dict, cfg: JobConfig) -> str:
+def _render_evaluated(coords: dict, cfg: argparse.Namespace) -> str:
     items = sorted(coords.items())
     if cfg.fmt == "json":
         obj = {
@@ -146,7 +131,7 @@ def _render_evaluated(coords: dict, cfg: JobConfig) -> str:
     return " + ".join(parts)
 
 
-def cmd_theta(cfg: JobConfig) -> int:
+def cmd_theta(cfg: argparse.Namespace) -> int:
     if cfg.lam is not None and len(cfg.lam) != cfg.n:
         print(f"error: lambda must have {cfg.n} entries", file=sys.stderr)
         return 2
@@ -155,6 +140,10 @@ def cmd_theta(cfg: JobConfig) -> int:
               "--method power or inductive for m > 1", file=sys.stderr)
         return 2
     if cfg.method == "sum":
+        if cfg.lam is not None:
+            print("error: the sum form takes no weight; use --method det to evaluate it",
+                  file=sys.stderr)
+            return 2
         element = theta_sum(cfg.n)
         if cfg.fmt == "json":
             print(json.dumps(element.to_json_obj(), indent=2))
@@ -189,7 +178,7 @@ def cmd_theta(cfg: JobConfig) -> int:
 # verify
 # ----------------------------------------------------------------------------
 
-def cmd_verify(cfg: JobConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     checks = run_suite(
         cfg.suite,
         cfg.n,
@@ -250,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cfg = JobConfig(**vars(build_parser().parse_args(argv)))
-    if cfg.n < 1 or cfg.m < 1 or cfg.samples < 1:
+    cfg = build_parser().parse_args(argv)
+    # theta has no --samples
+    if cfg.n < 1 or cfg.m < 1 or getattr(cfg, "samples", 1) < 1:
         print("error: n, m and samples must be positive", file=sys.stderr)
         return 2
     try:

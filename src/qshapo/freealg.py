@@ -46,8 +46,9 @@ J. Math. 96, 1996), and completion divides a remainder by its leading
 coefficient only where that division is exact.  So rules, normal forms and
 reductions run on the Laurent tuples of the integer kernel (the last
 section of scalars), with no gcd and with one object per system for each
-distinct coefficient.  ``normal_form`` clears a polynomial's scalars into
-that form once and rebuilds its result as the same kind of scalars.
+distinct cached coefficient.  ``normal_form`` clears a polynomial's
+scalars into that form once and rebuilds its result as the same kind of
+scalars.
 """
 
 from __future__ import annotations
@@ -302,9 +303,12 @@ class RewriteSystem:
     when a completion ends (``_publish_rules``).  ``_nf_cache``
     maps a word to its normal form {word: Laurent tuple}; a dict there may
     be shared by several words and is never mutated, and every reader
-    builds a new dict.  The Laurent tuples of ``_rhs``, ``_nf_cache`` and
+    builds a new dict.  The Laurent tuples of ``_nf_cache`` and
     ``_pbw_cache`` are interned in ``_coeffs``, so equal ones are one
-    object; the table is emptied with ``_nf_cache``, when the rules change.
+    object; a rule's coefficients are not, since the engine only multiplies
+    by them.  An extension adds only leads longer than the old cap, and no
+    cached word or old rule is longer than that, so none of them changes:
+    the caches and the table live as long as the system.
 
     ``dimensions`` is None, or maps a degree to the dimension of the
     quotient's part of that degree; completion then skips every degree
@@ -341,10 +345,11 @@ class RewriteSystem:
         self.rules = {lead: NCPoly._raw(self.n, {u: _ratq_of(c) for u, c, _ in rhs})
                       for lead, rhs in self._rhs.items()}
 
-    def _triples(self, terms: dict) -> tuple:
-        """The ``_rhs`` entry of a replacement {word: Laurent tuple}."""
+    @staticmethod
+    def _triples(terms: dict) -> tuple:
+        """The ``_rhs`` entry of a replacement {word: nonzero Laurent tuple}."""
         return tuple((u, t, 1 if t == L_ONE else -1 if t == L_MINUS_ONE else 0)
-                     for u, t in self._interned(terms).items())
+                     for u, t in terms.items())
 
     def _refresh_automaton(self):
         """Rebuild ``_delta`` from the leads of ``_rhs``."""
@@ -403,12 +408,12 @@ class RewriteSystem:
         """Normal form of a single word as a dict word -> Laurent tuple
         (cached, and never to be mutated).  A word beyond the cap first
         extends the completion to its length."""
-        got = self._nf_cache.get(w)
+        cache = self._nf_cache
+        got = cache.get(w)
         if got is not None:
             return got
         if len(w) > self.cap:
             self._extend(len(w))
-        cache = self._nf_cache  # extension replaces the dict
         one = self._coeffs.setdefault(L_ONE, L_ONE)
         # word -> its rewrite, once its children are queued
         pending: dict[tuple, list] = {}
@@ -620,12 +625,8 @@ class RewriteSystem:
             if diff:
                 self._add_rule(diff, queue)
                 counted = None
-        tails = {lead: self._reduce({u: c for u, c, _ in rhs}) for lead, rhs in self._rhs.items()}
-        # the rules may have changed: drop what callers cached before, with
-        # its interned coefficients, and rewrite by the tail-reduced rules
-        self._nf_cache = {}
-        self._coeffs = {}
-        self._rhs = {lead: self._triples(tail) for lead, tail in tails.items()}
+        self._rhs = {lead: self._triples(self._reduce({u: c for u, c, _ in rhs}))
+                     for lead, rhs in self._rhs.items()}
         self._publish_rules()
 
     def _extend(self, degree: int):

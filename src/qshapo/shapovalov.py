@@ -38,7 +38,6 @@ from .scalars import (
     P_ONE,
     R_ONE,
     RatQ,
-    _clear as _clear_scalars,
     _pmul,
     add_terms,
     qint,
@@ -47,7 +46,6 @@ from .uqsl import (
     H_cartan,
     _kernel_to_pbw,
     _pbw_column,
-    _pbw_expansion,
     f_monomial_of_index_set,
     from_pbw,
     psi,
@@ -57,7 +55,6 @@ from .verma import (
     HighestWeight,
     VermaVector,
     _clear,
-    _kernel_sum,
     act_e,
     cartan_eval,
     h_eval,
@@ -169,7 +166,7 @@ def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVec
     weight), and the sum runs with no gcd on the integer kernel of verma;
     the vector keeps D, which act_e reads as it is."""
     D, ints = _clear(hw, {M: coords[M] for M in sorted(coords)})
-    return _kernel_sum(hw, D, ints, lambda M: _pbw_column(M, rs))
+    return VermaVector._kernel(hw, D, _nf_sum(ints, lambda M: _pbw_column(M, rs)))
 
 
 # ----------------------------------------------------------------------------
@@ -292,9 +289,8 @@ def theta_inductive(
         rs = get_rewrite_system(n)
     theta = NCPoly.word((1,) * m, n)
     for i, r in enumerate(r_values, 2):
-        conj = psi(r, theta, i, rs)
-        lifted = conj.lmul_poly(NCPoly.word((i,) * m, n))
-        theta = lifted.to_ncpoly(rs)  # NotRightDivisible here = genuine bug
+        # NotRightDivisible here = genuine bug
+        theta = psi(r, theta, i, rs).lmul_word((i,) * m).to_ncpoly(rs)
     coords = to_pbw(theta, rs)
     pi0 = coords.get(pi0_monomial(n, m))
     if pi0 is None:
@@ -352,18 +348,19 @@ def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
         rs = get_rewrite_system(n)
     eta = eta_vec(n)
     eta_pair = [pairing(eta, alpha(k, n)) for k in range(1, n + 1)]
-    # normal-forming each factor and each partial product keeps the product
-    # on the normal words of its multidegree; the free product would grow
-    # to as many as (N!)**m words.  The product stays in the integer kernel,
-    # 1/D times {word: {q-exponent: int}}, through the PBW solve.
+    # a factor sums the PBW columns that theta_vector reads, and
+    # normal-forming each partial product keeps the product on the normal
+    # words of its multidegree; the free product would grow to as many as
+    # (N!)**m words.  The product stays in the integer kernel, 1/D times
+    # {word: {q-exponent: int}}, through the PBW solve.
     D, prod = P_ONE, {(): {0: 1}}
     for j in range(m - 1, -1, -1):
-        shifted = tuple(lam[k] - j * eta_pair[k] for k in range(n))
-        E, coords = _clear_scalars(base.evaluate(HighestWeight.numeric(shifted)), 0)
-        factor = _nf_sum(_nf_sum(coords, lambda M: _pbw_expansion(M, n)), rs._nf_word)
+        hw = HighestWeight.numeric(tuple(lam[k] - j * eta_pair[k] for k in range(n)))
+        E, coords = _clear(hw, base.evaluate(hw))
+        factor = _nf_sum(coords, lambda M: _pbw_column(M, rs))
         prod = _nf_sum(_word_product(prod, factor), rs._nf_word)
         D = _pmul(D, E)
-    return _kernel_to_pbw(prod, (D, 0, None), rs)
+    return _kernel_to_pbw(rs, prod, D)
 
 
 # ----------------------------------------------------------------------------

@@ -236,12 +236,6 @@ def _pbw_column(M, rs: RewriteSystem) -> dict:
     return col
 
 
-def pbw_normal_form(M, rs: RewriteSystem) -> dict:
-    """Normal form (dict word -> RatQ) of the PBW monomial M, read from the
-    column cache; M must be in the sorted form pbw_monomials gives."""
-    return _rebuild(P_ONE, _pbw_column(M, rs), 0)
-
-
 def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
     """Coordinates of a homogeneous element in the PBW basis: one
     solve_linear against the PBW columns of its multidegree.  An element
@@ -252,27 +246,28 @@ def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
     numerator spans more than 2**20 powers of q; so do from_pbw,
     divide_right_F and theta_power.
     """
-    return _kernel_to_pbw(*_kernel_nf(p, rs), rs)
+    return _kernel_to_pbw(rs, *_kernel_nf(p, rs))
 
 
 def _kernel_nf(p: NCPoly, rs: RewriteSystem):
-    """(nf, (D, n, prefix)): p's scalars cleared once into the kernel by a
+    """(nf, D, n, prefix): p's scalars cleared once into the kernel by a
     common denominator D, and nf = D * the normal form of p as {word: {key:
-    int}}, as solve_linear takes a cleared right-hand side."""
+    int}} with no zero entry; (D, n, prefix) is solve_linear's cleared."""
     n, prefix = _shape(p.terms.values())
     D, ints = _clear(p.terms, n)
-    return _nf_sum(ints, rs._nf_word), (D, n, prefix)
+    nf = _nf_sum(ints, rs._nf_word)
+    return {w: c for w, c in nf.items() if any(c.values())}, D, n, prefix
 
 
-def _kernel_to_pbw(nf: dict, cleared, rs: RewriteSystem) -> dict:
+def _kernel_to_pbw(rs: RewriteSystem, nf: dict, D, n=0, prefix=None) -> dict:
     """to_pbw of the element nf / D, nf a normal form in the kernel as
-    {word: {key: int}} and cleared = (D, n, prefix) as in solve_linear."""
-    nf = {w: d for w, d in nf.items() if any(d.values())}
+    {word: {key: int}}, rebuilt as solve_linear rebuilds it from cleared =
+    (D, n, prefix): as RatQs by default."""
     if not nf:
         return {}
     mu = NCPoly._raw(rs.n, nf).multidegree()
     basis = _pbw_basis_columns(mu, rs)
-    res = solve_linear(list(basis.values()), nf, cleared)
+    res = solve_linear(list(basis.values()), nf, (D, n, prefix))
     if res[0] != "ok":
         raise SingularSystem(f"element outside PBW span at multidegree {mu}")
     return {M: x for M, x in zip(basis, res[1]) if x}
@@ -447,8 +442,8 @@ class LocElement:
     def scale(self, c) -> "LocElement":
         return LocElement(self.n, self.beta, {j: p.scale(c) for j, p in self.terms.items()})
 
-    def lmul_poly(self, x: NCPoly) -> "LocElement":
-        return LocElement(self.n, self.beta, {j: x * p for j, p in self.terms.items()})
+    def lmul_word(self, w) -> "LocElement":
+        return LocElement(self.n, self.beta, {j: p.lmul_word(w) for j, p in self.terms.items()})
 
     def rmul_F_power(self, k: int) -> "LocElement":
         return LocElement(self.n, self.beta, {j + k: p for j, p in self.terms.items()})
@@ -460,25 +455,29 @@ class LocElement:
         """How many inverse powers of F the representation carries."""
         return max(0, -min(self.terms, default=0))
 
-    def cleared(self, rs: RewriteSystem):
-        """Return (W, d) with this element equal to W * F**-d, W polynomial
-        in normal form: the parts' normal forms are summed in the integer
-        kernel, at one common denominator."""
+    def _lifted(self):
+        """Return (W, d) with this element equal to W * F**-d, W the
+        polynomial sum_j X_j F**(j+d), not in normal form."""
         d = self.tail_depth()
         F = (self.beta,)
-        # keyed by (j, word): two parts may share a word
-        coeffs = {(j, w): c for j, p in self.terms.items()
-                  for w, c in p.rmul_word(F * (j + d)).terms.items()}
-        nf = _through_kernel(coeffs, lambda ints: _nf_sum(ints, lambda jw: rs._nf_word(jw[1])))
-        return NCPoly._raw(self.n, nf), d
+        terms: dict = {}
+        for j, p in self.terms.items():
+            add_terms(terms, ((w + F * (j + d), c) for w, c in p.terms.items()))
+        return NCPoly._raw(self.n, terms), d
+
+    def cleared(self, rs: RewriteSystem):
+        """Return (W, d) with this element equal to W * F**-d, W polynomial
+        in normal form."""
+        W, d = self._lifted()
+        return rs.normal_form(W), d
 
     def to_ncpoly(self, rs: RewriteSystem) -> NCPoly:
-        """Resolve to an honest polynomial, dividing the cleared form by
+        """Resolve to an honest polynomial, dividing the lifted form by
         F**d on the right; raises NotRightDivisible if a negative power
         genuinely survives."""
-        W, d = self.cleared(rs)
-        if d == 0 or W.is_zero():
-            return W
+        W, d = self._lifted()
+        if d == 0:
+            return rs.normal_form(W)
         return divide_right_F(W, d, self.beta, rs)
 
     def equals(self, other: "LocElement", rs: RewriteSystem) -> bool:
@@ -488,22 +487,24 @@ class LocElement:
 
 
 def divide_right_F(W: NCPoly, d: int, beta: int, rs: RewriteSystem) -> NCPoly:
-    """The unique theta with theta * F**d = W, when it exists.
+    """The unique theta with theta * F**d = W, when it exists; W need not
+    be in normal form, and is cleared and normal-formed once.
 
     Uniqueness is automatic (the quotient is a domain); existence is decided
     by solve_linear against the columns b * F**d, b running over the normal
     words of the quotient multidegree.
     """
-    if W.is_zero():
-        return W
-    mu = list(W.multidegree())
+    nf, *cleared = _kernel_nf(W, rs)
+    if not nf:
+        return NCPoly.zero(W.n)
+    mu = list(NCPoly._raw(W.n, nf).multidegree())
     mu[beta - 1] -= d
     if mu[beta - 1] < 0:
         raise NotRightDivisible("multidegree lacks the required F letters")
     basis = rs.normal_words(tuple(mu))
     F = (beta,) * d
     cols = [rs._nf_word(b + F) for b in basis]
-    res = solve_linear(cols, *_kernel_nf(W, rs))
+    res = solve_linear(cols, nf, cleared)
     if res[0] == "singular":
         raise SingularSystem("right-division basis became dependent")
     if res[0] == "inconsistent":

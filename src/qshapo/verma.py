@@ -71,14 +71,15 @@ _Q4_MINUS_1 = (-1, 0, 0, 0, 1)  # 1/(v - 1/v) = q**2/(q**4 - 1)
 
 class HighestWeight:
     """A highest weight, numeric or symbolic, with an optional hyperplane
-    constraint in symbolic mode."""
+    constraint in symbolic mode.  Two weights are equal when they agree in
+    rank, mode, pairings and hyperplane."""
 
     __slots__ = ("n", "mode", "pairings", "hyperplane_m")
 
     def __init__(self, n, mode, pairings=None, hyperplane_m=None):
         self.n = n
         self.mode = mode
-        self.pairings = pairings
+        self.pairings = None if pairings is None else tuple(pairings)
         self.hyperplane_m = hyperplane_m
         if mode not in ("numeric", "symbolic"):
             raise ValueError("mode must be numeric or symbolic")
@@ -87,6 +88,17 @@ class HighestWeight:
                 raise ValueError("numeric weight needs n pairings")
             if hyperplane_m is not None:
                 raise ValueError("hyperplane constraint is symbolic-only")
+
+    def _key(self):
+        return (self.n, self.mode, self.pairings, self.hyperplane_m)
+
+    def __eq__(self, other):
+        if not isinstance(other, HighestWeight):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def numeric(cls, pairings) -> "HighestWeight":
@@ -178,12 +190,18 @@ class VermaVector:
     def __eq__(self, other):
         if not isinstance(other, VermaVector):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.hw == other.hw and self.terms == other.terms
+
+    def _same_module(self, other):
+        if self.hw != other.hw:
+            raise ValueError("vectors of Verma modules of different highest weights")
 
     def __add__(self, other):
+        self._same_module(other)
         return VermaVector(self.hw, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
+        self._same_module(other)
         terms = add_terms(dict(self.terms), ((w, -c) for w, c in other.terms.items()))
         return VermaVector(self.hw, terms)
 
@@ -306,7 +324,7 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
                     (minus + _digit(2 + 2 * s), -sm),
                 )
             _convolve(short.setdefault(w[:pos] + w[pos + 1 :], {}), c, pair)
-    return _kernel_sum(hw, _pmul(vec.D, _Q4_MINUS_1), short, rs._nf_word)
+    return VermaVector._kernel(hw, _pmul(vec.D, _Q4_MINUS_1), _nf_sum(short, rs._nf_word))
 
 
 def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
@@ -320,7 +338,7 @@ def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
         a = a.items()
         for u, b in vec.ints.items():
             _convolve(prod.setdefault(w + u, {}), b.items(), a)
-    return _kernel_sum(hw, _pmul(vec.D, E), prod, rs._nf_word)
+    return VermaVector._kernel(hw, _pmul(vec.D, E), _nf_sum(prod, rs._nf_word))
 
 
 def is_hwv(vec: VermaVector, rs: RewriteSystem) -> bool:
@@ -396,11 +414,3 @@ def _monomial_key(c):
         if x.den == P_ONE and x.num in ((1,), (-1,)):
             return _pack(e, x.val), x.num[0]
     raise ValueError(f"not a signed q-power times a y-monomial: {c}")
-
-
-def _kernel_sum(hw: HighestWeight, D, ints: dict, nf_of) -> VermaVector:
-    """The vector 1/D times the sum of c * nf_of(u) over the items (u, c) of
-    ints, each c a scalar as {key: int} and nf_of(u) a normal form
-    {word: Laurent tuple}.  nf_of is called once for each u whose c is not
-    zero."""
-    return VermaVector._kernel(hw, D, _nf_sum(ints, nf_of))

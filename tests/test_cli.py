@@ -227,13 +227,17 @@ def test_verify_weight_the_run_would_drop_exit_2(capsys, argv, n, err):
             for suite in ("section2", "section3", "calculus", "section44", "pbw")
         ),
         (["verify", "--suite", "section44", "--n", "1"], "error: requires rank >= 2\n"),
+        (
+            ["theta", "--n", "2", "--lambda", "5,7"],
+            "error: the sum form takes no weight; use --method det to evaluate it\n",
+        ),
     ],
     ids=[
         "verify-section2", "theta-power", "hwv-symbolic-weight", "hwv-symbolic-level-two",
         "hwv-sampled-off-hyperplane", "powers-off-hyperplane", "negative-on-hyperplane",
         "theta-inductive-chain", "negative-level-three", "section2-level-four",
         "section3-level-four", "calculus-level-four", "section44-level-four",
-        "pbw-level-four", "section44-rank-one",
+        "pbw-level-four", "section44-rank-one", "theta-sum-weight",
     ],
 )
 def test_refused_arguments_build_no_cache(capsys, monkeypatch, argv, err):

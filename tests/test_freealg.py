@@ -661,24 +661,49 @@ def test_normal_form_matches_the_ratq_oracle(data):
     assert got == want and str(got) == str(want)
 
 
-def test_interned_coefficients_are_shared_and_emptied_with_the_cache():
+def _cached_coefficients(rs):
+    """Every Laurent tuple of the normal-form and PBW column caches."""
+    kept = [t for nf in rs._nf_cache.values() for t in nf.values()]
+    for cols in rs._pbw_cache.values():
+        for col in cols.values():
+            kept += col.values()
+    return kept
+
+
+def _interns_no_rule_coefficient(rs):
+    return not any(rs._coeffs.get(t) is t for triples in rs._rhs.values() for _, t, _ in triples)
+
+
+def test_interned_coefficients_are_shared_and_are_the_cached_ones():
     from qshapo.shapovalov import theta_power
 
     rs = complete(serre_relations(3), 5, n=3, dimensions=functools.partial(pbw_dimension, 3))
     theta_power(3, 2, (1, 0, -2), rs)
-    kept = [t for triples in rs._rhs.values() for _, t, _ in triples]
-    for nf in rs._nf_cache.values():
-        kept += nf.values()
-    for cols in rs._pbw_cache.values():
-        for col in cols.values():
-            kept += col.values()
-    # one object for each value, and that object is the table's
+    kept = _cached_coefficients(rs)
+    # one object for each value, and that object is the table's; the table
+    # holds nothing else, and no rule's coefficient
     assert len({id(t) for t in kept}) == len(set(kept)) > 3
     assert all(rs._coeffs[t] is t for t in kept)
-    # extending the completion empties the table with the cache; only the
-    # rules' coefficients are interned again
-    rs._extend(rs.cap + 1)
-    assert rs._nf_cache == {}
-    rhs = {t for triples in rs._rhs.values() for _, t, _ in triples}
-    assert set(rs._coeffs) == rhs
+    assert set(rs._coeffs) == set(kept)
+    assert _interns_no_rule_coefficient(rs)
+
+
+def test_an_extension_keeps_the_caches_and_their_interning():
+    from qshapo.shapovalov import theta_power, theta_sum, theta_vector
+    from qshapo.verma import HighestWeight
+
+    rs = complete(serre_relations(3), 5, n=3, dimensions=functools.partial(pbw_dimension, 3))
+    hw = HighestWeight.numeric((1, 0, -3))
+    theta_vector(theta_sum(3).evaluate(hw), hw, rs)  # the level-one columns
+    before, columns = dict(rs._nf_cache), rs._pbw_cache[(1, 1, 1)]
+    assert before
+    # the product has degree 6, past the cap: it extends the system
+    theta_power(3, 2, (1, 0, -2), rs)
+    assert rs.cap == 6
+    assert all(rs._nf_cache[w] is nf for w, nf in before.items())
+    assert rs._pbw_cache[(1, 1, 1)] is columns
+    kept = _cached_coefficients(rs)
+    assert len(kept) > len([t for nf in before.values() for t in nf.values()])
+    assert all(rs._coeffs[t] is t for t in kept)
+    assert _interns_no_rule_coefficient(rs)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qshapo import uqsl
 from qshapo.freealg import NCPoly, complete, deglex_key, get_rewrite_system, serre_relations
 from qshapo.roots import enumerate_II, enumerate_JJ, positive_roots
-from qshapo.scalars import R_ONE, R_ZERO, RatQ, WeightScalar, qbinom
+from qshapo.scalars import P_ONE, R_ONE, R_ZERO, RatQ, WeightScalar, _rebuild, qbinom
 from qshapo.uqsl import (
     LocElement,
     NonUnitPivot,
@@ -30,7 +30,6 @@ from qshapo.uqsl import (
     jimbo,
     leibniz_check,
     pbw_monomials,
-    pbw_normal_form,
     psi,
     psi_loc,
     sigma_aut,
@@ -132,11 +131,11 @@ def test_pbw_normal_form_reads_the_cache():
     assert list(basis) == pbw_monomials((2, 1, 1), 3)
     for M, col in basis.items():
         assert _pbw_column(M, rs) is col
-        assert pbw_normal_form(M, rs) == ratq_terms(col)
+        assert _rebuild(P_ONE, col, 0) == ratq_terms(col)
         assert ratq_terms(col) == rs.normal_form(expand_pbw(M, 3)).terms
-    assert pbw_normal_form((), rs) == {(): R_ONE}
+    assert _rebuild(P_ONE, _pbw_column((), rs), 0) == {(): R_ONE}
     with pytest.raises(ValueError):
-        pbw_normal_form(((2, 3), (1, 2)), rs)  # not in sorted order
+        _pbw_column(((2, 3), (1, 2)), rs)  # not in sorted order
 
 
 @st.composite
@@ -385,6 +384,17 @@ def test_divide_right_F():
         divide_right_F(NCPoly.letter(1, 2), 1, 2, rs)
     with pytest.raises(NotRightDivisible):
         divide_right_F(NCPoly(2, {(2, 1): R_ONE}), 1, 2, rs)
+
+
+def test_divide_right_F_reads_its_input_in_the_quotient():
+    # W need not be in normal form: a relation is 0 and divides by F**2,
+    # though it has one F letter, and it drops out of a sum
+    rs = get_rewrite_system(2)
+    rel, F = serre_relations(2)[0], NCPoly.letter(2, 2)
+    assert rel.multidegree() == (2, 1)
+    assert divide_right_F(rel, 2, 2, rs).is_zero()
+    p = jimbo(1, 3, 2) * NCPoly.letter(1, 2)
+    assert divide_right_F(p * F * F + rel * F, 2, 2, rs) == rs.normal_form(p)
 
 
 def test_solve_linear_paths():

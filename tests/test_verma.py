@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from qshapo.freealg import NCPoly, get_rewrite_system
 from qshapo.roots import cartan_entry, sample_dominant_chain
-from qshapo.scalars import R_ONE, RatQ, WeightScalar, add_terms, qint
+from qshapo.scalars import P_ONE, R_ONE, RatQ, WeightScalar, _rebuild, add_terms, qint
 from qshapo.shapovalov import theta_power, theta_sum, theta_vector
-from qshapo.uqsl import expand_pbw, h_cartan, jimbo, pbw_monomials, pbw_normal_form
+from qshapo.uqsl import _pbw_column, expand_pbw, h_cartan, jimbo, pbw_monomials
 from qshapo.verma import (
     HighestWeight,
     H_eval,
@@ -185,6 +185,25 @@ def test_vector_arithmetic_keeps_the_weight(mode, words, k):
     ]:
         assert type(got) is VermaVector and got.hw is hw
         assert got.terms == expect.terms
+
+
+def test_vectors_of_different_weights_neither_add_nor_compare_equal():
+    at_zero = VermaVector.highest(HighestWeight.numeric((0, 0)))
+    for other in (HighestWeight.numeric((1, 1)), HighestWeight.symbolic(2),
+                  HighestWeight.symbolic(2, hyperplane_m=1)):
+        v = VermaVector.highest(other)
+        assert at_zero != v
+        with pytest.raises(ValueError):
+            at_zero + v
+        with pytest.raises(ValueError):
+            at_zero - v
+    assert VermaVector.highest(HighestWeight.symbolic(2)) != VermaVector.highest(
+        HighestWeight.symbolic(2, hyperplane_m=1))
+    # weights built separately but equal are one module's
+    hw, again = HighestWeight.numeric((0, 0)), HighestWeight(2, "numeric", [0, 0])
+    assert hw == again and hash(hw) == hash(again) and hw is not again
+    assert at_zero == VermaVector.highest(again)
+    assert at_zero + VermaVector.highest(again) == at_zero.scale(RatQ.from_int(2))
 
 
 def test_weight_bookkeeping_under_k():
@@ -371,7 +390,8 @@ def normal_form_unhoisted(p, hw, rs):
 def theta_vector_unhoisted(coords, hw, rs):
     terms = {}
     for pbw, c in coords.items():
-        add_terms(terms, ((w, hw.coerce(c * x)) for w, x in pbw_normal_form(pbw, rs).items()))
+        nf = _rebuild(P_ONE, _pbw_column(pbw, rs), 0)
+        add_terms(terms, ((w, hw.coerce(c * x)) for w, x in nf.items()))
     return VermaVector(hw, terms)
 
 
