@@ -5,7 +5,7 @@ sl(N+1) over the exact field Q(q), decides equality there with a rewriting
 system that completes itself through the degree each word needs, runs
 Verma modules over symbolic or numeric highest weights, and constructs
 Shapovalov elements three independent ways (closed sum, ordered
-noncommutative determinant, and the conjugation-operator rank induction),
+noncommutative determinant, and the rank induction by conjugation),
 cross-checking that each produces highest weight vectors exactly.
 """
 

@@ -15,7 +15,8 @@ the all-simple-root monomial is 1.  This module constructs such elements by
                       the subdiagonal;
 * ``theta_inductive`` -- the rank induction that conjugates the previous
                       rank's element by a power of the new simple generator,
-                      realized through the finite conjugation operators;
+                      F**(m+r) theta F**-r, realized as a normal form and a
+                      right division that strips the suffix F**r;
 * ``theta_power``  -- the level-m element as an ordered product of level-one
                       evaluations at shifted weights,
 
@@ -46,9 +47,9 @@ from .uqsl import (
     H_cartan,
     _kernel_to_pbw,
     _pbw_column,
+    divide_right_F,
     f_monomial_of_index_set,
     from_pbw,
-    psi,
     to_pbw,
 )
 from .verma import (
@@ -244,12 +245,12 @@ def theta_det(n: int, hw: HighestWeight) -> dict:
 
 class InductiveTheta:
     """Result of the rank induction at a numeric weight: raw PBW
-    coordinates, the per-step conjugation exponents, and the leading
-    coefficient with its predicted value."""
+    coordinates, the per-step conjugation exponents, the leading
+    coefficient with its predicted value, and the element's normal form."""
 
-    __slots__ = ("n", "m", "target", "chain", "r_values", "coords", "pi0")
+    __slots__ = ("n", "m", "target", "chain", "r_values", "coords", "pi0", "poly")
 
-    def __init__(self, n, m, target, chain, r_values, coords, pi0):
+    def __init__(self, n, m, target, chain, r_values, coords, pi0, poly):
         self.n = n
         self.m = m
         self.target = target
@@ -257,6 +258,7 @@ class InductiveTheta:
         self.r_values = r_values
         self.coords = coords
         self.pi0 = pi0
+        self.poly = poly
 
     def predicted_pi0(self) -> RatQ:
         out = R_ONE
@@ -275,12 +277,14 @@ def theta_inductive(
     """Build the level-m element at a numeric weight by rank induction.
 
     Walking the flag of subalgebras generated by the first i simple roots,
-    the element for rank i is Psi_r applied to F_i**m times the element for
-    rank i-1, where r = (mu + rho, alpha_i) and mu is the dot-reflection of
-    the current weight at alpha_i.  Every step requires r to be a positive
-    integer; every step's conjugation-operator tail must clear, which is
-    asserted by the right-division (a residue would mean the construction
-    left the polynomial algebra).
+    the element for rank i is the conjugation F_i**(m+r) theta F_i**-r of
+    the element theta for rank i-1, where r = (mu + rho, alpha_i) and mu is
+    the dot-reflection of the current weight at alpha_i; this is F_i**m
+    Psi_r(theta).  Every step requires r to be a positive integer
+    (InductionPreconditionError otherwise), and is one normal form of
+    F_i**(m+r) theta and one right division by F_i**r, a suffix strip.
+    NotRightDivisible there would mean the construction left the
+    polynomial algebra.  The result keeps theta's normal form as ``poly``.
     """
     if n < 1 or m < 1:
         raise ValueError("rank and level must be >= 1")
@@ -289,13 +293,12 @@ def theta_inductive(
         rs = get_rewrite_system(n)
     theta = NCPoly.word((1,) * m, n)
     for i, r in enumerate(r_values, 2):
-        # NotRightDivisible here = genuine bug
-        theta = psi(r, theta, i, rs).lmul_word((i,) * m).to_ncpoly(rs)
+        theta = divide_right_F(theta.lmul_word((i,) * (m + r)), r, i, rs)
     coords = to_pbw(theta, rs)
     pi0 = coords.get(pi0_monomial(n, m))
     if pi0 is None:
         raise InconsistentResult("leading monomial missing from induction result")
-    return InductiveTheta(n, m, chain[n], chain, r_values, coords, pi0)
+    return InductiveTheta(n, m, chain[n], chain, r_values, coords, pi0, theta)
 
 
 def reflection_chain(n: int, lam) -> tuple[dict, list]:
@@ -493,6 +496,8 @@ def compare_doot(
         b = [1] + [0] * (n - 2) + [p]
         mu = tuple(x - 1 for x in b)
     mu = tuple(mu)
+    if len(mu) != n:
+        raise WeightError("weight has wrong rank")
     if sum(mu[: n - 1]) + (n - 1) != 1:
         raise WeightError("mu must pair to 1 with the sub-rank highest root")
     if mu[n - 1] + 1 != p:

@@ -12,7 +12,9 @@ This module supplies, over the rewriting engine:
   the grading automorphism sigma, the sigma-derivation ad_F, its iterates,
   the finite expansion of F**l * u, and the one-parameter conjugation
   operators Psi_r that interpolate u -> F**r u F**-r, including a formal
-  variant whose scalars live in a Laurent extension by t = v**r.
+  variant whose scalars live in a Laurent extension by t = v**r;
+* right division by a power of the largest letter present, a suffix strip
+  of the normal form.
 
 All computations that need equality in the quotient take a RewriteSystem.
 """
@@ -57,13 +59,13 @@ class SingularSystem(Exception):
 
 class NonUnitPivot(SingularSystem):
     """A solve met a leading coefficient that is not +-q**k, so it cannot
-    stay in Z[q, 1/q].  Every PBW and right-division system measured has
-    unit pivots; this one would need the RatQ elimination."""
+    stay in Z[q, 1/q].  Every PBW system measured has unit pivots; this one
+    would need the RatQ elimination."""
 
 
 class NotRightDivisible(Exception):
-    """An element was not right-divisible by the requested power of F, i.e.
-    a conjugation-operator result kept a genuinely negative F power."""
+    """An element was not right-divisible by the requested power of F: a
+    word of its normal form does not end in that power."""
 
 
 class NilpotencyCapExceeded(Exception):
@@ -127,11 +129,11 @@ def pbw_monomials(mu, n: int) -> list[tuple[tuple[int, int], ...]]:
 
 def solve_linear(cols: list[dict], rhs: dict, cleared=None):
     """Solve sum_c x_c * cols[c] = rhs, the columns {word: Laurent tuple}
-    and rhs {word: RatQ or WeightScalar}; both PBW coordinates and right
-    division by powers of F are such solves.  rhs is cleared once into the
-    integer kernel, and the solution is rebuilt as the same kind of scalars.
-    A caller that holds rhs in the kernel already passes cleared = (D, n,
-    prefix) and rhs as D * rhs, {word: {key: int}}, which the solve consumes.
+    and rhs {word: RatQ or WeightScalar}; PBW coordinates are such solves.
+    rhs is cleared once into the integer kernel, and the solution is rebuilt
+    as the same kind of scalars.  A caller that holds rhs in the kernel
+    already passes cleared = (D, n, prefix) and rhs as D * rhs, {word: {key:
+    int}}, which the solve consumes.
 
     The columns are taken in order.  While a column's deglex-leading word is
     already a pivot's lead, that pivot's multiple is subtracted, and the
@@ -246,17 +248,11 @@ def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
     numerator spans more than 2**20 powers of q; so do from_pbw,
     divide_right_F and theta_power.
     """
-    return _kernel_to_pbw(rs, *_kernel_nf(p, rs))
-
-
-def _kernel_nf(p: NCPoly, rs: RewriteSystem):
-    """(nf, D, n, prefix): p's scalars cleared once into the kernel by a
-    common denominator D, and nf = D * the normal form of p as {word: {key:
-    int}} with no zero entry; (D, n, prefix) is solve_linear's cleared."""
     n, prefix = _shape(p.terms.values())
     D, ints = _clear(p.terms, n)
     nf = _nf_sum(ints, rs._nf_word)
-    return {w: c for w, c in nf.items() if any(c.values())}, D, n, prefix
+    nf = {w: c for w, c in nf.items() if any(c.values())}
+    return _kernel_to_pbw(rs, nf, D, n, prefix)
 
 
 def _kernel_to_pbw(rs: RewriteSystem, nf: dict, D, n=0, prefix=None) -> dict:
@@ -442,9 +438,6 @@ class LocElement:
     def scale(self, c) -> "LocElement":
         return LocElement(self.n, self.beta, {j: p.scale(c) for j, p in self.terms.items()})
 
-    def lmul_word(self, w) -> "LocElement":
-        return LocElement(self.n, self.beta, {j: p.lmul_word(w) for j, p in self.terms.items()})
-
     def rmul_F_power(self, k: int) -> "LocElement":
         return LocElement(self.n, self.beta, {j + k: p for j, p in self.terms.items()})
 
@@ -455,30 +448,15 @@ class LocElement:
         """How many inverse powers of F the representation carries."""
         return max(0, -min(self.terms, default=0))
 
-    def _lifted(self):
-        """Return (W, d) with this element equal to W * F**-d, W the
-        polynomial sum_j X_j F**(j+d), not in normal form."""
+    def cleared(self, rs: RewriteSystem):
+        """Return (W, d) with this element equal to W * F**-d, W polynomial
+        in normal form: W is the normal form of sum_j X_j F**(j+d)."""
         d = self.tail_depth()
         F = (self.beta,)
         terms: dict = {}
         for j, p in self.terms.items():
             add_terms(terms, ((w + F * (j + d), c) for w, c in p.terms.items()))
-        return NCPoly._raw(self.n, terms), d
-
-    def cleared(self, rs: RewriteSystem):
-        """Return (W, d) with this element equal to W * F**-d, W polynomial
-        in normal form."""
-        W, d = self._lifted()
-        return rs.normal_form(W), d
-
-    def to_ncpoly(self, rs: RewriteSystem) -> NCPoly:
-        """Resolve to an honest polynomial, dividing the lifted form by
-        F**d on the right; raises NotRightDivisible if a negative power
-        genuinely survives."""
-        W, d = self._lifted()
-        if d == 0:
-            return rs.normal_form(W)
-        return divide_right_F(W, d, self.beta, rs)
+        return rs.normal_form(NCPoly._raw(self.n, terms)), d
 
     def equals(self, other: "LocElement", rs: RewriteSystem) -> bool:
         diff = self + other.scale(RatQ.from_int(-1))
@@ -488,28 +466,26 @@ class LocElement:
 
 def divide_right_F(W: NCPoly, d: int, beta: int, rs: RewriteSystem) -> NCPoly:
     """The unique theta with theta * F**d = W, when it exists; W need not
-    be in normal form, and is cleared and normal-formed once.
+    be in normal form, and is normal-formed once.
 
-    Uniqueness is automatic (the quotient is a domain); existence is decided
-    by solve_linear against the columns b * F**d, b running over the normal
-    words of the quotient multidegree.
+    Every letter of W must be at most beta (ValueError otherwise).  No lead
+    of the q-Serre basis ends in its own largest letter, so for a normal
+    word b on the letters 1..beta, b * F**d is normal: W is right-divisible
+    exactly when every word of its normal form ends in F**d, and theta is
+    that normal form with the suffix stripped (NotRightDivisible
+    otherwise).  Each stripped word is a factor of a normal word, so theta
+    is in normal form, and theta * F**d equals nf(W) word for word.
     """
-    nf, *cleared = _kernel_nf(W, rs)
-    if not nf:
-        return NCPoly.zero(W.n)
-    mu = list(NCPoly._raw(W.n, nf).multidegree())
-    mu[beta - 1] -= d
-    if mu[beta - 1] < 0:
-        raise NotRightDivisible("multidegree lacks the required F letters")
-    basis = rs.normal_words(tuple(mu))
+    if any(a > beta for w in W.terms for a in w):
+        raise ValueError(f"a letter of W exceeds beta = {beta}")
     F = (beta,) * d
-    cols = [rs._nf_word(b + F) for b in basis]
-    res = solve_linear(cols, nf, cleared)
-    if res[0] == "singular":
-        raise SingularSystem("right-division basis became dependent")
-    if res[0] == "inconsistent":
-        raise NotRightDivisible("element keeps a negative F power")
-    return NCPoly(W.n, {b: c for b, c in zip(basis, res[1])})
+    out = {}
+    for w, c in rs.normal_form(W).terms.items():
+        k = len(w) - d
+        if k < 0 or w[k:] != F:
+            raise NotRightDivisible("element keeps a negative F power")
+        out[w[:k]] = c
+    return NCPoly._raw(W.n, out)
 
 
 def psi(r, u: NCPoly, beta: int, rs: RewriteSystem, formal: bool = False) -> LocElement:

@@ -74,18 +74,21 @@ GOLDEN = [
      "5de2a50bbd78d295384a2b4f24b978e17f92bdd21fd4850d41a325c0b151c201"),
     ("theta --n 3 --m 2 --method inductive --lambda 1,0,-2", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    # successful rank inductions: each one divides on the right by F^d
+    # successful rank inductions: each step strips a suffix F^r
     ("theta --n 3 --m 3 --method inductive --lambda 4,1,-5", 0,
      "ca1815251b2df1c89284a0aa12814aa18847aadfe8e0174d919e33c7b2edfa93"),
     ("theta --n 3 --m 3 --method inductive --lambda 4,1,-5 --format json", 0,
      "651fbd8b5d02eb0c736910cf251f3e36fc691bc80ed83458f93332741b1eba56"),
     ("theta --n 4 --m 2 --method inductive --lambda 3,1,0,-6", 0,
      "0f66ec89acdfd297cae6f9ad79019c4bf8df44b8da910fbc552e75e45274520b"),
-    # larger level-m outputs: a degree-12 power and the level-2 powers suite
+    # larger level-m outputs: a degree-12 power and two level-m powers
+    # suites, whose F^p checks reach degrees 12 to 14 and 11 to 13
     ("theta --n 4 --m 3 --method power --lambda 1,0,0,-2", 0,
      "9140f701343b3107193c2c27cd1862e97b69af81f04970b37c3b93ca798c7654"),
     ("verify --suite powers --n 4 --m 2", 0,
-     "253895c363df9466a69eb0dd925fe4867ecc7a30a700124c9a046e78c236df1a"),
+     "3fddf552bd6688a9b1f4c550ecfc89a2b54384414573dce18b59ea8983f0fe8b"),
+    ("verify --suite powers --n 3 --m 3", 0,
+     "45c528980684aadb9589faa60abc764e4b3a7b6318afb6917d4b6e64c451b1c9"),
 ]
 
 

@@ -20,6 +20,7 @@ from qshapo.shapovalov import (
     compare_doot,
     make_doot_weight,
     pi0_monomial,
+    reflection_chain,
     theta_det,
     theta_inductive,
     theta_power,
@@ -27,8 +28,8 @@ from qshapo.shapovalov import (
     theta_vector,
     verify_hwv,
 )
-from qshapo.uqsl import H_cartan, from_pbw, to_pbw
-from qshapo.verma import HighestWeight, act_e, cartan_eval, h_eval, is_hwv
+from qshapo.uqsl import H_cartan, LocElement, from_pbw, psi, solve_linear, to_pbw
+from qshapo.verma import HighestWeight, act_e, cartan_eval, h_eval, is_hwv, vector_from_ncpoly
 
 V = RatQ.v_power
 Q = RatQ.q_power
@@ -163,6 +164,42 @@ def test_theta_inductive_precondition():
         theta_inductive(2, 1, (0, 0, 0))
 
 
+def _inductive_by_psi(n, m, lam, rs):
+    """The rank induction by the conjugation operators: each step expands
+    F**m Psi_r(theta) into a LocElement, lifts it to W * F**-d, and divides
+    W on the right by a solve against the normal forms of b * F**d, b over
+    the normal words of the quotient multidegree.  Returns theta's normal
+    form."""
+    _, r_values = reflection_chain(n, lam)
+    theta = NCPoly.word((1,) * m, n)
+    for i, r in enumerate(r_values, 2):
+        loc = psi(r, theta, i, rs)
+        loc = LocElement(n, i, {j: p.lmul_word((i,) * m) for j, p in loc.terms.items()})
+        theta, d = loc.cleared(rs)
+        if d:
+            mu = list(theta.multidegree())
+            mu[i - 1] -= d
+            basis = rs.normal_words(tuple(mu))
+            cols = [rs._nf_word(b + (i,) * d) for b in basis]
+            status, xs = solve_linear(cols, theta.terms)
+            assert status == "ok"
+            theta = NCPoly(n, dict(zip(basis, xs)))
+    return theta
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3, 4) for m in (1, 2, 3)])
+def test_theta_inductive_equals_the_conjugation_operator_induction(n, m):
+    rs = get_rewrite_system(n)
+    lams = sample_dominant_chain(n, m, 2, seed=0, spread=1)
+    if (n, m) == (3, 1):
+        lams.append((0, 1, -4))  # off the hyperplane
+    for lam in lams:
+        res = theta_inductive(n, m, lam, rs)
+        theta = _inductive_by_psi(n, m, lam, rs)
+        assert res.poly == theta
+        assert res.coords == to_pbw(theta, rs)
+
+
 def test_theta_power_level_one_is_sum():
     n = 2
     rs = get_rewrite_system(n)
@@ -220,13 +257,19 @@ def test_theta_power_past_the_initial_degree_matches_the_induction():
     assert {M: c * inv for M, c in tp.items()} == ind.normalized()
 
 
+def _theta_F_power_is_hwv(res, k, rs):
+    """Whether theta * F**k, F the last simple generator, applied to the
+    highest weight vector of the reflected weight is a highest weight
+    vector."""
+    n = res.n
+    hw_mu = HighestWeight.numeric(res.chain[n - 1])
+    return is_hwv(vector_from_ncpoly(res.poly.rmul_word((n,) * k), hw_mu, rs), rs)
+
+
 def test_theta_times_F_power_is_hwv_in_bigger_module():
     # submodule picture at exact conjugation exponents: with the chain end
-    # pinned to p, theta * F^p on the reflected weight stays highest weight
-    from qshapo.roots import dot_reflect
-    from qshapo.uqsl import from_pbw
-    from qshapo.verma import vector_from_ncpoly
-
+    # pinned to p, theta * F^p on the reflected weight stays highest weight,
+    # and theta * F^(p-1) and theta * F^(p+1) do not
     n = 2
     rs = get_rewrite_system(n)
     for m in (1, 2):
@@ -235,11 +278,18 @@ def test_theta_times_F_power_is_hwv_in_bigger_module():
             lam = dot_reflect(2, base)
             res = theta_inductive(n, m, lam, rs)
             assert res.r_values == [p]
-            mu = res.chain[1]
-            assert mu == base
-            theta_poly = from_pbw(res.coords, n)
-            vec = vector_from_ncpoly(theta_poly.rmul_word((n,) * p), HighestWeight.numeric(mu), rs)
-            assert is_hwv(vec, rs), (m, p)
+            assert res.chain[1] == base
+            assert res.poly == rs.normal_form(from_pbw(res.coords, n))
+            assert _theta_F_power_is_hwv(res, p, rs), (m, p)
+            assert not _theta_F_power_is_hwv(res, p - 1, rs), (m, p)
+            assert not _theta_F_power_is_hwv(res, p + 1, rs), (m, p)
+    for n, m in [(3, 1), (3, 2), (4, 1), (4, 2)]:
+        rs = get_rewrite_system(n)
+        for lam in sample_dominant_chain(n, m, 2, seed=0, spread=1):
+            res = theta_inductive(n, m, lam, rs)
+            p = res.r_values[-1]
+            got = [_theta_F_power_is_hwv(res, k, rs) for k in (p - 1, p, p + 1)]
+            assert got == [False, True, False], (n, m, lam)
 
 
 def test_act_e_symbolic_specializes_to_numeric():
@@ -311,6 +361,10 @@ def test_compare_doot_weight_validation():
         compare_doot(2, 1, mu=(5, 0))
     with pytest.raises(ValueError):
         compare_doot(1, 1)
+    # (-1, 0, 0, 5) satisfies both pairings on its first three entries
+    for mu in [(-1, 0, 0, 5), (0, 0)]:
+        with pytest.raises(WeightError, match="wrong rank"):
+            compare_doot(3, 1, mu=mu)
 
 
 def test_doot_scalar_side():

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from qshapo import uqsl
 from qshapo.freealg import NCPoly, complete, deglex_key, get_rewrite_system, serre_relations
-from qshapo.roots import enumerate_II, enumerate_JJ, positive_roots
+from qshapo.roots import enumerate_II, enumerate_JJ, pbw_dimension, positive_roots
 from qshapo.scalars import P_ONE, R_ONE, R_ZERO, RatQ, WeightScalar, _rebuild, qbinom
 from qshapo.uqsl import (
     LocElement,
@@ -384,6 +385,35 @@ def test_divide_right_F():
         divide_right_F(NCPoly.letter(1, 2), 1, 2, rs)
     with pytest.raises(NotRightDivisible):
         divide_right_F(NCPoly(2, {(2, 1): R_ONE}), 1, 2, rs)
+    # f2 f1 = f2 * f1, but the strip only divides by the largest letter
+    for W in (NCPoly(2, {(2, 1): R_ONE}), NCPoly.letter(2, 2)):
+        with pytest.raises(ValueError, match="exceeds beta"):
+            divide_right_F(W, 1, 1, rs)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_no_lead_of_the_whole_basis_ends_in_its_largest_letter(n):
+    # the premise of the strip: every lead has length at most 2N - 1, and
+    # each ends in a letter below its largest, so for a normal word b on
+    # the letters 1..beta, b * f_beta**d is normal
+    rs = complete(serre_relations(n), 2 * n - 1, n=n, dimensions=partial(pbw_dimension, n))
+    assert len(rs.rules) == {2: 2, 3: 7, 4: 15, 5: 26, 6: 40, 7: 57}[n]
+    assert all(lead[-1] < max(lead) for lead in rs.rules)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_divide_right_F_undoes_a_right_multiplication(data):
+    # for homogeneous X on the letters 1..beta, X * F**d always divides,
+    # back to nf(X)
+    n = 3
+    rs = get_rewrite_system(n)
+    beta = data.draw(st.integers(1, n))
+    d = data.draw(st.integers(0, 3))
+    w = data.draw(st.lists(st.integers(1, beta), min_size=1, max_size=5))
+    words = data.draw(st.lists(st.permutations(w), min_size=1, max_size=4))
+    X = NCPoly(n, {tuple(u): Q(k) for k, u in enumerate(words)})
+    assert divide_right_F(X.rmul_word((beta,) * d), d, beta, rs) == rs.normal_form(X)
 
 
 def test_divide_right_F_reads_its_input_in_the_quotient():
