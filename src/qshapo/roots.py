@@ -260,37 +260,41 @@ def root_vector(ij: tuple[int, int], n: int) -> tuple[int, ...]:
     return tuple(1 if i <= k + 1 < j else 0 for k in range(n))
 
 
+def kostant_partitions(mu) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All multisets of positive roots summing to mu (any integer sequence),
+    each a lex-sorted tuple of intervals, in sorted order.  kostant_count
+    counts them by another recursion, the oracle for basis dimensions."""
+    return _kostant_partitions(tuple(mu))
+
+
 @lru_cache(maxsize=None)
-def kostant_partitions(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All multisets of positive roots summing to mu, each returned as a
-    lexicographically sorted tuple of intervals.  Brute-force recursion over
-    the interval list; kostant_count runs the same recursion without
-    building the partitions, as the independent counting oracle for basis
-    dimensions in the quotient algebra."""
-    n = len(mu)
-    roots = positive_roots(n)
-
-    def rec(rem, idx):
-        if all(x == 0 for x in rem):
-            return [()]
-        if idx == len(roots):
-            return []
-        out = []
-        i, j = roots[idx]
-        vec = root_vector((i, j), n)
-        # max multiplicity of this root in the remainder
-        cap = min(r for r, v in zip(rem, vec) if v) if any(vec) else 0
-        for mult in range(0, cap + 1):
-            rest = tuple(r - mult * v for r, v in zip(rem, vec))
-            if any(x < 0 for x in rest):
-                break
-            for tail in rec(rest, idx + 1):
-                out.append(((i, j),) * mult + tail)
-        return out
-
+def _kostant_partitions(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The roots (k, j) starting at coordinate k are the last to cover it,
+    so they spend its remainder exactly; walking right, each coordinate t
+    chooses how many end there, keeping the remainder at t + 1 nonnegative.
+    Every nonnegative remainder has a partition, so no branch dies."""
     if any(x < 0 for x in mu):
         return ()
-    return tuple(sorted(rec(tuple(mu), 0)))
+    if not any(mu):
+        return ((),)
+    n = len(mu)
+    out = []
+
+    def walk(rem, k, t, s, part):
+        # s roots from coordinate k (0-based) cover t; more ending at t sort first
+        rem = rem[:t] + (rem[t] - s,) + rem[t + 1:]
+        lo = s - rem[t + 1] if t + 1 < n else s
+        for e in range(s, max(lo, 0) - 1, -1):
+            p = part + ((k + 1, t + 2),) * e
+            if e < s:
+                walk(rem, k, t + 1, s - e, p)
+            elif k + 1 < n:
+                walk(rem, k + 1, k + 1, rem[k + 1], p)
+            else:
+                out.append(p)
+
+    walk(mu, 0, 0, mu[0], ())
+    return tuple(out)
 
 
 def kostant_count(mu) -> int:

@@ -36,13 +36,14 @@ from .scalars import (
     L_ONE,
     P_ONE,
     R_ZERO,
-    V_MINUS_VINV,
     RatQ,
     WeightScalar,
     _clear,
     _convolve,
     _laurent,
     _laurent_of,
+    _pmul,
+    _raw,
     _rebuild,
     _shape,
     _through_kernel,
@@ -50,6 +51,9 @@ from .scalars import (
     qbinom,
     qbinom_formal,
 )
+
+
+_Q4_MINUS_1 = (-1, 0, 0, 0, 1)  # 1/(v - 1/v) = q**2/(q**4 - 1)
 
 
 class SingularSystem(Exception):
@@ -118,9 +122,10 @@ def f_monomial_of_index_set(I) -> tuple[tuple[int, int], ...]:
 
 
 def pbw_monomials(mu, n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All PBW monomials of a given multidegree: the multiset partitions of
-    mu into positive roots, each sorted into lex order."""
-    return [tuple(sorted(part)) for part in kostant_partitions(tuple(mu))]
+    """All PBW monomials of a given multidegree: the Kostant partitions of
+    mu into positive roots, each a lex-sorted tuple of intervals, in sorted
+    order."""
+    return list(kostant_partitions(mu))
 
 
 # ----------------------------------------------------------------------------
@@ -283,23 +288,29 @@ def from_pbw(coords: dict, n: int) -> NCPoly:
 # ----------------------------------------------------------------------------
 
 def h_cartan(i: int, n: int) -> WeightScalar:
-    """The Cartan-part factor h_i, expressed on the k-lattice basis:
-    h_i = -1/q * (v - v**(1-2i) K_{sigma_i}**-2) / (v - 1/v)."""
-    if not 1 <= i <= n:
-        raise ValueError("index out of range")
-    qinv = RatQ.q_power(-1)
-    c0 = -(qinv * RatQ.v_power(1)) / V_MINUS_VINV
-    c1 = (qinv * RatQ.v_power(1 - 2 * i)) / V_MINUS_VINV
-    gamma = tuple(-4 if k < i else 0 for k in range(n))
-    return WeightScalar(n, {(0,) * n: c0, gamma: c1}, "k")
+    """The Cartan-part factor h_i = -1/q * (v - v**(1-2i) K_{sigma_i}**-2) /
+    (v - 1/v) on the k-lattice basis, K_{sigma_i}**-2 being k_{-4 sigma_i}."""
+    return H_cartan((i,), n)
 
 
 def H_cartan(rset, n: int) -> WeightScalar:
-    """Product of h_i over an index collection (empty product is 1)."""
-    out = WeightScalar.one(n, "k")
+    """Product of h_i over an index collection (empty product is 1) as its
+    binomial expansion: the factors S taking their k-term give (-1)**(r-|S|)
+    q**(3(r-|S|) + sum_S (3-4i)) k_{gamma_S} / (q**4 - 1)**r.  Only repeated
+    indices give one gamma_S twice; their integer numerators add."""
+    terms = {(0,) * n: (0, 1)}  # gamma -> (q-exponent, integer numerator)
+    den = P_ONE
     for i in rset:
-        out = out * h_cartan(i, n)
-    return out
+        if not 1 <= i <= n:
+            raise ValueError("index out of range")
+        den = _pmul(den, _Q4_MINUS_1)
+        step: dict = {}
+        for g, (a, c) in terms.items():
+            shifted = tuple(x - 4 if k < i else x for k, x in enumerate(g))
+            for key, b, d in ((g, a + 3, -c), (shifted, a + 3 - 4 * i, c)):
+                step[key] = (b, d + step.get(key, (0, 0))[1])
+        terms = step
+    return WeightScalar._raw(n, {g: _raw(a, (c,), den) for g, (a, c) in terms.items()}, "k")
 
 
 # ----------------------------------------------------------------------------

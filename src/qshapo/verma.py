@@ -58,15 +58,17 @@ from .scalars import (
     _clear as _clear_scalars,
     _convolve,
     _digit,
+    _laurent,
     _pack,
     _pmul,
+    _ratq_of,
+    _raw,
     _rebuild,
     add_terms,
 )
-from .uqsl import H_cartan, h_cartan
+from .uqsl import _Q4_MINUS_1, H_cartan, h_cartan
 
 _VMV_INV = V_MINUS_VINV.inverse()
-_Q4_MINUS_1 = (-1, 0, 0, 0, 1)  # 1/(v - 1/v) = q**2/(q**4 - 1)
 
 
 class HighestWeight:
@@ -354,11 +356,32 @@ def is_hwv(vec: VermaVector, rs: RewriteSystem) -> bool:
 
 def cartan_eval(H: WeightScalar, hw: HighestWeight):
     """Evaluate a Cartan element at the highest weight: k_gamma goes to
-    q**(lam, gamma), extended linearly."""
-    out = hw.zero()
+    q**(lam, gamma) = +-q**k * y**e (on the hyperplane, y_n**d becomes
+    q**((m-n)d) (y_1...y_{n-1})**-d), extended linearly in one pass.  A
+    symbolic term shifts its coefficient's q-exponent by k, and two add only
+    where they meet at one e; numeric numerators add as Laurent polynomials
+    over each distinct denominator, which divides their sum once."""
+    if H.terms and H.n != hw.n:
+        raise ValueError("lattice vector has wrong rank")
+    n, m = hw.n, hw.hyperplane_m
+    if hw.mode == "numeric":
+        sums: dict = {}  # denominator -> {q-exponent: int}
+        for gamma, c in H.terms.items():
+            acc = sums.setdefault(c.den, {})
+            for k, a in enumerate(c.num, c.val + sum(g * p for g, p in zip(gamma, hw.pairings))):
+                acc[k] = acc.get(k, 0) + a
+        out = hw.zero()
+        for den, acc in sums.items():
+            if t := _laurent(acc):
+                out = out + _ratq_of(t) / _raw(0, den, P_ONE)
+        return out
+    out = {}
     for gamma, c in H.terms.items():
-        out = out + c * hw.k_eigen(gamma)
-    return out
+        k = 0
+        if m is not None and (d := gamma[-1]):
+            k, gamma = (m - n) * d, tuple(x - d for x in gamma[:-1]) + (0,)
+        add_terms(out, ((gamma, _raw(c.val + k, c.num, c.den)),))
+    return WeightScalar._raw(n, out, "y")
 
 
 def h_eval(i: int, hw: HighestWeight):

@@ -1,6 +1,9 @@
 """The rewriting engine's normal forms, PBW columns and solve in RatQ
 arithmetic: the library's code before it moved onto Laurent tuples, kept
-here as oracles for the Laurent engine.
+here as oracles for the Laurent engine.  The Cartan parts and the Kostant
+partitions as they were computed before their closed forms follow at the
+end: h_i products by WeightScalar multiplication, their evaluation as a sum
+of RatQ terms, and the brute-force recursion over the interval list.
 
 Each oracle reads a system's rules (RatQ) and its automaton but none of its
 caches; a normal-form oracle keeps its own cache of single-word normal
@@ -8,7 +11,17 @@ forms, dicts word -> RatQ shared between words as the library's are.
 """
 
 from qshapo.freealg import NCPoly, deglex_key
-from qshapo.scalars import R_ONE, R_ZERO, _laurent_of, _ratq_of, add_terms
+from qshapo.roots import positive_roots, root_vector
+from qshapo.scalars import (
+    R_ONE,
+    R_ZERO,
+    V_MINUS_VINV,
+    RatQ,
+    WeightScalar,
+    _laurent_of,
+    _ratq_of,
+    add_terms,
+)
 from qshapo.uqsl import jimbo, pbw_monomials
 
 
@@ -144,3 +157,59 @@ def solve_linear(cols: list, rhs: dict, pivots_seen=None):
     if rest:
         return ("inconsistent",)
     return ("ok", [xs.get(c, R_ZERO) for c in range(len(cols))])
+
+
+def h_cartan_product(i: int, n: int) -> WeightScalar:
+    """h_i = -1/q * (v - v**(1-2i) K_{sigma_i}**-2) / (v - 1/v), its two
+    coefficients computed in RatQ arithmetic."""
+    if not 1 <= i <= n:
+        raise ValueError("index out of range")
+    qinv = RatQ.q_power(-1)
+    c0 = -(qinv * RatQ.v_power(1)) / V_MINUS_VINV
+    c1 = (qinv * RatQ.v_power(1 - 2 * i)) / V_MINUS_VINV
+    gamma = tuple(-4 if k < i else 0 for k in range(n))
+    return WeightScalar(n, {(0,) * n: c0, gamma: c1}, "k")
+
+
+def H_cartan_product(rset, n: int) -> WeightScalar:
+    """The product of the h_i over rset as WeightScalars."""
+    out = WeightScalar.one(n, "k")
+    for i in rset:
+        out = out * h_cartan_product(i, n)
+    return out
+
+
+def cartan_eval_sum(H: WeightScalar, hw):
+    """H at the highest weight as the sum of its terms c * hw.k_eigen(gamma),
+    one scalar addition per term."""
+    out = hw.zero()
+    for gamma, c in H.terms.items():
+        out = out + c * hw.k_eigen(gamma)
+    return out
+
+
+def kostant_partitions_by_roots(mu) -> tuple:
+    """The Kostant partitions of mu by a recursion over the interval list:
+    each root in turn takes every multiplicity the remainder allows."""
+    n = len(mu)
+    roots = positive_roots(n)
+
+    def rec(rem, idx):
+        if all(x == 0 for x in rem):
+            return [()]
+        if idx == len(roots):
+            return []
+        out = []
+        vec = root_vector(roots[idx], n)
+        cap = min(r for r, v in zip(rem, vec) if v)
+        for mult in range(cap + 1):
+            rest = tuple(r - mult * v for r, v in zip(rem, vec))
+            if any(x < 0 for x in rest):
+                break
+            for tail in rec(rest, idx + 1):
+                out.append((roots[idx],) * mult + tail)
+        return out
+
+    if any(x < 0 for x in mu):
+        return ()
+    return tuple(sorted(rec(tuple(mu), 0)))

@@ -64,6 +64,11 @@ GOLDEN = [
      "d0b769e3a4b80bc4bc1eda4e1dc55dbe2b2d86143bd5f01644f3f0de1745ae4c"),
     ("theta --n 4 --method sum --format latex", 0,
      "e1c16ada3fe3b42598bf3856d72214e7fcb845d34ee7b5eca59772eb9ea1726a"),
+    # every Cartan part up to five h_i factors, and numeric h_eval
+    ("theta --n 6 --method sum --format json", 0,
+     "106939c2dca213b1923752c008db0a67ccc03fe733039366ea871d9eed50557c"),
+    ("theta --n 4 --method det --lambda 2,0,1,-3", 0,
+     "75d20509cc71b793282eb321d9d79043ccc0846eb944ef97525b718e7fd8ad4c"),
     ("theta --n 3 --method det --format json", 0,
      "c744a187d0f8e400b15cb1173f75bf91f38ca8ca5c5db8a8ccb444bd32027b08"),
     ("theta --n 3 --method det", 0,

@@ -22,6 +22,7 @@ from qshapo.roots import (
     split_I,
     weight_root_pairing,
 )
+from ratq_oracles import kostant_partitions_by_roots
 
 
 def test_pairing_cartan_entries():
@@ -215,3 +216,20 @@ def test_pbw_dimension_sums_the_kostant_counts():
         for d in range(9):
             weights = (mu for mu in itertools.product(range(d + 1), repeat=n) if sum(mu) == d)
             assert pbw_dimension(n, d) == sum(map(kostant_count, weights)), (n, d)
+
+
+def test_kostant_partitions_takes_any_sequence():
+    assert kostant_partitions([1, 1]) == kostant_partitions((1, 1)) == (((1, 2), (2, 3)), ((1, 3),))
+    assert kostant_partitions([1, -1]) == ()
+    assert kostant_partitions([0, 0]) == ((),)
+
+
+def test_kostant_partitions_equal_the_recursion_over_roots():
+    weights = [mu for n in range(1, 5) for mu in itertools.product(range(4), repeat=n)]
+    weights += [(2, 2, 2, 2, 2), (6, 6, 6), (1,) * 8, (1, -1), (0, -2, 3)]
+    for mu in weights:
+        got = kostant_partitions(mu)
+        assert got == kostant_partitions_by_roots(mu), mu
+        assert list(got) == sorted(set(got)), mu
+        assert all(list(part) == sorted(part) for part in got), mu
+        assert len(got) == kostant_count(mu), mu

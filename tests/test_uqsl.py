@@ -26,6 +26,7 @@ from qshapo.uqsl import (
     expand_pbw,
     f_monomial_of_index_set,
     fell_u_expand,
+    H_cartan,
     from_pbw,
     h_cartan,
     jimbo,
@@ -38,7 +39,7 @@ from qshapo.uqsl import (
     to_pbw,
     ws_t_rescale,
 )
-from ratq_oracles import RatQNormalForms, laurent_terms, ratq_terms
+from ratq_oracles import H_cartan_product, RatQNormalForms, laurent_terms, ratq_terms
 from ratq_oracles import solve_linear as solve_linear_ratq
 
 Q = RatQ.q_power
@@ -465,6 +466,26 @@ def test_cartan_elements():
     assert h1 * h2 == h2 * h1
     assert WeightScalar.one(2, "k") * h1 == h1
     assert (h1 - h1).is_zero()
+
+
+def test_H_cartan_equals_the_product_of_the_h_i():
+    cases = [
+        (rset, n)
+        for n in range(1, 7)
+        for r in range(n + 1)
+        for rset in itertools.combinations(range(1, n + 1), r)
+    ]
+    cases += [((1, 1), 2), ((2, 1, 2), 3), ((3, 1, 3, 3), 4)]
+    for rset, n in cases:
+        got, want = H_cartan(rset, n), H_cartan_product(rset, n)
+        assert got.terms == want.terms and got.prefix == "k", (rset, n)
+        assert str(got) == str(want)
+    for n in (1, 3):
+        for bad in (0, n + 1):
+            with pytest.raises(ValueError, match="index out of range"):
+                H_cartan((1, bad), n)
+            with pytest.raises(ValueError, match="index out of range"):
+                h_cartan(bad, n)
 
 
 def _dense_solve(cols, rhs):

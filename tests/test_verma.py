@@ -1,5 +1,6 @@
 """Verma-module engine: generator actions, Cartan evaluation, raising tests."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from qshapo.freealg import NCPoly, get_rewrite_system
 from qshapo.roots import cartan_entry, sample_dominant_chain
 from qshapo.scalars import P_ONE, R_ONE, RatQ, WeightScalar, _rebuild, add_terms, qint
 from qshapo.shapovalov import theta_power, theta_sum, theta_vector
-from qshapo.uqsl import _pbw_column, expand_pbw, h_cartan, jimbo, pbw_monomials
+from qshapo.uqsl import H_cartan, _pbw_column, expand_pbw, h_cartan, jimbo, pbw_monomials
 from qshapo.verma import (
     HighestWeight,
     H_eval,
@@ -29,7 +30,7 @@ from qshapo.verma import (
     quantum_bracket,
     vector_from_ncpoly,
 )
-from ratq_oracles import RatQNormalForms
+from ratq_oracles import RatQNormalForms, cartan_eval_sum
 
 V = RatQ.v_power
 Q = RatQ.q_power
@@ -255,6 +256,34 @@ def test_H_eval_products():
     assert H_eval((), hw) == hw.one()
     assert H_eval((1,), hw) == h_eval(1, hw)
     assert H_eval((1, 2), hw) == h_eval(1, hw) * h_eval(2, hw)
+
+
+def test_cartan_eval_equals_the_sum_of_its_terms():
+    for n in range(1, 6):
+        weights = [
+            HighestWeight.symbolic(n),
+            HighestWeight.symbolic(n, hyperplane_m=1),
+            HighestWeight.symbolic(n, hyperplane_m=2),
+            HighestWeight.numeric((0,) * n),
+            HighestWeight.numeric(tuple(range(n))),
+            HighestWeight.numeric(tuple((-1) ** k * (k + 2) for k in range(n))),
+        ]
+        parts = [
+            H_cartan(rset, n)
+            for r in range(n + 1)
+            for rset in itertools.combinations(range(1, n + 1), r)
+        ]
+        parts += [h_cartan(i, n) for i in range(1, n + 1)]
+        parts += [WeightScalar.zero(n, "k"), H_cartan((1, 1), n)]
+        for hw in weights:
+            for H in parts:
+                got, want = cartan_eval(H, hw), cartan_eval_sum(H, hw)
+                assert type(got) is type(want) and got == want, (n, hw.mode, hw.hyperplane_m, H)
+                assert str(got) == str(want)
+                if isinstance(got, WeightScalar):
+                    assert got.prefix == want.prefix == "y"
+            with pytest.raises(ValueError, match="wrong rank"):
+                cartan_eval(H_cartan((1,), n + 1), hw)
 
 
 def test_cartan_eval_consistency():
