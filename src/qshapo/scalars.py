@@ -42,6 +42,7 @@ Everything is immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd as _igcd
 
 # ----------------------------------------------------------------------------
@@ -438,16 +439,7 @@ class RatQ:
         return hash((self.val, self.num, self.den))
 
     def __str__(self):
-        num, den = self.dense()
-        ns = _pstr(num)
-        if den == P_ONE:
-            return ns
-        if len([c for c in num if c]) > 1:
-            ns = f"({ns})"
-        ds = _pstr(den)
-        if len([c for c in den if c]) > 1:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return _ratq_str(self.val, self.num, self.den)
 
     def __repr__(self):
         return f"RatQ({self})"
@@ -459,6 +451,22 @@ class RatQ:
             ns, _, ds = s.partition("/")
             return cls(_pparse(ns.strip("()")), _pparse(ds.strip("()")))
         return cls(_pparse(s.strip("()")), P_ONE)
+
+
+@lru_cache(maxsize=4096)
+def _ratq_str(val, num, den) -> str:
+    """The string of the RatQ (val, num, den), memoised: output repeats a
+    few values, often over one long denominator."""
+    num, den = _raw(val, num, den).dense()
+    ns = _pstr(num)
+    if den == P_ONE:
+        return ns
+    if len([c for c in num if c]) > 1:
+        ns = f"({ns})"
+    ds = _pstr(den)
+    if len([c for c in den if c]) > 1:
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
 
 
 _new = object.__new__
@@ -742,19 +750,16 @@ class WeightScalar:
 
     # -- rendering -----------------------------------------------------------
 
-    def _sym(self, i: int) -> str:
-        return self.prefix if self.n == 1 else f"{self.prefix}{i + 1}"
-
     def __str__(self):
         if not self.terms:
             return "0"
+        p = self.prefix
+        names = [p] if self.n == 1 else [f"{p}{i}" for i in range(1, self.n + 1)]
         parts = []
         for e in sorted(self.terms):
             c = self.terms[e]
             syms = "*".join(
-                f"{self._sym(i)}^{k}" if k != 1 else self._sym(i)
-                for i, k in enumerate(e)
-                if k
+                f"{names[i]}^{k}" if k != 1 else names[i] for i, k in enumerate(e) if k
             )
             cs = str(c)
             if "/" in cs or "+" in cs or "-" in cs[1:]:

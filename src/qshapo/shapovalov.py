@@ -59,6 +59,7 @@ from .verma import (
     act_e,
     cartan_eval,
     h_eval,
+    restrict_to_hyperplane,
 )
 
 
@@ -437,9 +438,10 @@ def verify_hwv(
 ) -> list[dict]:
     """Check that the constructed element produces highest weight vectors.
 
-    Symbolic mode (level one): the raising checks for k < N are done with a
-    fully unconstrained symbolic weight, and the k = N check after
-    substituting the hyperplane constraint.  Sampled mode: numeric weights
+    Symbolic mode (level one): theta*v is built once, at a fully
+    unconstrained symbolic weight, for the raising checks with k < N; the
+    k = N check raises that vector moved onto the hyperplane by
+    restrict_to_hyperplane, a shift of its keys.  Sampled mode: numeric weights
     on the hyperplane (or the given lam), with the level-m element built as
     a power when m > 1.  Returns one report entry per check.
     """
@@ -453,14 +455,12 @@ def verify_hwv(
         checks.check(name, e.is_zero(), e.witness())
 
     if mode == "symbolic":
-        base = theta_sum(n)
         free = HighestWeight.symbolic(n)
-        vec = theta_vector(base.evaluate(free), free, rs)
+        vec = theta_vector(theta_sum(n).evaluate(free), free, rs)
         for k in range(1, n):
             kills(k, vec, f"e_{k} kills theta*v (symbolic, unconstrained)")
-        tied = HighestWeight.symbolic(n, hyperplane_m=1)
-        vec_tied = theta_vector(base.evaluate(tied), tied, rs)
-        kills(n, vec_tied, f"e_{n} kills theta*v (symbolic, on hyperplane)")
+        tied = restrict_to_hyperplane(vec, HighestWeight.symbolic(n, hyperplane_m=1))
+        kills(n, tied, f"e_{n} kills theta*v (symbolic, on hyperplane)")
         return checks.report()
     from .roots import hyperplane_sample
 

@@ -60,6 +60,7 @@ from .scalars import (
     _digit,
     _laurent,
     _pack,
+    _pdiv,
     _pmul,
     _ratq_of,
     _raw,
@@ -343,6 +344,33 @@ def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     return VermaVector._kernel(hw, _pmul(vec.D, E), _nf_sum(prod, rs._nf_word))
 
 
+def restrict_to_hyperplane(vec: VermaVector, hw: HighestWeight) -> VermaVector:
+    """A vector at the free symbolic weight, read at the hyperplane weight
+    hw of the same rank: y_n**d becomes q**((m-n)d) (y_1...y_{n-1})**-d, as
+    in cartan_eval.  On keys this adds d * ((m - n) - (B + ... + B**n)),
+    with B = 2**32 and d the y_n digit, so integers only move (and add where
+    keys meet) and the vector keeps its D.  Any other pair of weights raises
+    ValueError."""
+    src, n = vec.hw, hw.n
+    if src.mode != "symbolic" or src.hyperplane_m is not None:
+        raise ValueError("not a vector at the free symbolic weight")
+    if hw.mode != "symbolic" or hw.hyperplane_m is None or src.n != n:
+        raise ValueError("not a hyperplane weight of the vector's rank")
+    unit = ((1 << _SHIFT * n) - 1) // _MASK  # 1 + B + ... + B**(n-1)
+    # each lower digit is below _LIMIT in size (_kernel), so adding off
+    # leaves the y_n digit alone in the bits from _SHIFT * n up
+    off, top = _LIMIT * unit, _SHIFT * n
+    delta = hw.hyperplane_m - n - (unit << _SHIFT)
+    out = {}
+    for w, c in vec.ints.items():
+        acc = out[w] = {}
+        get = acc.get
+        for key, a in c.items():
+            key += ((key + off) >> top) * delta
+            acc[key] = get(key, 0) + a
+    return VermaVector._kernel(hw, vec.D, out)
+
+
 def is_hwv(vec: VermaVector, rs: RewriteSystem) -> bool:
     """True when the vector is nonzero and killed by every raising generator."""
     if vec.is_zero():
@@ -359,8 +387,10 @@ def cartan_eval(H: WeightScalar, hw: HighestWeight):
     q**(lam, gamma) = +-q**k * y**e (on the hyperplane, y_n**d becomes
     q**((m-n)d) (y_1...y_{n-1})**-d), extended linearly in one pass.  A
     symbolic term shifts its coefficient's q-exponent by k, and two add only
-    where they meet at one e; numeric numerators add as Laurent polynomials
-    over each distinct denominator, which divides their sum once."""
+    where they meet at one e.  Numeric numerators add as Laurent polynomials
+    over each distinct denominator, which divides their sum exactly for the
+    products of h_i (each h_i(lam) is a Laurent polynomial), so no gcd runs;
+    a sum that it does not divide is divided as a RatQ."""
     if H.terms and H.n != hw.n:
         raise ValueError("lattice vector has wrong rank")
     n, m = hw.n, hw.hyperplane_m
@@ -373,7 +403,9 @@ def cartan_eval(H: WeightScalar, hw: HighestWeight):
         out = hw.zero()
         for den, acc in sums.items():
             if t := _laurent(acc):
-                out = out + _ratq_of(t) / _raw(0, den, P_ONE)
+                x = _ratq_of(t)
+                quo = _pdiv(x.num, den)
+                out = out + (x / _raw(0, den, P_ONE) if quo is None else _raw(x.val, quo, P_ONE))
         return out
     out = {}
     for gamma, c in H.terms.items():

@@ -3,7 +3,9 @@ arithmetic: the library's code before it moved onto Laurent tuples, kept
 here as oracles for the Laurent engine.  The Cartan parts and the Kostant
 partitions as they were computed before their closed forms follow at the
 end: h_i products by WeightScalar multiplication, their evaluation as a sum
-of RatQ terms, and the brute-force recursion over the interval list.
+of RatQ terms, and the brute-force recursion over the interval list.  Last
+come RatQ and WeightScalar rendering as they were before their strings
+were memoised.
 
 Each oracle reads a system's rules (RatQ) and its automaton but none of its
 caches; a normal-form oracle keeps its own cache of single-word normal
@@ -13,12 +15,14 @@ forms, dicts word -> RatQ shared between words as the library's are.
 from qshapo.freealg import NCPoly, deglex_key
 from qshapo.roots import positive_roots, root_vector
 from qshapo.scalars import (
+    P_ONE,
     R_ONE,
     R_ZERO,
     V_MINUS_VINV,
     RatQ,
     WeightScalar,
     _laurent_of,
+    _pstr,
     _ratq_of,
     add_terms,
 )
@@ -213,3 +217,38 @@ def kostant_partitions_by_roots(mu) -> tuple:
     if any(x < 0 for x in mu):
         return ()
     return tuple(sorted(rec(tuple(mu), 0)))
+
+
+def ratq_str(x: RatQ) -> str:
+    """str(x): the dense numerator, over the dense denominator unless that
+    is 1, each in parentheses when it has more than one term."""
+    num, den = x.dense()
+    ns = _pstr(num)
+    if den == P_ONE:
+        return ns
+    if len([c for c in num if c]) > 1:
+        ns = f"({ns})"
+    ds = _pstr(den)
+    if len([c for c in den if c]) > 1:
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def weight_scalar_str(ws: WeightScalar) -> str:
+    """str(ws): its terms in sorted exponent order, each coefficient (in
+    parentheses unless a single signed term) times its symbol powers."""
+
+    def sym(i):
+        return ws.prefix if ws.n == 1 else f"{ws.prefix}{i + 1}"
+
+    if not ws.terms:
+        return "0"
+    parts = []
+    for e in sorted(ws.terms):
+        c = ws.terms[e]
+        syms = "*".join(f"{sym(i)}^{k}" if k != 1 else sym(i) for i, k in enumerate(e) if k)
+        cs = ratq_str(c)
+        if "/" in cs or "+" in cs or "-" in cs[1:]:
+            cs = f"({cs})"
+        parts.append(f"{cs}*{syms}" if syms else cs)
+    return " + ".join(parts)

@@ -94,6 +94,12 @@ GOLDEN = [
      "3fddf552bd6688a9b1f4c550ecfc89a2b54384414573dce18b59ea8983f0fe8b"),
     ("verify --suite powers --n 3 --m 3", 0,
      "45c528980684aadb9589faa60abc764e4b3a7b6318afb6917d4b6e64c451b1c9"),
+    # the e_6 check raises theta*v moved onto the hyperplane; the negative
+    # suite's numeric witness divides its Cartan sums exactly
+    ("verify --suite hwv --n 6", 0,
+     "e5e4efc3f3b117bcb4c29d3a3acd9b05a4487c14da7ed4e5c768249d74c220cc"),
+    ("verify --suite negative --n 6", 0,
+     "fe05f876adffa2cfa7ce2b37e2e6511170f8d0782c45ba520a848bef7c7dbb78"),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshapo import scalars
 from qshapo.scalars import (
     _HALF,
     _MASK,
@@ -26,6 +27,8 @@ from qshapo.scalars import (
     qbinom_formal,
     qint,
 )
+
+from ratq_oracles import ratq_str, weight_scalar_str
 
 try:
     import sympy
@@ -555,3 +558,52 @@ def test_clear_and_restore_round_trip(coeffs):
         for key, a in cleared.expand(c).items():
             total[key] = total.get(key, 0) + a
     assert _read_back(total, 1, D) == WeightScalar.const(1, sum(coeffs, R_ZERO))
+
+
+# ----------------------------------------------------------------------------
+# Rendering against the unmemoised oracle
+# ----------------------------------------------------------------------------
+
+# q**k times a field value, so val falls below, at and above 0, with Laurent
+# values (den == 1) and zero among them
+_rendered_ratqs = st.builds(
+    lambda x, k: x * RatQ.q_power(k),
+    st.one_of(_field_ratqs, st.builds(RatQ, _small_nonzero), st.just(R_ZERO)),
+    st.integers(-4, 4),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rendered_ratqs)
+def test_ratq_str_matches_the_oracle(x):
+    # the second rendering reads the memo
+    assert str(x) == ratq_str(x) == str(x)
+    assert RatQ.parse(str(x)) == x
+
+
+@st.composite
+def _weight_scalars(draw, n, prefix):
+    exps = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    terms = draw(st.dictionaries(exps, _rendered_ratqs, max_size=4))
+    return WeightScalar(n, terms, prefix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(_weight_scalars(1, "t"), _weight_scalars(7, "y")),
+    st.integers(-2, 3),
+)
+def test_weight_scalar_str_matches_the_oracle(ws, m):
+    for x in (ws, ws.substitute_hyperplane(m)):
+        assert str(x) == weight_scalar_str(x) == str(x)
+
+
+def test_ratq_string_memo_stays_within_its_bound():
+    bound = scalars._ratq_str.cache_info().maxsize
+    values = [RatQ((k, 1), (1, 0, 0, 0, 1)) for k in range(1, bound + 101)]
+    for x in values:
+        assert str(x) == ratq_str(x)
+    assert 0 < scalars._ratq_str.cache_info().currsize <= bound
+    scalars._ratq_str.cache_clear()
+    assert scalars._ratq_str.cache_info().currsize == 0
+    assert str(values[0]) == ratq_str(values[0])

@@ -28,6 +28,7 @@ from qshapo.verma import (
     h_eval,
     is_hwv,
     quantum_bracket,
+    restrict_to_hyperplane,
     vector_from_ncpoly,
 )
 from ratq_oracles import RatQNormalForms, cartan_eval_sum
@@ -286,6 +287,43 @@ def test_cartan_eval_equals_the_sum_of_its_terms():
                 cartan_eval(H_cartan((1,), n + 1), hw)
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_numeric_cartan_eval_equals_the_sum_of_its_terms(data):
+    # repeated indices and negative pairings; the division of the summed
+    # numerator is exact, and an H whose sum it does not divide takes the
+    # RatQ division
+    n = data.draw(st.integers(1, 5))
+    hw = HighestWeight.numeric(data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    rset = data.draw(st.lists(st.integers(1, n), max_size=5))
+    H = H_cartan(rset, n)
+    odd = WeightScalar(n, {g: c * RatQ(COPRIME) ** -1 for g, c in H.terms.items()}, "k")
+    for part in (H, odd, H + odd):
+        got, want = cartan_eval(part, hw), cartan_eval_sum(part, hw)
+        assert type(got) is RatQ and got == want and str(got) == str(want), (hw.pairings, rset)
+
+
+def test_numeric_cartan_eval_of_every_cartan_part_runs_no_gcd(monkeypatch):
+    import qshapo.scalars as scalars
+
+    calls = []
+    cancel = scalars._pcancel
+    monkeypatch.setattr(scalars, "_pcancel", lambda a, b: calls.append(1) or cancel(a, b))
+    for n in range(1, 6):
+        weights = [(0,) * n, tuple(range(-n, 0)), tuple((-1) ** k * (2 * k + 1) for k in range(n))]
+        parts = [
+            H_cartan(rset, n)
+            for r in range(n + 1)
+            for rset in itertools.combinations(range(1, n + 1), r)
+        ]
+        for lam in weights:
+            hw = HighestWeight.numeric(lam)
+            got = [cartan_eval(H, hw) for H in parts]
+            assert not calls, (n, lam)
+            assert got == [cartan_eval_sum(H, hw) for H in parts], (n, lam)
+            calls.clear()
+
+
 def test_cartan_eval_consistency():
     for n in (2, 3, 4):
         weights = [
@@ -492,9 +530,10 @@ def test_theta_vector_matches_the_unhoisted_sum(data):
 
 
 def test_raising_a_kernel_form_vector_clears_no_scalar(monkeypatch):
-    # verify_hwv raises each theta*v with several e_k; its scalars are
-    # cleared into integers once, when theta_vector builds it, however often
-    # it is raised
+    # verify_hwv raises theta*v with every e_k; its scalars are cleared into
+    # integers once, when theta_vector builds it at the free weight, however
+    # often it is raised, and its hyperplane copy is a key shift that clears
+    # none
     import qshapo.scalars as scalars
     import qshapo.shapovalov as shapovalov
 
@@ -516,15 +555,80 @@ def test_raising_a_kernel_form_vector_clears_no_scalar(monkeypatch):
     report = shapovalov.verify_hwv(n, 1, "symbolic", rs=rs)
     assert all(c["status"] == "pass" for c in report) and counts["act_e"] == n
     during_verify, counts["expand"] = counts["expand"], 0
-    vectors = [
-        theta_vector(theta_sum(n).evaluate(hw), hw, rs)
-        for hw in (HighestWeight.symbolic(n), HighestWeight.symbolic(n, hyperplane_m=1))
-    ]
+    free = HighestWeight.symbolic(n)
+    vec = theta_vector(theta_sum(n).evaluate(free), free, rs)
     assert counts["expand"] == during_verify > 0
+    vectors = [vec, restrict_to_hyperplane(vec, HighestWeight.symbolic(n, hyperplane_m=1))]
+    assert counts["expand"] == during_verify
     for vec in vectors:
         for k in range(1, n + 1):
             act_e(k, act_e(k, vec, rs), rs)
     assert counts["expand"] == during_verify
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_theta_v_moved_to_the_hyperplane_equals_theta_v_built_there(n):
+    # the free theta*v moved to the hyperplane against theta*v from the
+    # coordinates evaluated there; e_N raises both to one witness, and kills
+    # them only at m = 1.  No h_N occurs at level one, so theta*v holds no
+    # y_N and the move keeps its integers: the shift itself is tested on
+    # drawn vectors below
+    rs = get_rewrite_system(n)
+    base, free = theta_sum(n), HighestWeight.symbolic(n)
+    vec = theta_vector(base.evaluate(free), free, rs)
+    for m in (1, 2, 3, -1):
+        tied = HighestWeight.symbolic(n, hyperplane_m=m)
+        got, want = restrict_to_hyperplane(vec, tied), theta_vector(base.evaluate(tied), tied, rs)
+        assert got.hw == tied and got == want, m
+        e = act_e(n, got, rs)
+        assert e.witness() == act_e(n, want, rs).witness(), m
+        assert e.is_zero() == (m == 1), m
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_restrict_to_hyperplane_substitutes_each_coefficient(data):
+    # each drawn term y**e comes with a partner y**e * (y_1...y_n)**d, which
+    # meets it on the hyperplane, so keys collide and their integers add
+    n = data.draw(st.integers(1, 4))
+    free = HighestWeight.symbolic(n)
+    tied = HighestWeight.symbolic(n, hyperplane_m=data.draw(st.integers(-3, 3)))
+    exps = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    pairs = st.lists(st.tuples(exps, st.integers(-2, 2)), min_size=1, max_size=3)
+
+    def scalar():
+        out = free.zero()
+        for e, d in data.draw(pairs):
+            partner = tuple(x + d for x in e)
+            for g in (e, partner):
+                out = out + free.k_eigen(g) * data.draw(mixed_ratqs())
+        return out
+
+    words = data.draw(
+        st.lists(st.lists(st.integers(1, n), max_size=3).map(tuple), min_size=1, max_size=3)
+    )
+    vec = VermaVector(free, {w: scalar() for w in words})
+    got = restrict_to_hyperplane(vec, tied)
+    want = VermaVector(
+        tied, {w: c.substitute_hyperplane(tied.hyperplane_m) for w, c in vec.terms.items()}
+    )
+    assert got == want and str(got) == str(want), (tied.hyperplane_m, words)
+
+
+def test_restrict_to_hyperplane_refuses_other_weights():
+    free, tied = HighestWeight.symbolic(2), HighestWeight.symbolic(2, hyperplane_m=1)
+    vec = VermaVector(free, {(2, 1): free.k_eigen((1, 1))})
+    not_free = "not a vector at the free symbolic weight"
+    not_hyperplane = "not a hyperplane weight of the vector's rank"
+    for v, hw, match in [
+        (VermaVector(HighestWeight.numeric((1, 0)), {(1,): R_ONE}), tied, not_free),
+        (VermaVector(tied, {(1,): tied.one()}), HighestWeight.symbolic(2, 2), not_free),
+        (vec, free, not_hyperplane),
+        (vec, HighestWeight.numeric((1, 0)), not_hyperplane),
+        (vec, HighestWeight.symbolic(3, hyperplane_m=1), not_hyperplane),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            restrict_to_hyperplane(v, hw)
 
 
 def test_raising_the_free_theta_vector_pins_the_divided_back_witness():
