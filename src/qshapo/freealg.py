@@ -299,8 +299,8 @@ class RewriteSystem:
     ``_rhs`` holds the rules the engine rewrites by: each lead's replacement
     as (word, coefficient, unit) triples, the coefficient as a Laurent tuple
     of the integer kernel and unit 1 or -1 for a coefficient of +-1, 0
-    otherwise.  ``rules`` is their copy in RatQs for readers, built once
-    when a completion ends (``_publish_rules``).  ``_nf_cache``
+    otherwise.  ``rules`` is their copy in RatQs for readers, built from
+    ``_rhs`` each time it is read.  ``_nf_cache``
     maps a word to its normal form {word: Laurent tuple}; a dict there may
     be shared by several words and is never mutated, and every reader
     builds a new dict.  The Laurent tuples of ``_nf_cache`` and
@@ -322,7 +322,6 @@ class RewriteSystem:
         self.n = n
         self.cap = cap
         self.dimensions = dimensions
-        self.rules: dict[tuple, NCPoly] = {}
         self._delta: list[list[int]] = [[0] * (n + 1)]
         self._rhs: dict[tuple, tuple] = {}
         self._nf_cache: dict[tuple, dict] = {}
@@ -337,13 +336,13 @@ class RewriteSystem:
         coefficient is not a Laurent polynomial."""
         self._rhs = {lead: self._triples({u: _laurent_of(c) for u, c in rule.terms.items()})
                      for lead, rule in rules.items()}
-        self.rules = rules
         self._refresh_automaton()
 
-    def _publish_rules(self):
-        """Set ``rules`` to the RatQ copy of ``_rhs``."""
-        self.rules = {lead: NCPoly._raw(self.n, {u: _ratq_of(c) for u, c, _ in rhs})
-                      for lead, rhs in self._rhs.items()}
+    @property
+    def rules(self) -> dict:
+        """The rules as {lead: NCPoly}, the RatQ copy of ``_rhs``."""
+        return {lead: NCPoly._raw(self.n, {u: _ratq_of(c) for u, c, _ in rhs})
+                for lead, rhs in self._rhs.items()}
 
     @staticmethod
     def _triples(terms: dict) -> tuple:
@@ -627,7 +626,6 @@ class RewriteSystem:
                 counted = None
         self._rhs = {lead: self._triples(self._reduce({u: c for u, c, _ in rhs}))
                      for lead, rhs in self._rhs.items()}
-        self._publish_rules()
 
     def _extend(self, degree: int):
         """Complete through `degree`.  Completion through cap resolved every
@@ -651,10 +649,11 @@ class RewriteSystem:
     def to_text(self) -> str:
         buf = StringIO()
         buf.write(f"{FORMAT_VERSION}\n")
-        buf.write(f"n={self.n} cap={self.cap} rules={len(self.rules)}\n")
-        for lead in sorted(self.rules, key=deglex_key):
+        rules = self.rules
+        buf.write(f"n={self.n} cap={self.cap} rules={len(rules)}\n")
+        for lead in sorted(rules, key=deglex_key):
             buf.write("LEAD " + ",".join(map(str, lead)) + "\n")
-            for w, c in self.rules[lead].sorted_terms():
+            for w, c in rules[lead].sorted_terms():
                 buf.write("  " + ",".join(map(str, w)) + " : " + str(c) + "\n")
         return buf.getvalue()
 

@@ -59,7 +59,6 @@ from .verma import (
     act_e,
     cartan_eval,
     h_eval,
-    restrict_to_hyperplane,
 )
 
 
@@ -440,8 +439,9 @@ def verify_hwv(
 
     Symbolic mode (level one): theta*v is built once, at a fully
     unconstrained symbolic weight, for the raising checks with k < N; the
-    k = N check raises that vector moved onto the hyperplane by
-    restrict_to_hyperplane, a shift of its keys.  Sampled mode: numeric weights
+    k = N check raises the same integers at the hyperplane weight, exact
+    since no Cartan part of theta_sum, so no key of theta*v, holds k_N or
+    y_N.  Sampled mode: numeric weights
     on the hyperplane (or the given lam), with the level-m element built as
     a power when m > 1.  Returns one report entry per check.
     """
@@ -459,7 +459,7 @@ def verify_hwv(
         vec = theta_vector(theta_sum(n).evaluate(free), free, rs)
         for k in range(1, n):
             kills(k, vec, f"e_{k} kills theta*v (symbolic, unconstrained)")
-        tied = restrict_to_hyperplane(vec, HighestWeight.symbolic(n, hyperplane_m=1))
+        tied = VermaVector._kernel(HighestWeight.symbolic(n, hyperplane_m=1), vec.D, vec.ints)
         kills(n, tied, f"e_{n} kills theta*v (symbolic, on hyperplane)")
         return checks.report()
     from .roots import hyperplane_sample

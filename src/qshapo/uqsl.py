@@ -33,7 +33,6 @@ from .freealg import (
 )
 from .roots import alpha, cartan_entry, kostant_partitions, pairing
 from .scalars import (
-    L_ONE,
     P_ONE,
     R_ZERO,
     RatQ,
@@ -57,14 +56,15 @@ _Q4_MINUS_1 = (-1, 0, 0, 0, 1)  # 1/(v - 1/v) = q**2/(q**4 - 1)
 
 
 class SingularSystem(Exception):
-    """A PBW change-of-basis system was singular: the rewrite system is
-    inconsistent with the PBW count and the computation must stop."""
+    """A PBW solve met columns that are not triangular or a right-hand side
+    outside their span: the rewrite system contradicts the PBW theorem and
+    the computation must stop."""
 
 
 class NonUnitPivot(SingularSystem):
     """A solve met a leading coefficient that is not +-q**k, so it cannot
-    stay in Z[q, 1/q].  Every PBW system measured has unit pivots; this one
-    would need the RatQ elimination."""
+    stay in Z[q, 1/q].  Every PBW column leads with a coefficient +-q**k, so
+    this too means a rewrite system that contradicts the PBW theorem."""
 
 
 class NotRightDivisible(Exception):
@@ -129,85 +129,49 @@ def pbw_monomials(mu, n: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 # ----------------------------------------------------------------------------
-# Exact linear algebra: one elimination by leading words
+# Exact linear algebra: one back-substitution by leading words
 # ----------------------------------------------------------------------------
 
-def solve_linear(cols: list[dict], rhs: dict, cleared=None):
-    """Solve sum_c x_c * cols[c] = rhs, the columns {word: Laurent tuple}
-    and rhs {word: RatQ or WeightScalar}; PBW coordinates are such solves.
-    rhs is cleared once into the integer kernel, and the solution is rebuilt
-    as the same kind of scalars.  A caller that holds rhs in the kernel
-    already passes cleared = (D, n, prefix) and rhs as D * rhs, {word: {key:
-    int}}, which the solve consumes.
+def solve_linear(cols: list[dict], rhs: dict, D=P_ONE, n: int = 0, prefix=None) -> list:
+    """Solve sum_c x_c * cols[c] = rhs / D for PBW coordinates: the columns
+    {word: Laurent tuple}, rhs D times the right-hand side in the integer
+    kernel, {word: {key: int}}, which the solve consumes, and the solution
+    rebuilt from (D, n, prefix) as _rebuild does, as RatQs by default.
 
-    The columns are taken in order.  While a column's deglex-leading word is
-    already a pivot's lead, that pivot's multiple is subtracted, and the
-    original columns each pivot combines are recorded.  The pivots' leads are
-    then distinct, so one pass over them from the largest lead down reads the
-    solution: each lead still in the remainder fixes one coefficient.  When
-    the columns' leads are distinct from the start, as in every PBW system
-    (Lyndon-word triangularity) and every right-division system measured,
-    no column is reduced.  Every pivot, the leading coefficient of a column
-    as reduced, must be +-q**k (NonUnitPivot otherwise), so no step leaves
-    Z[q, 1/q].
-
-    Returns ("ok", xs), ("singular",) when the columns are dependent, or
-    ("inconsistent",) when rhs is outside the column span.
+    The columns must be triangular, as PBW columns are (each leads with its
+    own product of good Lyndon words): distinct deglex-leading words, each
+    with coefficient +-q**k.  Then one pass over the leads, largest first,
+    reads the solution in Z[q, 1/q].  SingularSystem refuses an empty
+    column, a shared lead or rhs outside the span, and NonUnitPivot any
+    other lead coefficient.
     """
-    # lead -> (column index, column, (k, s) with its lead coefficient
-    # s * q**k, and None or the combination {original column: Laurent
-    # tuple} it stands for)
-    pivots = {}
+    leads = {}  # lead -> (column index, (k, s) with its lead coefficient s * q**k)
     for c, col in enumerate(cols):
-        combo = None
-        while col:
-            lead = max(col, key=deglex_key)
-            hit = pivots.get(lead)
-            if hit is None:
-                break
-            pc, pcol, (k, s), pcombo = hit
-            # col - f * pcol, f = col[lead] / (s * q**k)
-            f = [(j - k, -s * a) for j, a in col[lead]]
-            col = _axpy(col, f, pcol)
-            combo = _axpy(combo or {c: L_ONE}, f, pcombo or {pc: L_ONE})
-        else:
-            return ("singular",)
+        if not col:
+            raise SingularSystem(f"column {c} is zero")
+        lead = max(col, key=deglex_key)
+        if lead in leads:
+            raise SingularSystem(f"columns {leads[lead][0]} and {c} share the lead {lead}")
         t = col[lead]
         if len(t) != 1 or t[0][1] not in (1, -1):
             raise NonUnitPivot(f"pivot {t} at {lead} is not a signed power of q")
-        pivots[lead] = (c, col, t[0], combo)
-    if cleared is None:
-        n, prefix = _shape(rhs.values())
-        D, rest = _clear(rhs, n)
-    else:
-        (D, n, prefix), rest = cleared, rhs
-    xs: dict = {}
-    for lead in sorted(pivots, key=deglex_key, reverse=True):
-        r = rest.get(lead)
+        leads[lead] = (c, t[0])
+    xs = {}
+    for lead in sorted(leads, key=deglex_key, reverse=True):
+        r = rhs.get(lead)
         if r is None:
             continue
-        c, col, (k, s), combo = pivots[lead]
+        c, (k, s) = leads[lead]
         x = [(key - k, s * a) for key, a in r.items() if a]
-        if not x:
-            continue
-        minus_x = [(key, -a) for key, a in x]
-        for w, y in col.items():
-            _convolve(rest.setdefault(w, {}), minus_x, y)
-        for j, y in (combo or {c: L_ONE}).items():
-            _convolve(xs.setdefault(j, {}), x, y)
-    if any(a for r in rest.values() for a in r.values()):
-        return ("inconsistent",)
+        if x:
+            xs[c] = x
+            minus_x = [(key, -a) for key, a in x]
+            for w, y in cols[c].items():
+                _convolve(rhs.setdefault(w, {}), minus_x, y)
+    if any(a for r in rhs.values() for a in r.values()):
+        raise SingularSystem("right-hand side outside the columns' span")
     xs = _rebuild(D, xs, n, prefix)
-    return ("ok", [xs.get(c, R_ZERO) for c in range(len(cols))])
-
-
-def _axpy(col: dict, f, pcol: dict) -> dict:
-    """col + f * pcol for {key: Laurent tuple} dicts and f as (q-exponent,
-    int) pairs, without the zero entries."""
-    acc = {w: dict(t) for w, t in col.items()}
-    for w, t in pcol.items():
-        _convolve(acc.setdefault(w, {}), t, f)
-    return {w: t for w, d in acc.items() if (t := _laurent(d))}
+    return [xs.get(c, R_ZERO) for c in range(len(cols))]
 
 
 def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
@@ -215,8 +179,8 @@ def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
     monomial -> column (dict word -> Laurent tuple) in pbw_monomials order,
     cached on rs so that they can never outlive or cross to another system.
     Each column is built factor by factor, every partial product
-    normal-formed, so no product leaves the normal words.  Raises
-    SingularSystem if the columns are dependent."""
+    normal-formed, so no product leaves the normal words.  solve_linear
+    checks that the columns are triangular when it reads them."""
     key = tuple(mu)
     got = rs._pbw_cache.get(key)
     if got is None:
@@ -227,8 +191,6 @@ def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
             for (i, j) in M:
                 col = _nf_sum(_word_product(col, _jimbo_ints(i, j, n)), rs._nf_word)
             got[M] = rs._interned(col)
-        if solve_linear(list(got.values()), {})[0] == "singular":
-            raise SingularSystem(f"PBW basis matrix singular at multidegree {key}")
         rs._pbw_cache[key] = got
     return got
 
@@ -245,9 +207,10 @@ def _pbw_column(M, rs: RewriteSystem) -> dict:
 
 def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
     """Coordinates of a homogeneous element in the PBW basis: one
-    solve_linear against the PBW columns of its multidegree.  An element
-    outside their span means the rewriting engine contradicts the PBW
-    theorem, which is reported loudly.  As in RewriteSystem.normal_form,
+    solve_linear against the PBW columns of its multidegree.  Columns that
+    are not triangular, or an element outside their span, mean the rewriting
+    engine contradicts the PBW theorem, which is reported loudly
+    (SingularSystem).  As in RewriteSystem.normal_form,
     p's scalars are cleared into the integer kernel once, and ValueError
     refuses a q-exponent of size 2**28 or more or a coordinate whose
     numerator spans more than 2**20 powers of q; so do from_pbw,
@@ -262,16 +225,13 @@ def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
 
 def _kernel_to_pbw(rs: RewriteSystem, nf: dict, D, n=0, prefix=None) -> dict:
     """to_pbw of the element nf / D, nf a normal form in the kernel as
-    {word: {key: int}}, rebuilt as solve_linear rebuilds it from cleared =
-    (D, n, prefix): as RatQs by default."""
+    {word: {key: int}}, which the solve consumes, rebuilt from (D, n,
+    prefix) as solve_linear rebuilds it: as RatQs by default."""
     if not nf:
         return {}
-    mu = NCPoly._raw(rs.n, nf).multidegree()
-    basis = _pbw_basis_columns(mu, rs)
-    res = solve_linear(list(basis.values()), nf, (D, n, prefix))
-    if res[0] != "ok":
-        raise SingularSystem(f"element outside PBW span at multidegree {mu}")
-    return {M: x for M, x in zip(basis, res[1]) if x}
+    basis = _pbw_basis_columns(NCPoly._raw(rs.n, nf).multidegree(), rs)
+    xs = solve_linear(list(basis.values()), nf, D, n, prefix)
+    return {M: x for M, x in zip(basis, xs) if x}
 
 
 def from_pbw(coords: dict, n: int) -> NCPoly:

@@ -344,33 +344,6 @@ def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     return VermaVector._kernel(hw, _pmul(vec.D, E), _nf_sum(prod, rs._nf_word))
 
 
-def restrict_to_hyperplane(vec: VermaVector, hw: HighestWeight) -> VermaVector:
-    """A vector at the free symbolic weight, read at the hyperplane weight
-    hw of the same rank: y_n**d becomes q**((m-n)d) (y_1...y_{n-1})**-d, as
-    in cartan_eval.  On keys this adds d * ((m - n) - (B + ... + B**n)),
-    with B = 2**32 and d the y_n digit, so integers only move (and add where
-    keys meet) and the vector keeps its D.  Any other pair of weights raises
-    ValueError."""
-    src, n = vec.hw, hw.n
-    if src.mode != "symbolic" or src.hyperplane_m is not None:
-        raise ValueError("not a vector at the free symbolic weight")
-    if hw.mode != "symbolic" or hw.hyperplane_m is None or src.n != n:
-        raise ValueError("not a hyperplane weight of the vector's rank")
-    unit = ((1 << _SHIFT * n) - 1) // _MASK  # 1 + B + ... + B**(n-1)
-    # each lower digit is below _LIMIT in size (_kernel), so adding off
-    # leaves the y_n digit alone in the bits from _SHIFT * n up
-    off, top = _LIMIT * unit, _SHIFT * n
-    delta = hw.hyperplane_m - n - (unit << _SHIFT)
-    out = {}
-    for w, c in vec.ints.items():
-        acc = out[w] = {}
-        get = acc.get
-        for key, a in c.items():
-            key += ((key + off) >> top) * delta
-            acc[key] = get(key, 0) + a
-    return VermaVector._kernel(hw, vec.D, out)
-
-
 def is_hwv(vec: VermaVector, rs: RewriteSystem) -> bool:
     """True when the vector is nonzero and killed by every raising generator."""
     if vec.is_zero():

@@ -25,6 +25,7 @@ from qshapo.scalars import (
     RatQ,
     WeightScalar,
     _clear,
+    _ratq_of,
     _rebuild,
     add_terms,
     qbinom_formal,
@@ -208,6 +209,22 @@ def test_serialization_round_trip():
     assert rs2.to_text() == text
 
 
+def test_rules_are_the_ratq_view_of_the_working_rules():
+    # rules is read from _rhs, so it follows a completion, an extension and
+    # a round trip through the text form
+    def view(rs):
+        return {lead: NCPoly(rs.n, {u: _ratq_of(c) for u, c, _ in rhs})
+                for lead, rhs in rs._rhs.items()}
+
+    rs = complete(serre_relations(3), 3, n=3)
+    assert rs.rules == view(rs) and len(rs.rules) == 5
+    rs._extend(6)
+    assert rs.rules == view(rs) and len(rs.rules) == 7
+    again = RewriteSystem.from_text(rs.to_text())
+    assert again.rules == view(again) == rs.rules
+    assert list(again.rules) == list(again._rhs)
+
+
 def test_serialization_rejects_corruption():
     rs = complete(serre_relations(2), 6, n=2)
     text = rs.to_text()
@@ -368,7 +385,6 @@ def _kernel_systems(rank):
         rs = RewriteSystem(n, 8)
         rs._rhs = dict(rhs)
         rs._refresh_automaton()
-        rs._publish_rules()
         systems.append(rs)
     return systems
 

@@ -100,6 +100,12 @@ GOLDEN = [
      "e5e4efc3f3b117bcb4c29d3a3acd9b05a4487c14da7ed4e5c768249d74c220cc"),
     ("verify --suite negative --n 6", 0,
      "fe05f876adffa2cfa7ce2b37e2e6511170f8d0782c45ba520a848bef7c7dbb78"),
+    # PBW coordinates by back-substitution: to_pbw reads the leading
+    # coefficients of F^(p+1) f_[N], and a rank induction at N = 5
+    ("verify --suite section44 --n 5", 0,
+     "2eefc1cba8da17c8f2333ce7329da9e211edb50c5a561864119385e1b9ebbce1"),
+    ("theta --n 5 --m 2 --method inductive --lambda 3,1,0,1,-8", 0,
+     "e6b4c1e93cd44d4a2d7ebb3245818556ea0d40199df15eaa960a91dde5ac3169"),
 ]
 
 

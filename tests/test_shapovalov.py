@@ -28,8 +28,10 @@ from qshapo.shapovalov import (
     theta_vector,
     verify_hwv,
 )
-from qshapo.uqsl import H_cartan, LocElement, from_pbw, psi, solve_linear, to_pbw
+from qshapo.uqsl import H_cartan, LocElement, from_pbw, psi, to_pbw
 from qshapo.verma import HighestWeight, act_e, cartan_eval, h_eval, is_hwv, vector_from_ncpoly
+from ratq_oracles import ratq_terms
+from ratq_oracles import solve_linear as solve_linear_ratq
 
 V = RatQ.v_power
 Q = RatQ.q_power
@@ -168,7 +170,8 @@ def _inductive_by_psi(n, m, lam, rs):
     """The rank induction by the conjugation operators: each step expands
     F**m Psi_r(theta) into a LocElement, lifts it to W * F**-d, and divides
     W on the right by a solve against the normal forms of b * F**d, b over
-    the normal words of the quotient multidegree.  Returns theta's normal
+    the normal words of the quotient multidegree, in the RatQ elimination
+    of ratq_oracles, not the library's solve.  Returns theta's normal
     form."""
     _, r_values = reflection_chain(n, lam)
     theta = NCPoly.word((1,) * m, n)
@@ -180,8 +183,8 @@ def _inductive_by_psi(n, m, lam, rs):
             mu = list(theta.multidegree())
             mu[i - 1] -= d
             basis = rs.normal_words(tuple(mu))
-            cols = [rs._nf_word(b + (i,) * d) for b in basis]
-            status, xs = solve_linear(cols, theta.terms)
+            cols = [ratq_terms(rs._nf_word(b + (i,) * d)) for b in basis]
+            status, xs = solve_linear_ratq(cols, theta.terms)
             assert status == "ok"
             theta = NCPoly(n, dict(zip(basis, xs)))
     return theta

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from qshapo import uqsl
 from qshapo.freealg import NCPoly, complete, deglex_key, get_rewrite_system, serre_relations
 from qshapo.roots import enumerate_II, enumerate_JJ, pbw_dimension, positive_roots
-from qshapo.scalars import P_ONE, R_ONE, R_ZERO, RatQ, WeightScalar, _rebuild, qbinom
+from qshapo.scalars import P_ONE, R_ONE, R_ZERO, RatQ, WeightScalar, _clear, _rebuild, qbinom
 from qshapo.uqsl import (
     LocElement,
     NonUnitPivot,
     NotRightDivisible,
+    SingularSystem,
     _pbw_basis_columns,
     _pbw_column,
     ad_F,
@@ -429,35 +430,27 @@ def test_divide_right_F_reads_its_input_in_the_quotient():
 
 
 def test_solve_linear_paths():
-    one = R_ONE
-    a = laurent_terms({(1,): one})
-    b = laurent_terms({(2,): one})
-    st, xs = solve_linear([a, b], {(1,): RatQ.from_int(3)})
-    assert st == "ok" and xs == [RatQ.from_int(3), RatQ.from_int(0)]
-    assert solve_linear([a, a], {(1,): one})[0] == "singular"
-    assert solve_linear([a], {(2,): one})[0] == "inconsistent"
-    assert solve_linear([{}], {})[0] == "singular"
-    assert solve_linear([], {}) == ("ok", [])
+    # rhs in the kernel, D times it as {word: {q-exponent: int}}, which
+    # the solve consumes
+    a = laurent_terms({(1,): R_ONE})
+    b = laurent_terms({(2,): R_ONE, (1,): Q(1)})
 
+    def rhs():
+        return {(2,): {0: 2}, (1,): {1: 2, 0: 3}}  # 3 a + 2 b
 
-def test_solve_linear_reduces_a_shared_leading_word():
-    # both columns lead with the word (2,) but are independent: the second
-    # is reduced by the first, and the solve reads through the combination
-    one, two, three = R_ONE, RatQ.from_int(2), RatQ.from_int(3)
-    a = {(2,): one, (1,): one}
-    b = {(2,): one}
-    la, lb = laurent_terms(a), laurent_terms(b)
-    rhs = {(2,): two * Q(1) + three, (1,): Q(1) * two}
-    assert solve_linear([la, lb], rhs) == ("ok", [Q(1) * two, three])
-    assert solve_linear([la, lb], rhs) == _dense_solve([a, b], rhs)
-    assert solve_linear([lb, la], {(1,): one}) == ("ok", [-one, one])
-    assert solve_linear([la, lb], {(3,): one})[0] == "inconsistent"
-    # a dependent pair with a shared leading word: a reduces to 0 against q*a
-    qa = laurent_terms({w: Q(1) * x for w, x in a.items()})
-    assert solve_linear([qa, la], {(1,): one})[0] == "singular"
-    # three columns on one lead, the third a combination of the first two
-    c = laurent_terms({w: a.get(w, R_ZERO) - Q(2) * b.get(w, R_ZERO) for w in a})
-    assert solve_linear([la, lb, c], {})[0] == "singular"
+    assert solve_linear([a, b], rhs()) == [RatQ.from_int(3), RatQ.from_int(2)]
+    half = RatQ.from_int(2).inverse()
+    assert solve_linear([b, a], rhs(), (2,)) == [R_ONE, RatQ.from_int(3) * half]
+    assert solve_linear([a, b], {(1,): {0: 1}}) == [R_ONE, R_ZERO]
+    with pytest.raises(SingularSystem, match="share the lead"):
+        solve_linear([a, a], {(1,): {0: 1}})
+    with pytest.raises(SingularSystem, match="is zero"):
+        solve_linear([a, {}], {})
+    with pytest.raises(SingularSystem, match="outside the columns' span"):
+        solve_linear([a], {(2,): {0: 1}})
+    with pytest.raises(SingularSystem, match="outside the columns' span"):
+        solve_linear([a, b], {(2,): {0: 1}, (1,): {0: 1}, (3,): {2: -1}})
+    assert solve_linear([], {}) == []
 
 
 def test_cartan_elements():
@@ -526,22 +519,26 @@ _nonzero_entries = st.one_of(
 
 
 @st.composite
-def _linear_systems(draw, nonzero=_nonzero_entries):
+def _linear_systems(draw, nonzero=_nonzero_entries, triangular=False):
     """(cols, rhs, expected outcome) with the outcome forced by the shape:
     a triangular block with a nonzero diagonal is solvable; a column that is
     a multiple of another is singular; a rhs on a row no column touches is
     inconsistent.  The entries are drawn from `nonzero`, or half of
-    them zero, so that columns and solutions miss some words."""
+    them zero, so that columns and solutions miss some words.  Column c
+    owns a word and may hold the words of the columns before it and the
+    extra rows; with triangular=True the extra rows lie below every owned
+    word, so each column's own word is the largest in it."""
     entries = st.one_of(st.just(R_ZERO), nonzero)
     kind = draw(st.sampled_from(["ok", "singular", "inconsistent"]))
     k = draw(st.integers(1, 4))
     extra = draw(st.integers(0, 3))
     words = [(r + 1,) for r in range(k + extra)]
+    low = extra if triangular else 0
     cols = []
     for c in range(k):
-        col = {words[c]: draw(nonzero)}
-        for r in list(range(c)) + list(range(k, k + extra)):
-            col[words[r]] = draw(entries)
+        col = {words[low + c]: draw(nonzero)}
+        for w in words[: low + c] if triangular else words[:c] + words[k:]:
+            col[w] = draw(entries)
         cols.append({w: x for w, x in col.items() if x})
     xs = [draw(entries) for _ in range(k)]
     rhs = {}
@@ -606,33 +603,65 @@ def _is_unit(x):
     return x in (Q(x.val), -Q(x.val))
 
 
+def _solve_cleared(cols, rhs):
+    """solve_linear of Laurent columns and a RatQ rhs, cleared into the
+    kernel as to_pbw clears it."""
+    D, ints = _clear(rhs, 0)
+    return solve_linear([laurent_terms(col) for col in cols], ints, D)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_linear_systems(_laurent_entries))
+@given(_linear_systems(_laurent_entries, triangular=True))
 def test_laurent_solve_matches_the_ratq_oracle(system):
-    # equal wherever every pivot the oracle meets is +-q**k, refused
-    # wherever one is not
+    # triangular systems: equal to the RatQ oracle wherever every lead
+    # coefficient is +-q**k, refused wherever one is not; a column sharing
+    # another's lead, or a rhs outside the span, is refused as singular
     cols, rhs, kind, xs = system
     pivots = []
     want = solve_linear_ratq(cols, rhs, pivots)
-    laurent = [laurent_terms(col) for col in cols]
-    if all(map(_is_unit, pivots)):
-        assert solve_linear(laurent, rhs) == want
-    else:
+    if kind == "singular":
+        with pytest.raises(SingularSystem):
+            _solve_cleared(cols, rhs)
+    elif not all(map(_is_unit, pivots)):
         with pytest.raises(NonUnitPivot, match="not a signed power of q"):
-            solve_linear(laurent, rhs)
+            _solve_cleared(cols, rhs)
+    elif kind == "inconsistent":
+        assert want == ("inconsistent",)
+        with pytest.raises(SingularSystem, match="outside the columns' span"):
+            _solve_cleared(cols, rhs)
+    else:
+        assert want == ("ok", xs) and _solve_cleared(cols, rhs) == xs
 
 
 def test_solve_linear_refuses_a_pivot_that_is_not_a_signed_power_of_q():
     one = R_ONE
     with pytest.raises(NonUnitPivot):
-        solve_linear([laurent_terms({(1,): RatQ.from_int(2)})], {(1,): one})
-    # a reduced column's pivot: b - a leads with (1 + q**2) f1
+        solve_linear([laurent_terms({(1,): RatQ.from_int(2)})], {(1,): {0: 1}})
+    # two independent columns that share the lead f2: the RatQ oracle
+    # reduces one by the other, the back-substitution refuses them
     a = {(2,): one, (1,): one}
     b = {(2,): one, (1,): RatQ((2, 0, 1))}
     rhs = {(2,): one, (1,): RatQ.from_int(3)}
     assert solve_linear_ratq([a, b], rhs)[0] == "ok"
-    with pytest.raises(NonUnitPivot):
-        solve_linear([laurent_terms(a), laurent_terms(b)], rhs)
+    with pytest.raises(SingularSystem, match="share the lead") as info:
+        _solve_cleared([a, b], rhs)
+    assert not isinstance(info.value, NonUnitPivot)
+
+
+def test_pbw_columns_are_triangular():
+    # the multidegrees past test_pbw_leads_are_the_normal_words, of degree 7
+    # to 12 at N = 2..5: the PBW columns meet solve_linear's precondition,
+    # distinct leads each with coefficient +-q**k
+    for n in range(2, 6):
+        rs = get_rewrite_system(n)
+        for mu in itertools.product(range({2: 7, 3: 5, 4: 4, 5: 3}[n]), repeat=n):
+            if sum(mu) <= 6:
+                continue
+            leads = set()
+            for col in _pbw_basis_columns(mu, rs).values():
+                lead = max(col, key=deglex_key)
+                assert _leading_coefficient_is_unit(col[lead]) and lead not in leads, (mu, lead)
+                leads.add(lead)
 
 
 def _theta_power_ratq(n, m, lam, oracle):
