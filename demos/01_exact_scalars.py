@@ -7,6 +7,7 @@ identity holds exactly when the canonical form is literally zero.
 """
 
 from qshapo.scalars import RatQ, WeightScalar, qbinom, qbinom_formal, qint
+from qshapo.verma import HighestWeight
 
 q = RatQ.q_power(1)
 v = RatQ.v_power(1)  # v = q^2 throughout
@@ -39,4 +40,5 @@ s = WeightScalar(2, {(2, 0): RatQ.from_int(1), (0, -2): RatQ.from_int(-1)})
 print(f"  s = {s}")
 print(f"  evaluated at (lam,a1)=3, (lam,a2)=1: {s.eval((3, 1))}")
 print("  on the level-1 hyperplane (y1*y2 = q^-1), y2 is eliminated:")
-print(f"  s|_H = {s.substitute_hyperplane(1)}")
+tied = HighestWeight.symbolic(2, hyperplane_m=1)
+print(f"  s|_H = {tied.k_eigen((2, 0)) - tied.k_eigen((0, -2))}")

@@ -9,9 +9,9 @@ form".  A longer word extends the completion to its own length.
 """
 
 from qshapo.freealg import NCPoly, complete, get_rewrite_system, serre_relations
-from qshapo.roots import kostant_count
+from qshapo.roots import kostant_count, kostant_partitions
 from qshapo.scalars import R_ONE
-from qshapo.uqsl import expand_pbw, jimbo, pbw_monomials, to_pbw
+from qshapo.uqsl import expand_pbw, jimbo, to_pbw
 
 n = 3
 print(f"defining relations for rank {n}:")
@@ -39,7 +39,8 @@ print("\nchange of basis into ordered root-vector monomials:")
 p = NCPoly(n, {(2, 1): R_ONE})
 print(f"  f2 f1 = ", to_pbw(p, rs))
 mu = (1, 1, 1)
-print(f"  PBW monomials of multidegree {mu}: {pbw_monomials(mu, n)}")
-for M in pbw_monomials(mu, n):
+monos = list(kostant_partitions(mu))
+print(f"  PBW monomials of multidegree {mu}: {monos}")
+for M in monos:
     assert to_pbw(expand_pbw(M, n), rs) == {M: R_ONE}
 print("  round trip through normal forms: exact")

@@ -71,29 +71,6 @@ def eta_vec(n: int) -> tuple[int, ...]:
     return (1,) * n
 
 
-def rho_pairing(mu) -> int:
-    """(rho, mu) for mu in the root lattice; rho pairs to 1 with each
-    simple root, so this is just the coordinate sum."""
-    return sum(mu)
-
-
-def special_vectors(n: int):
-    """Return (sigmas, eta, rho_pairing) for rank n: the vectors sigma_1..
-    sigma_n, the highest root, and the functional mu -> (rho, mu)."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    sigmas = [sigma_vec(i, n) for i in range(1, n + 1)]
-    return sigmas, eta_vec(n), rho_pairing
-
-
-def weight_root_pairing(lam, mu) -> int:
-    """(lam, mu) for a weight lam (stored by simple-root pairings) and a
-    root-lattice vector mu."""
-    if len(lam) != len(mu):
-        raise ValueError("rank mismatch in weight pairing")
-    return sum(a * b for a, b in zip(lam, mu))
-
-
 # ----------------------------------------------------------------------------
 # Index sets
 # ----------------------------------------------------------------------------

@@ -716,7 +716,7 @@ class WeightScalar:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
-    # -- evaluation and substitution -----------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def eval(self, a) -> RatQ:
         """Substitute y_i -> q**a_i for the given integer vector a."""
@@ -727,26 +727,6 @@ class WeightScalar:
         for e, c in self.terms.items():
             out = out + c * RatQ.q_power(sum(x * k for x, k in zip(a, e)))
         return out
-
-    def substitute_hyperplane(self, m: int) -> "WeightScalar":
-        """Eliminate y_n via the hyperplane constraint.
-
-        On the locus where the product y_1...y_n equals q**(m-n) we may
-        substitute y_n = q**(m-n) * (y_1...y_{n-1})**-1; the result has last
-        exponent identically zero, so vanishing on the hyperplane becomes
-        literal vanishing of the canonical form.
-        """
-        n = self.n
-
-        def moved():
-            for e, c in self.terms.items():
-                d = e[n - 1]
-                if d:
-                    c = c * RatQ.q_power((m - n) * d)
-                    e = tuple(x - d for x in e[: n - 1]) + (0,)
-                yield e, c
-
-        return WeightScalar._raw(n, add_terms({}, moved()), self.prefix)
 
     # -- rendering -----------------------------------------------------------
 
@@ -815,7 +795,7 @@ _HALF = 1 << (_SHIFT - 1)
 _MASK = (1 << _SHIFT) - 1
 _LIMIT = 1 << (_SHIFT - 4)
 # a rebuilt numerator is a dense tuple from its lowest to its highest power
-# of q; past this many powers (8 MB of pointers) _rebuild refuses it
+# of q; past this many powers (8 MB of pointers) _dense refuses it
 _MAX_SPAN = 1 << 20
 
 L_ONE = ((0, 1),)
@@ -863,13 +843,25 @@ def _laurent_of(x: RatQ) -> tuple:
     return tuple([ka for ka in enumerate(x.num, x.val) if ka[1]])
 
 
-def _ratq_of(t) -> RatQ:
-    """The RatQ of a nonempty Laurent tuple."""
-    lo = t[0][0]
-    num = [0] * (t[-1][0] - lo + 1)
-    for k, a in t:
+def _dense(p: dict) -> tuple:
+    """(lo, num) with q**lo * num the Laurent polynomial {q-exponent: int}
+    p, nonempty with no zero int, and num its dense coefficient tuple.  A
+    numerator spanning more than _MAX_SPAN powers of q raises ValueError
+    before num is built."""
+    lo = min(p)
+    span = max(p) - lo + 1
+    if span > _MAX_SPAN:
+        raise ValueError(f"a numerator spans {span} powers of q, past {_MAX_SPAN}")
+    num = [0] * span
+    for k, a in p.items():
         num[k - lo] = a
-    return _raw(lo, tuple(num), P_ONE)
+    return lo, tuple(num)
+
+
+def _ratq_of(t) -> RatQ:
+    """The RatQ of a nonempty Laurent tuple (see _dense)."""
+    lo, num = _dense(dict(t))
+    return _raw(lo, num, P_ONE)
 
 
 def _ldiv(a, b):
@@ -1002,8 +994,7 @@ def _rebuild(D, ints: dict, n: int, prefix=None) -> dict:
     prefix is None (the keys hold no y-exponent), else WeightScalars in n
     symbols with that prefix.  They repeat a few numerators up to a power of
     q, so each distinct one is divided by D once.  A numerator spanning more
-    than _MAX_SPAN powers of q raises ValueError before its dense
-    coefficient tuple is built."""
+    than _MAX_SPAN powers of q raises ValueError (see _dense)."""
     factor = None if D == P_ONE else R_ONE / RatQ(D)
     exponents: dict = {}  # key of y**e -> e
     scaled: dict = {}  # numerator -> numerator / D as a RatQ
@@ -1019,14 +1010,7 @@ def _rebuild(D, ints: dict, n: int, prefix=None) -> dict:
             continue
         ws = {}
         for ekey, p in polys.items():
-            lo = min(p)
-            span = max(p) - lo + 1
-            if span > _MAX_SPAN:
-                raise ValueError(f"a numerator spans {span} powers of q, past {_MAX_SPAN}")
-            num = [0] * span
-            for k, a in p.items():
-                num[k - lo] = a
-            num = tuple(num)
+            lo, num = _dense(p)
             if factor is None:
                 r = _raw(lo, num, P_ONE)
             else:

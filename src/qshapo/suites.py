@@ -22,6 +22,7 @@ from .freealg import (
     serre_relations,
 )
 from .roots import (
+    alpha,
     cartan_entry,
     enumerate_II,
     enumerate_JJ,
@@ -30,6 +31,7 @@ from .roots import (
     positive_roots,
     r_of,
     sample_dominant_chain,
+    sigma_vec,
     split_I,
 )
 from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar, qbinom, qint
@@ -224,12 +226,6 @@ def suite_section3(n: int) -> list[dict]:
     last = "two-term cancellation at the last pivot (on hyperplane)"
     checks = Checks(term, row, col, first, interior, recurrence, hyperplane, last)
 
-    def bracket_alpha(shift, i):
-        # [ (lam, alpha_i) + shift ]_v as a symbolic scalar
-        plus = hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n)))
-        minus = hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n)))
-        return (plus * V(shift) - minus * V(-shift)) * V_MINUS_VINV.inverse()
-
     def sigma_power(i, e):
         # v**(e * (lam + rho, sigma_i)) as a symbolic scalar
         return hw.k_eigen(tuple(2 * e if k < i else 0 for k in range(n))) * V(e * i)
@@ -256,16 +252,16 @@ def suite_section3(n: int) -> list[dict]:
 
             if 1 < i <= n:
                 shift = 0 if i == n else 1
-                expect = base12.scale(bracket_alpha(shift, i) * HI)
+                expect = base12.scale(quantum_bracket(hw, alpha(i, n), shift) * HI)
                 checks.check(term, (eI - expect).is_zero(), where)
             if 1 < i <= n and e_plus is not None:
-                scal = sigma_power(i, -1) * quantum_bracket(hw, 0, i - 1) * HI
+                scal = sigma_power(i, -1) * quantum_bracket(hw, sigma_vec(i - 1, n), i - 1) * HI
                 if i == n:
                     scal = scal * V(1)  # q^2 = v
                 expect = base12.scale(scal)
                 checks.check(row, (e_plus - expect).is_zero(), where)
             if 1 < i < n and e_minus is not None:
-                scal = sigma_power(i - 1, -1) * quantum_bracket(hw, 0, i)
+                scal = sigma_power(i - 1, -1) * quantum_bracket(hw, sigma_vec(i, n), i)
                 expect = base12.scale(scal * HI).scale(-1)
                 checks.check(col, (e_minus - expect).is_zero(), where)
             if i == 1 and n > 1 and e_minus is not None:
@@ -277,9 +273,9 @@ def suite_section3(n: int) -> list[dict]:
     # A = (lam, alpha_i), B = (lam + rho, sigma_(i-1)); stated via brackets
     for i in range(2, n + 1):
         lhs = (
-            bracket_alpha(1, i)
-            + sigma_power(i, -1) * quantum_bracket(hw, 0, i - 1)
-            - sigma_power(i - 1, -1) * quantum_bracket(hw, 0, i)
+            quantum_bracket(hw, alpha(i, n), 1)
+            + sigma_power(i, -1) * quantum_bracket(hw, sigma_vec(i - 1, n), i - 1)
+            - sigma_power(i - 1, -1) * quantum_bracket(hw, sigma_vec(i, n), i)
         )
         checks.check(recurrence, lhs.is_zero(), f"i={i}: {lhs}")
 

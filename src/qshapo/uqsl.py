@@ -121,13 +121,6 @@ def f_monomial_of_index_set(I) -> tuple[tuple[int, int], ...]:
     return tuple((I[k], I[k + 1]) for k in range(len(I) - 1))
 
 
-def pbw_monomials(mu, n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All PBW monomials of a given multidegree: the Kostant partitions of
-    mu into positive roots, each a lex-sorted tuple of intervals, in sorted
-    order."""
-    return list(kostant_partitions(mu))
-
-
 # ----------------------------------------------------------------------------
 # Exact linear algebra: one back-substitution by leading words
 # ----------------------------------------------------------------------------
@@ -176,7 +169,7 @@ def solve_linear(cols: list[dict], rhs: dict, D=P_ONE, n: int = 0, prefix=None) 
 
 def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
     """The normal forms of the PBW monomials of multidegree mu, as a dict
-    monomial -> column (dict word -> Laurent tuple) in pbw_monomials order,
+    monomial -> column (dict word -> Laurent tuple) in kostant_partitions order,
     cached on rs so that they can never outlive or cross to another system.
     Each column is built factor by factor, every partial product
     normal-formed, so no product leaves the normal words.  solve_linear
@@ -186,7 +179,7 @@ def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
     if got is None:
         n = rs.n
         got = {}
-        for M in pbw_monomials(mu, n):
+        for M in kostant_partitions(mu):
             col = {(): {0: 1}}
             for (i, j) in M:
                 col = _nf_sum(_word_product(col, _jimbo_ints(i, j, n)), rs._nf_word)
@@ -197,7 +190,7 @@ def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
 
 def _pbw_column(M, rs: RewriteSystem) -> dict:
     """Normal form {word: Laurent tuple} of the PBW monomial M, read from
-    the column cache; M must be in the sorted form pbw_monomials gives."""
+    the column cache; M must be in the sorted form kostant_partitions gives."""
     mu = word_multidegree([k for (i, j) in M for k in range(i, j)], rs.n)
     col = _pbw_basis_columns(mu, rs).get(M)
     if col is None:

@@ -1,13 +1,14 @@
 """Verma modules over symbolic or numeric highest weights.
 
-A highest weight is known to the module only through its pairings with the
-simple roots.  In numeric mode those pairings are integers and every scalar
-is a RatQ; in symbolic mode the pairing with alpha_i enters through the
-symbol y_i (meaning q to that pairing) and scalars are WeightScalars, so a
-single computation covers a Zariski-dense family of weights at once.  An
-optional hyperplane constraint (lam + rho, eta) = m is applied by eagerly
-eliminating y_N, which turns "vanishes on the hyperplane" into literal
-vanishing of canonical forms.
+A highest weight is known to the module only through the eigenvalues
+q**(lam, gamma) of k_gamma on its highest weight vector, which
+HighestWeight.eigen gives as y**e * q**k.  In numeric mode the pairings are
+integers, e is empty and every scalar is a RatQ; in symbolic mode the
+pairing with alpha_i enters through the symbol y_i (meaning q to that
+pairing) and scalars are WeightScalars, so a single computation covers a
+Zariski-dense family of weights at once.  An optional hyperplane constraint
+(lam + rho, eta) = m eliminates y_N from every eigenvalue, which turns
+"vanishes on the hyperplane" into literal vanishing of canonical forms.
 
 M(lam) is free of rank one over the lowering subalgebra, so a vector of the
 module is a polynomial in normal form (on the normal-word basis of the
@@ -28,11 +29,11 @@ available as independent test oracles.
 
 The maps are Q(q)-linear, so they read and write the integers and leave D
 alone, or multiply it by the one denominator they bring (q**4 - 1 for the
-1/(v - 1/v) of act_e).  The eigenvalues of k_gamma are single terms
-+-q**k * y**e, so a shift by one adds to the key, and the normal forms of
-the rewriting engine are Laurent tuples in the same q-exponents, so a rule
-coefficient multiplies integers; no map runs a gcd, and raising a vector
-clears no scalar.
+1/(v - 1/v) of act_e).  An eigenvalue y**e * q**k packs into one key, so a
+shift by one adds to the key, and the normal forms of the rewriting engine
+are Laurent tuples in the same q-exponents, so a rule coefficient
+multiplies integers; no map runs a gcd, and raising a vector clears no
+scalar.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .freealg import (
     latex_document,
     word_multidegree,
 )
-from .roots import cartan_entry, sigma_vec
+from .roots import cartan_entry
 from .scalars import (
     _LIMIT,
     _MASK,
@@ -130,16 +131,28 @@ class HighestWeight:
             return c
         return WeightScalar.const(self.n, c)
 
-    def k_eigen(self, gamma):
-        """Eigenvalue of k_gamma on the highest weight vector: q**(lam, gamma)."""
-        if len(gamma) != self.n:
+    def eigen(self, gamma):
+        """(e, k) with q**(lam, gamma) = y**e * q**k, the eigenvalue of
+        k_gamma on the highest weight vector: e = () at a numeric weight.
+        On the hyperplane y_n**d is q**((m-n)d) (y_1...y_{n-1})**-d, so e
+        has last entry 0 and vanishing there is literal vanishing."""
+        n = self.n
+        if len(gamma) != n:
             raise ValueError("lattice vector has wrong rank")
         if self.mode == "numeric":
-            return RatQ.q_power(sum(g * p for g, p in zip(gamma, self.pairings)))
-        ws = WeightScalar.monomial(self.n, tuple(gamma))
-        if self.hyperplane_m is not None:
-            ws = ws.substitute_hyperplane(self.hyperplane_m)
-        return ws
+            return (), sum(g * p for g, p in zip(gamma, self.pairings))
+        m = self.hyperplane_m
+        if m is not None and (d := gamma[-1]):
+            return tuple(x - d for x in gamma[:-1]) + (0,), (m - n) * d
+        return tuple(gamma), 0
+
+    def k_eigen(self, gamma):
+        """Eigenvalue of k_gamma on the highest weight vector: q**(lam, gamma)
+        as a scalar of the weight."""
+        e, k = self.eigen(gamma)
+        if self.mode == "numeric":
+            return RatQ.q_power(k)
+        return WeightScalar.monomial(self.n, e, RatQ.q_power(k))
 
 
 class VermaVector:
@@ -278,7 +291,7 @@ def act_f(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
 def act_k(gamma, vec: VermaVector) -> VermaVector:
     """Action of the group-like k_gamma: each term of weight lam - nu is
     scaled by q**(lam, gamma) * q**-(nu, gamma), a shift of its keys."""
-    eig, sign = _monomial_key(vec.hw.k_eigen(gamma))
+    eig = _pack(*vec.hw.eigen(gamma))
     out = {}
     for w, c in vec.ints.items():
         shift = eig + _digit(-sum(
@@ -286,7 +299,7 @@ def act_k(gamma, vec: VermaVector) -> VermaVector:
             for letter in w
             for k, g in enumerate(gamma)
         ))
-        out[w] = {key + shift: sign * a for key, a in c.items()}
+        out[w] = {key + shift: a for key, a in c.items()}
     return VermaVector._kernel(vec.hw, vec.D, out)
 
 
@@ -299,18 +312,17 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     and s is the pairing of alpha_i with the multidegree of the suffix to
     the right of the deleted letter.
 
-    Y is +-q**k times a monomial in the y_i (anything else raises
-    ValueError), and 1/(v - 1/v) = q**2/(q**4 - 1), so each such scalar is
-    two integers keyed by their y- and q-exponents, and scaling a word's
-    integers by it adds to their keys: the integer kernel below.  The
-    output's D is the input's times q**4 - 1.  A letter outside 1..n raises
-    ValueError, as in act_f.
+    Y = y**e * q**k from HighestWeight.eigen, and 1/(v - 1/v) = q**2/(q**4
+    - 1), so each such scalar is two integers keyed by their y- and
+    q-exponents, and scaling a word's integers by it adds to their keys: the
+    integer kernel below.  The output's D is the input's times q**4 - 1.  A
+    letter outside 1..n raises ValueError, as in act_f.
     """
     hw, n = vec.hw, vec.n
     if not 1 <= i <= n:
         raise ValueError("letter out of range")
-    plus, sp = _monomial_key(hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n))))
-    minus, sm = _monomial_key(hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n))))
+    plus = _pack(*hw.eigen(tuple(2 if k == i - 1 else 0 for k in range(n))))
+    minus = _pack(*hw.eigen(tuple(-2 if k == i - 1 else 0 for k in range(n))))
     # s -> q**2 * (Y * v**-s - Y**-1 * v**s) as (key, int) pairs
     shifts: dict = {}
     short: dict = {}
@@ -323,8 +335,8 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
             pair = shifts.get(s)
             if pair is None:
                 pair = shifts[s] = (
-                    (plus + _digit(2 - 2 * s), sp),
-                    (minus + _digit(2 + 2 * s), -sm),
+                    (plus + _digit(2 - 2 * s), 1),
+                    (minus + _digit(2 + 2 * s), -1),
                 )
             _convolve(short.setdefault(w[:pos] + w[pos + 1 :], {}), c, pair)
     return VermaVector._kernel(hw, _pmul(vec.D, _Q4_MINUS_1), _nf_sum(short, rs._nf_word))
@@ -357,21 +369,20 @@ def is_hwv(vec: VermaVector, rs: RewriteSystem) -> bool:
 
 def cartan_eval(H: WeightScalar, hw: HighestWeight):
     """Evaluate a Cartan element at the highest weight: k_gamma goes to
-    q**(lam, gamma) = +-q**k * y**e (on the hyperplane, y_n**d becomes
-    q**((m-n)d) (y_1...y_{n-1})**-d), extended linearly in one pass.  A
-    symbolic term shifts its coefficient's q-exponent by k, and two add only
-    where they meet at one e.  Numeric numerators add as Laurent polynomials
-    over each distinct denominator, which divides their sum exactly for the
-    products of h_i (each h_i(lam) is a Laurent polynomial), so no gcd runs;
-    a sum that it does not divide is divided as a RatQ."""
-    if H.terms and H.n != hw.n:
-        raise ValueError("lattice vector has wrong rank")
-    n, m = hw.n, hw.hyperplane_m
+    q**(lam, gamma) = y**e * q**k from HighestWeight.eigen, extended
+    linearly in one pass.  A symbolic term shifts its coefficient's
+    q-exponent by k, and two add only where they meet at one e.  Numeric
+    numerators add as Laurent polynomials over each distinct denominator,
+    which divides their sum exactly for the products of h_i (each h_i(lam)
+    is a Laurent polynomial), so no gcd runs; a sum that it does not divide
+    is divided as a RatQ, and a sum spanning more than 2**20 powers of q
+    raises ValueError (see scalars._dense)."""
+    eigen = hw.eigen
     if hw.mode == "numeric":
         sums: dict = {}  # denominator -> {q-exponent: int}
         for gamma, c in H.terms.items():
             acc = sums.setdefault(c.den, {})
-            for k, a in enumerate(c.num, c.val + sum(g * p for g, p in zip(gamma, hw.pairings))):
+            for k, a in enumerate(c.num, c.val + eigen(gamma)[1]):
                 acc[k] = acc.get(k, 0) + a
         out = hw.zero()
         for den, acc in sums.items():
@@ -382,11 +393,9 @@ def cartan_eval(H: WeightScalar, hw: HighestWeight):
         return out
     out = {}
     for gamma, c in H.terms.items():
-        k = 0
-        if m is not None and (d := gamma[-1]):
-            k, gamma = (m - n) * d, tuple(x - d for x in gamma[:-1]) + (0,)
-        add_terms(out, ((gamma, _raw(c.val + k, c.num, c.den)),))
-    return WeightScalar._raw(n, out, "y")
+        e, k = eigen(gamma)
+        add_terms(out, ((e, _raw(c.val + k, c.num, c.den)),))
+    return WeightScalar._raw(hw.n, out, "y")
 
 
 def h_eval(i: int, hw: HighestWeight):
@@ -401,14 +410,12 @@ def H_eval(rset, hw: HighestWeight):
     return cartan_eval(H_cartan(rset, hw.n), hw)
 
 
-def quantum_bracket(hw: HighestWeight, L_shift: int, sigma_i: int):
-    """[ (lam + rho, sigma_i) + L_shift ]_v as a scalar of the weight; the
-    rho part contributes sigma_i to the exponent.  Used by the
-    commutation-formula oracles in the tests."""
-    s = sigma_vec(sigma_i, hw.n)
-    shift = sigma_i + L_shift
-    plus = hw.k_eigen(tuple(2 * x for x in s)) * RatQ.v_power(shift)
-    minus = hw.k_eigen(tuple(-2 * x for x in s)) * RatQ.v_power(-shift)
+def quantum_bracket(hw: HighestWeight, gamma, shift: int):
+    """[ (lam, gamma) + shift ]_v as a scalar of the weight; at gamma =
+    sigma_i with shift i it is [ (lam + rho, sigma_i) ]_v.  Used by the
+    section-3 suite and by the commutation-formula oracles in the tests."""
+    plus = hw.k_eigen(tuple(2 * x for x in gamma)) * RatQ.v_power(shift)
+    minus = hw.k_eigen(tuple(-2 * x for x in gamma)) * RatQ.v_power(-shift)
     return (plus - minus) * _VMV_INV
 
 
@@ -431,14 +438,3 @@ def _clear(hw: HighestWeight, coeffs: dict):
             if isinstance(c, WeightScalar) and any(map(any, c.terms)):
                 raise ValueError("a y-monomial at a numeric weight")
     return _clear_scalars(coeffs, hw.n)
-
-
-def _monomial_key(c):
-    """(key, sign) of a scalar +-q**k * y**e, a WeightScalar or (with e = 0)
-    a RatQ; anything else raises."""
-    terms = c.terms.items() if isinstance(c, WeightScalar) else (((), c),)
-    if len(terms) == 1:
-        (e, x), = terms
-        if x.den == P_ONE and x.num in ((1,), (-1,)):
-            return _pack(e, x.val), x.num[0]
-    raise ValueError(f"not a signed q-power times a y-monomial: {c}")

@@ -3,8 +3,9 @@ arithmetic: the library's code before it moved onto Laurent tuples, kept
 here as oracles for the Laurent engine.  The Cartan parts and the Kostant
 partitions as they were computed before their closed forms follow at the
 end: h_i products by WeightScalar multiplication, their evaluation as a sum
-of RatQ terms, and the brute-force recursion over the interval list.  Last
-come RatQ and WeightScalar rendering as they were before their strings
+of RatQ terms, the eigenvalues of k_gamma by substituting the hyperplane
+into a monomial, and the brute-force recursion over the interval list.
+Last come RatQ and WeightScalar rendering as they were before their strings
 were memoised.
 
 Each oracle reads a system's rules (RatQ) and its automaton but none of its
@@ -13,7 +14,7 @@ forms, dicts word -> RatQ shared between words as the library's are.
 """
 
 from qshapo.freealg import NCPoly, deglex_key
-from qshapo.roots import positive_roots, root_vector
+from qshapo.roots import kostant_partitions, positive_roots, root_vector
 from qshapo.scalars import (
     P_ONE,
     R_ONE,
@@ -22,11 +23,12 @@ from qshapo.scalars import (
     RatQ,
     WeightScalar,
     _laurent_of,
+    _pack,
     _pstr,
     _ratq_of,
     add_terms,
 )
-from qshapo.uqsl import jimbo, pbw_monomials
+from qshapo.uqsl import jimbo
 
 
 def ratq_terms(laurent: dict) -> dict:
@@ -107,7 +109,7 @@ class RatQNormalForms:
         """{PBW monomial: its normal form}, each built factor by factor."""
         n = self.rs.n
         got = {}
-        for M in pbw_monomials(mu, n):
+        for M in kostant_partitions(mu):
             prod = NCPoly.one(n)
             for (i, j) in M:
                 prod = self.normal_form(prod * jimbo(i, j, n))
@@ -190,6 +192,42 @@ def cartan_eval_sum(H: WeightScalar, hw):
     for gamma, c in H.terms.items():
         out = out + c * hw.k_eigen(gamma)
     return out
+
+
+def k_eigen_by_substitution(hw, gamma):
+    """q**(lam, gamma) as a scalar of the weight, as it was computed before
+    HighestWeight.eigen: the pairing at a numeric weight, else the monomial
+    y**gamma with, on the hyperplane y_1...y_n = q**(m-n), y_n replaced by
+    q**(m-n) * (y_1...y_{n-1})**-1."""
+    n = len(gamma)
+    if n != hw.n:
+        raise ValueError("lattice vector has wrong rank")
+    if hw.mode == "numeric":
+        return RatQ.q_power(sum(g * p for g, p in zip(gamma, hw.pairings)))
+    ws = WeightScalar.monomial(n, tuple(gamma))
+    m = hw.hyperplane_m
+    if m is None:
+        return ws
+    terms: dict = {}
+    for e, c in ws.terms.items():
+        d = e[n - 1]
+        if d:
+            c = c * RatQ.q_power((m - n) * d)
+            e = tuple(x - d for x in e[: n - 1]) + (0,)
+        add_terms(terms, ((e, c),))
+    return WeightScalar(n, terms)
+
+
+def monomial_key(c):
+    """(key, sign) of a scalar +-q**k * y**e, a WeightScalar or (with e = ())
+    a RatQ, as act_e and act_k read an eigenvalue before
+    HighestWeight.eigen; anything else raises ValueError."""
+    terms = c.terms.items() if isinstance(c, WeightScalar) else (((), c),)
+    if len(terms) == 1:
+        (e, x), = terms
+        if x.den == P_ONE and x.num in ((1,), (-1,)):
+            return _pack(e, x.val), x.num[0]
+    raise ValueError(f"not a signed q-power times a y-monomial: {c}")
 
 
 def kostant_partitions_by_roots(mu) -> tuple:

@@ -2,8 +2,14 @@
 rewrite-system file that the benchmark still reads and writes."""
 
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import qshapo
 
 from qshapo import cli, freealg
 from qshapo.cli import main
@@ -295,6 +301,32 @@ def test_verify_negative_control_cli(capsys):
     final = obj["checks"][-1]
     assert "nonzero witness" in final["check"]
     assert final["witness"] != "0"
+
+
+@pytest.mark.parametrize("argv", [
+    "theta --n 2 --m 2 --method power --lambda 1000000000,-1000000000",
+    "verify --suite negative --n 2 --lambda 1000000000,5",
+    "theta --n 3 --method det --lambda 268435456,0,0",
+    "verify --suite hwv --n 2 --mode sampled --lambda 100000000,-100000001",
+])
+def test_a_numerator_too_long_to_build_exits_2(argv):
+    # each h_i at these weights has a numerator spanning billions of powers
+    # of q; the child runs under a 1 GB address-space limit, so a
+    # regression fails fast with MemoryError instead of filling the machine
+    child = textwrap.dedent(f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from qshapo.cli import main
+        raise SystemExit(main({argv.split()!r}))
+    """)
+    src = str(Path(qshapo.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: a numerator spans"), out.stderr
+    assert out.stderr.rstrip().endswith("powers of q, past 1048576") and not out.stdout
 
 
 def test_verify_exit_1_on_failure(capsys, monkeypatch):

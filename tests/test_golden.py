@@ -38,6 +38,9 @@ GOLDEN = [
      "f7a6805f43a25f918a0368faf39906ba2c64d890ea990ffb4da453790bfaba61"),
     ("verify --suite section3 --n 3", 0,
      "b9afc4c072c6c2fa6c2c475a68c418a6a483cdb6ee6ebd8f50471f481e9b2e83"),
+    # the bracket formulas at alpha_i and at sigma_i through one quantum_bracket
+    ("verify --suite section3 --n 4", 0,
+     "19b0521973c512e360884aa67dffd3188e4bd221a3bd6b19d0f3ea0f41d85fa0"),
     ("verify --suite calculus --n 3", 0,
      "6ea85dcb86b9346bbdcabe6617322e09e9364d166c6f4c98e0b6cbf59280b410"),
     ("verify --suite section44 --n 3", 0,
@@ -67,6 +70,9 @@ GOLDEN = [
     # every Cartan part up to five h_i factors, and numeric h_eval
     ("theta --n 6 --method sum --format json", 0,
      "106939c2dca213b1923752c008db0a67ccc03fe733039366ea871d9eed50557c"),
+    # every h_i on the m = 1 hyperplane, y_N eliminated by HighestWeight.eigen
+    ("theta --n 5 --method det --format json", 0,
+     "4f3d18074e2ff6e957f261a2998736e438a81ce85b2e7ee0ec6aeb3ca9401365"),
     ("theta --n 4 --method det --lambda 2,0,1,-3", 0,
      "75d20509cc71b793282eb321d9d79043ccc0846eb944ef97525b718e7fd8ad4c"),
     ("theta --n 3 --method det --format json", 0,

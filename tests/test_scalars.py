@@ -201,16 +201,6 @@ def test_ratq_differential_against_fraction_oracle():
                 continue  # q0 happens to be a root of a denominator
 
 
-def test_hyperplane_substitution():
-    # with n = 2 and m = 1 the constraint reads y1*y2 = q^{-1}
-    s = WeightScalar.monomial(2, (0, 1))
-    t = s.substitute_hyperplane(1)
-    assert t == WeightScalar(2, {(-1, 0): RatQ.q_power(-1)})
-    # a scalar supported on the hyperplane ideal collapses to zero
-    prod = WeightScalar.monomial(2, (1, 1)) - WeightScalar.const(2, RatQ.q_power(-1))
-    assert prod.substitute_hyperplane(1).is_zero()
-
-
 # ----------------------------------------------------------------------------
 # Property tests for the sparse kernel
 # ----------------------------------------------------------------------------
@@ -589,13 +579,9 @@ def _weight_scalars(draw, n, prefix):
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.one_of(_weight_scalars(1, "t"), _weight_scalars(7, "y")),
-    st.integers(-2, 3),
-)
-def test_weight_scalar_str_matches_the_oracle(ws, m):
-    for x in (ws, ws.substitute_hyperplane(m)):
-        assert str(x) == weight_scalar_str(x) == str(x)
+@given(st.one_of(_weight_scalars(1, "t"), _weight_scalars(7, "y")))
+def test_weight_scalar_str_matches_the_oracle(ws):
+    assert str(ws) == weight_scalar_str(ws) == str(ws)
 
 
 def test_ratq_string_memo_stays_within_its_bound():

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from qshapo import uqsl
 from qshapo.freealg import NCPoly, complete, deglex_key, get_rewrite_system, serre_relations
-from qshapo.roots import enumerate_II, enumerate_JJ, pbw_dimension, positive_roots
+from qshapo.roots import (
+    enumerate_II,
+    enumerate_JJ,
+    kostant_partitions,
+    pbw_dimension,
+    positive_roots,
+)
 from qshapo.scalars import P_ONE, R_ONE, R_ZERO, RatQ, WeightScalar, _clear, _rebuild, qbinom
 from qshapo.uqsl import (
     LocElement,
@@ -32,7 +38,6 @@ from qshapo.uqsl import (
     h_cartan,
     jimbo,
     leibniz_check,
-    pbw_monomials,
     psi,
     psi_loc,
     sigma_aut,
@@ -93,7 +98,7 @@ def test_to_pbw_round_trip():
             if 0 < sum(mu) <= 6 and max(mu) <= 3
         ]
         for mu in degrees:
-            for M in pbw_monomials(mu, n):
+            for M in kostant_partitions(mu):
                 coords = to_pbw(expand_pbw(M, n), rs)
                 assert coords == {M: R_ONE}, (n, mu, M)
 
@@ -131,7 +136,7 @@ def test_pbw_leads_are_the_normal_words():
 def test_pbw_normal_form_reads_the_cache():
     rs = get_rewrite_system(3)
     basis = _pbw_basis_columns((2, 1, 1), rs)
-    assert list(basis) == pbw_monomials((2, 1, 1), 3)
+    assert list(basis) == list(kostant_partitions((2, 1, 1)))
     for M, col in basis.items():
         assert _pbw_column(M, rs) is col
         assert _rebuild(P_ONE, col, 0) == ratq_terms(col)
@@ -576,7 +581,7 @@ def test_pbw_cache_is_per_system():
     for n, serre in ((2, True), (3, False), (2, False), (3, True), (2, True)):
         rs = complete(serre_relations(n) if serre else [], 6, n=n)
         mu = (2, 1) + (0,) * (n - 2)
-        monos = pbw_monomials(mu, n)
+        monos = list(kostant_partitions(mu))
         want = [rs.normal_form(expand_pbw(M, n)).terms for M in monos]
         entry = _pbw_basis_columns(mu, rs)
         assert list(entry) == monos

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshapo.freealg import NCPoly, get_rewrite_system
-from qshapo.roots import cartan_entry, sample_dominant_chain
-from qshapo.scalars import P_ONE, R_ONE, RatQ, WeightScalar, _rebuild, add_terms, qint
+from qshapo.roots import alpha, cartan_entry, kostant_partitions, sample_dominant_chain, sigma_vec
+from qshapo.scalars import P_ONE, R_ONE, RatQ, WeightScalar, _pack, _rebuild, add_terms, qint
 from qshapo.shapovalov import theta_power, theta_sum, theta_vector
-from qshapo.uqsl import H_cartan, _pbw_column, expand_pbw, h_cartan, jimbo, pbw_monomials
+from qshapo.uqsl import H_cartan, _pbw_column, expand_pbw, h_cartan, jimbo
 from qshapo.verma import (
     HighestWeight,
     H_eval,
@@ -30,7 +30,7 @@ from qshapo.verma import (
     quantum_bracket,
     vector_from_ncpoly,
 )
-from ratq_oracles import RatQNormalForms, cartan_eval_sum
+from ratq_oracles import RatQNormalForms, cartan_eval_sum, k_eigen_by_substitution, monomial_key
 
 V = RatQ.v_power
 Q = RatQ.q_power
@@ -61,6 +61,32 @@ def test_highest_weight_modes():
         HighestWeight.numeric((1,)).k_eigen((1, 0, 0))
     with pytest.raises(ValueError):
         HighestWeight(2, "numeric", (0, 0), hyperplane_m=1)
+
+
+def _eigen_weights(n):
+    """Three drawn numeric weights, the free weight and four hyperplanes."""
+    rng = random.Random(n)
+    numeric = [HighestWeight.numeric([rng.randint(-6, 6) for _ in range(n)]) for _ in range(3)]
+    return numeric + [HighestWeight.symbolic(n)] + [
+        HighestWeight.symbolic(n, hyperplane_m=m) for m in (-1, 1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eigen_matches_the_hyperplane_substitution(n):
+    # eigen's exponents against the monomial y**gamma with the hyperplane
+    # substituted into it, and the key act_e and act_k pack from them
+    for hw in _eigen_weights(n):
+        for gamma in itertools.product(range(-2, 3), repeat=n):
+            want = k_eigen_by_substitution(hw, gamma)
+            got = hw.k_eigen(gamma)
+            assert type(got) is type(want) and got == want, (hw.mode, hw.hyperplane_m, gamma)
+            assert (_pack(*hw.eigen(gamma)), 1) == monomial_key(want), (hw.mode, gamma)
+        for bad in ((0,) * (n - 1), (1,) * (n + 1)):
+            with pytest.raises(ValueError, match="wrong rank"):
+                hw.eigen(bad)
+            with pytest.raises(ValueError, match="wrong rank"):
+                hw.k_eigen(bad)
 
 
 def test_act_f_and_weight_offset():
@@ -220,11 +246,11 @@ def test_weight_bookkeeping_under_k():
             gamma = tuple(rng.randint(-2, 2) for _ in range(n))
             got = act_k(gamma, vec)
             from qshapo.freealg import word_multidegree
-            from qshapo.roots import pairing, weight_root_pairing
+            from qshapo.roots import pairing
 
             for w, c in vec.terms.items():
                 nu = word_multidegree(w, n)
-                exp = weight_root_pairing(lam, gamma) - pairing(nu, gamma)
+                exp = sum(a * g for a, g in zip(lam, gamma)) - pairing(nu, gamma)
                 assert got.terms.get(w, RatQ.from_int(0)) == Q(exp) * c
 
 
@@ -284,6 +310,25 @@ def test_cartan_eval_equals_the_sum_of_its_terms():
                     assert got.prefix == want.prefix == "y"
             with pytest.raises(ValueError, match="wrong rank"):
                 cartan_eval(H_cartan((1,), n + 1), hw)
+
+
+def test_cartan_eval_refuses_a_numerator_too_long_to_build():
+    # h_1 at (lam + rho, sigma_1) = L is -(q**-1 + q**-5 + ... + q**(3 - 4L)),
+    # summed over q**4 - 1 before the exact division: a numerator spanning
+    # 4L + 1 powers of q, which is built dense only up to 2**20 of them
+    h1 = h_cartan(1, 2)
+    for lam1 in (1 << 20, 262143):
+        with pytest.raises(ValueError, match="spans"):
+            cartan_eval(h1, HighestWeight.numeric((lam1, 0)))
+    L = 262143
+    want = RatQ(tuple(-1 if k % 4 == 0 else 0 for k in range(4 * L - 3))) * Q(3 - 4 * L)
+    assert cartan_eval(h1, HighestWeight.numeric((L - 1, 0))) == want
+    # a Laurent sum, which the oracle adds in linear time, at the bound
+    H = WeightScalar(2, {(0, 0): R_ONE, (1, 0): -R_ONE}, "k")
+    hw = HighestWeight.numeric(((1 << 20) - 1, 0))
+    assert cartan_eval(H, hw) == cartan_eval_sum(H, hw)
+    with pytest.raises(ValueError, match="spans"):
+        cartan_eval(H, HighestWeight.numeric((1 << 20, 0)))
 
 
 @settings(deadline=None, max_examples=80)
@@ -353,8 +398,10 @@ def test_quantum_bracket_matches_numeric():
         hw = HighestWeight.numeric(lam)
         for i in (1, 2, 3):
             for shift in (-1, 0, 2):
+                # (lam + rho, sigma_i) + shift: rho pairs to i with sigma_i
                 L = sum(lam[:i]) + i + shift
-                assert quantum_bracket(hw, shift, i) == qint(L)
+                assert quantum_bracket(hw, sigma_vec(i, 3), i + shift) == qint(L)
+                assert quantum_bracket(hw, alpha(i, 3), shift) == qint(lam[i - 1] + shift)
 
 
 def test_is_hwv():
@@ -400,13 +447,10 @@ def test_cancellation_scalar_identities_rank_five():
         return hw.k_eigen(tuple(2 * e if k < i else 0 for k in range(n))) * V(e * i)
 
     for i in range(2, n + 1):
-        plus = hw.k_eigen(tuple(2 if k == i - 1 else 0 for k in range(n)))
-        minus = hw.k_eigen(tuple(-2 if k == i - 1 else 0 for k in range(n)))
-        bracket_ai = (plus * V(1) - minus * V(-1)) * VMV.inverse()
         lhs = (
-            bracket_ai
-            + vpow_sigma(i, -1) * quantum_bracket(hw, 0, i - 1)
-            - vpow_sigma(i - 1, -1) * quantum_bracket(hw, 0, i)
+            quantum_bracket(hw, alpha(i, n), 1)
+            + vpow_sigma(i, -1) * quantum_bracket(hw, sigma_vec(i - 1, n), i - 1)
+            - vpow_sigma(i - 1, -1) * quantum_bracket(hw, sigma_vec(i, n), i)
         )
         assert lhs.is_zero(), i
 
@@ -522,7 +566,7 @@ def test_theta_vector_matches_the_unhoisted_sum(data):
     n, hw, scalars = data.draw(weight_and_scalars())
     rs = get_rewrite_system(n)
     mu = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    monos = pbw_monomials(mu, n)
+    monos = kostant_partitions(mu)
     chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
     coords = {M: data.draw(scalars) for M in chosen}
     assert theta_vector(coords, hw, rs) == theta_vector_unhoisted(coords, hw, rs), (mu, coords)
@@ -665,7 +709,7 @@ def test_raising_numeric_theta_v_matches_the_unhoisted_formula(n, m):
 def test_theta_vector_reads_ratq_coordinates_as_weight_scalars():
     rs = get_rewrite_system(3)
     hw = HighestWeight.symbolic(3)
-    monos = pbw_monomials((1, 1, 1), 3)
+    monos = kostant_partitions((1, 1, 1))
     coords = {M: (V(k) - Q(1)) / VMV ** k for k, M in enumerate(monos)}
     vec = theta_vector(coords, hw, rs)
     assert vec.terms and all(type(c) is WeightScalar for c in vec.terms.values())
@@ -698,32 +742,6 @@ def test_act_e_rejects_a_letter_out_of_range(mode):
             act_e(i, vec, rs)
         with pytest.raises(ValueError, match="letter out of range"):
             act_f(i, vec, rs)
-
-
-class _OffMonomialWeight(HighestWeight):
-    """A symbolic weight whose k_gamma eigenvalues are not +-q**k * y**e."""
-
-    __slots__ = ("bend",)
-
-    def k_eigen(self, gamma):
-        return self.bend(super().k_eigen(gamma))
-
-
-@pytest.mark.parametrize("bend", [
-    lambda ws: ws * 2,
-    lambda ws: ws + WeightScalar.one(ws.n),
-    lambda ws: ws * (V(1) + 1),
-    lambda ws: ws * VMV.inverse(),
-    lambda ws: WeightScalar.zero(ws.n),
-], ids=["twice", "plus-one", "times-v-plus-one", "over-v-minus-1/v", "zero"])
-def test_act_e_refuses_an_eigenvalue_off_a_monomial(bend):
-    rs = get_rewrite_system(2)
-    hw = _OffMonomialWeight(2, "symbolic")
-    hw.bend = bend
-    vec = VermaVector(hw, {(1,): hw.one(), (2, 1): hw.one()})
-    for i in (1, 2):
-        with pytest.raises(ValueError, match="not a signed q-power"):
-            act_e(i, vec, rs)
 
 
 @pytest.mark.parametrize("c", [
