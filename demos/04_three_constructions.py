@@ -1,8 +1,9 @@
 """Three independent constructions of the same Shapovalov element.
 
 1.  The closed sum over index sets: chains f_J weighted by products of h_i.
-2.  The left-to-right expansion of an almost-triangular matrix whose
-    subdiagonal carries the evaluated scalars -h_i(lam).
+2.  The ordered determinant of an almost-triangular matrix whose
+    subdiagonal carries the evaluated scalars -h_i(lam), expanded along
+    its last column.
 3.  The rank induction: conjugate the previous rank's element by a power of
     the new simple generator, using the finite conjugation operators.
 

@@ -735,15 +735,14 @@ def _lneg(t):
     return tuple([(k, -a) for k, a in t])
 
 
-def _nf_sum(ints: dict, nf_of, acc=None) -> dict:
-    """acc (or a new dict) plus the sum of c * nf_of(u) over the items
-    (u, c) of ints, as accumulators {word: {key: int}}: each c a scalar as
-    {key: int}, and nf_of(u) the image of u, {word: Laurent tuple}, under a
-    linear map (its normal form, or uqsl's free expansion of a PBW
-    monomial).  nf_of is called once for each u whose c is not zero.  Every
-    normal form of a polynomial is summed here."""
-    if acc is None:
-        acc = {}
+def _nf_sum(ints: dict, nf_of) -> dict:
+    """The sum of c * nf_of(u) over the items (u, c) of ints, as
+    accumulators {word: {key: int}}: each c a scalar as {key: int}, and
+    nf_of(u) the image of u, {word: Laurent tuple}, under a linear map (its
+    normal form, or uqsl's free expansion of a PBW monomial).  nf_of is
+    called once for each u whose c is not zero.  Every normal form of a
+    polynomial is summed here."""
+    acc: dict = {}
     for u, c in ints.items():
         c = [ka for ka in c.items() if ka[1]]
         if c:

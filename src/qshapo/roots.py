@@ -127,8 +127,6 @@ class SplitI(NamedTuple):
     I_minus: tuple[int, ...] | None
     I1: tuple[int, ...]
     I2: tuple[int, ...]
-    I1_plus: tuple[int, ...]
-    I2_minus: tuple[int, ...]
 
 
 def split_I(I, i: int, n: int) -> SplitI:
@@ -136,7 +134,7 @@ def split_I(I, i: int, n: int) -> SplitI:
 
     I_plus drops i, I_minus drops i+1; each is flagged absent (None) when
     dropping it would violate membership of 1 or N+1.  I1/I2 cut I at the
-    pivot, and I1_plus/I2_minus additionally strip the pivot elements.
+    pivot.
     """
     s = set(I)
     if not in_II(I, n) or i not in s or i + 1 not in s:
@@ -145,7 +143,7 @@ def split_I(I, i: int, n: int) -> SplitI:
     I_minus = tuple(x for x in I if x != i + 1) if i != n else None
     I1 = tuple(x for x in I if x <= i)
     I2 = tuple(x for x in I if x >= i + 1)
-    return SplitI(I_plus, I_minus, I1, I2, I1[:-1], I2[1:])
+    return SplitI(I_plus, I_minus, I1, I2)
 
 
 # ----------------------------------------------------------------------------

@@ -163,23 +163,28 @@ def _peval(a, x: int) -> int:
 
 
 def _pseudo_rem(a, b):
-    """Pseudo-remainder prem(a, b) for the primitive PRS gcd."""
+    """A pseudo-remainder of a by b for the primitive PRS gcd: s*a - Q*b of
+    degree below b's, for a nonzero integer s, so it has the primitive part
+    of prem(a, b) up to sign.  A step rescales the remainder only when b's
+    leading coefficient does not divide its top coefficient, so a b led by
+    +-1 costs len(b) per step, not len(a)."""
     db = len(b) - 1
     lead = b[-1]
     r = list(a)
-    while len(r) - 1 >= db and any(r):
+    while True:
         while r and r[-1] == 0:
             r.pop()
         if len(r) - 1 < db:
-            break
+            return tuple(r)
         top = r[-1]
+        g = _igcd(top, lead) if lead > 0 else -_igcd(top, lead)
+        if g != lead:
+            s = lead // g
+            r = [s * c for c in r]
+        c = top // g
         k = len(r) - 1 - db
-        r = [lead * c for c in r]
         for j, bc in enumerate(b):
-            r[k + j] -= top * bc
-        while r and r[-1] == 0:
-            r.pop()
-    return _ptrim(r)
+            r[k + j] -= c * bc
 
 
 def _pprimitive(a):

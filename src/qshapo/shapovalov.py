@@ -9,10 +9,11 @@ the all-simple-root monomial is 1.  This module constructs such elements by
 * ``theta_sum``    -- the closed-form sum over index sets: each chain f_J
                       weighted by the Cartan product H_J of the h_i whose
                       rows the chain skips;
-* ``theta_det``    -- the left-to-right signed expansion of an
-                      almost-triangular matrix with root-vector entries on
-                      and above the diagonal and evaluated scalars -c_i on
-                      the subdiagonal;
+* ``theta_det``    -- the ordered determinant of an almost-triangular
+                      matrix with root-vector entries on and above the
+                      diagonal and evaluated scalars -c_i on the
+                      subdiagonal, expanded along its last column:
+                      det_k = sum_r (c_r ... c_{k-1}) det_{r-1} f_{r,k+1};
 * ``theta_inductive`` -- the rank induction that conjugates the previous
                       rank's element by a power of the new simple generator,
                       F**(m+r) theta F**-r, realized as a normal form and a
@@ -40,7 +41,6 @@ from .scalars import (
     R_ONE,
     RatQ,
     _pmul,
-    add_terms,
     qint,
 )
 from .uqsl import (
@@ -90,12 +90,10 @@ class ShapoElement:
     pairs.  Each term also remembers which h_i indices make up its Cartan
     part, for rendering."""
 
-    __slots__ = ("n", "m", "tag", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n, m, tag, terms):
+    def __init__(self, n, terms):
         self.n = n
-        self.m = m
-        self.tag = tag
         # terms: list of (pbw tuple, h-index tuple, Cartan part as a
         # WeightScalar in the k-lattice)
         self.terms = sorted(terms, key=lambda t: t[0])
@@ -133,7 +131,7 @@ class ShapoElement:
                     },
                 }
             )
-        return {"n": self.n, "m": self.m, "method": self.tag, "terms": terms}
+        return {"n": self.n, "m": 1, "method": "sum", "terms": terms}
 
     def to_latex(self) -> str:
         parts = []
@@ -153,7 +151,7 @@ def theta_sum(n: int) -> ShapoElement:
     for J in enumerate_II(n):
         rset = r_of(J, n)
         terms.append((f_monomial_of_index_set(J), rset, H_cartan(rset, n)))
-    return ShapoElement(n, 1, "sum", terms)
+    return ShapoElement(n, terms)
 
 
 def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVector:
@@ -175,68 +173,32 @@ def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVec
 # ----------------------------------------------------------------------------
 
 def theta_det(n: int, hw: HighestWeight) -> dict:
-    """Complete left-to-right expansion of the almost-triangular matrix.
+    """The ordered determinant of the almost-triangular matrix, in PBW
+    coordinates.
 
-    Entries are taken column by column, each row used once; scalar
-    subdiagonal entries -c_i = -h_i(lam) commute out front while the
-    root-vector entries stay in column order.  Every surviving product of
-    root vectors is asserted to be a consecutive chain, i.e. an f_J, and the
-    expansion lands directly in PBW coordinates.
+    Entry (r, c) is the root vector f_{r,c+1} for r <= c and the scalar
+    -c_c = -h_c(lam) for r = c + 1.  Expanding det_k, the leading k x k
+    minor, along its last column gives
+
+        det_k = sum_{r=1..k} (c_r ... c_{k-1}) det_{r-1} f_{r,k+1},
+
+    with det_0 = 1: row r of column k leaves a block triangular minor whose
+    subdiagonal scalars -c_r .. -c_{k-1} cancel the sign of the cycle.
+    Root vectors stay in column order, so each term is a chain f_J.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
     if hw.n < n:
         raise WeightError("weight has too few pairings for this rank")
-    cvals = [h_eval(i, hw) for i in range(1, n)]
-    out: dict = {}
-
-    def entry(r, c):
-        """Entry (r, c): the root-vector label (r, c+1) on and above the
-        diagonal, the scalar marker -c_c on the subdiagonal, zero below."""
-        if r <= c:
-            return ("f", (r, c + 1))
-        if r == c + 1:
-            return ("c", c)
-        return None
-
-    def rec(col, used, perm, factors, scalar):
-        if col > n:
-            # permutation sign from inversion count
-            inv = sum(
-                1
-                for a in range(len(perm))
-                for b in range(a + 1, len(perm))
-                if perm[a] > perm[b]
-            )
-            chain = tuple(factors)
-            for k in range(len(chain) - 1):
-                if chain[k][1] != chain[k + 1][0]:
-                    raise InconsistentResult("determinant term is not a chain")
-            add_terms(out, [(chain, scalar if inv % 2 == 0 else -scalar)])
-            return
-        for row in range(1, n + 1):
-            if used >> row & 1:
-                continue
-            cell = entry(row, col)
-            if cell is None:
-                continue
-            kind, data = cell
-            if kind == "f":
-                factors.append(data)
-                rec(col + 1, used | (1 << row), perm + [row], factors, scalar)
-                factors.pop()
-            else:
-                rec(
-                    col + 1,
-                    used | (1 << row),
-                    perm + [row],
-                    factors,
-                    -(scalar * cvals[data - 1]),
-                )
-
-    one = hw.one()
-    rec(1, 0, [], [], one)
-    return out
+    det, scaled = {(): hw.one()}, []
+    for k in range(1, n + 1):
+        # scaled[r - 1] is (c_r ... c_{k-1}) det_{r-1}
+        if scaled:
+            c = h_eval(k - 1, hw)
+            scaled = [{J: x * c for J, x in d.items()} if c else {} for d in scaled]
+        scaled.append(det)
+        det = {J + ((r, k + 1),): x for r, d in enumerate(scaled, 1) for J, x in d.items()}
+    return det
 
 
 # ----------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .freealg import (
     RewriteSystem,
     _nf_sum,
     deglex_key,
-    latex_document,
     word_multidegree,
 )
 from .roots import cartan_entry
@@ -254,22 +253,6 @@ class VermaVector:
         w, c = self.sorted_terms()[0]
         ws = "*".join(f"f{i}" for i in w) if w else "v"
         return f"({c})*{ws}"
-
-    def to_json_obj(self) -> dict:
-        off = self.weight_offset()
-        return {
-            "weight_offset": None if off is None else list(off),
-            "terms": {
-                ",".join(map(str, w)): str(c) for w, c in self.sorted_terms()
-            },
-        }
-
-    def to_latex(self) -> str:
-        parts = []
-        for w, c in self.sorted_terms():
-            ws = "".join(f"f_{{{i}}}" for i in w)
-            parts.append(f"\\left({c}\\right) {ws} v_\\lambda")
-        return latex_document(" + ".join(parts) or "0")
 
 
 def vector_from_ncpoly(p: NCPoly, hw: HighestWeight, rs: RewriteSystem) -> VermaVector:

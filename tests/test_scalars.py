@@ -1,10 +1,11 @@
 """Exact-arithmetic tests: canonical forms, field axioms, q-combinatorics."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qshapo import scalars
@@ -20,6 +21,7 @@ from qshapo.scalars import (
     _pdiv,
     _pgcd,
     _pmul,
+    _pseudo_rem,
     _unpack,
     add_terms,
     common_denominator,
@@ -284,6 +286,33 @@ def test_add_terms_matches_naive_oracle(start, pairs, data):
 @given(_polys, _polys)
 def test_pmul_matches_dense_oracle(a, b):
     assert _pmul(a, b) == _dense_pmul(a, b)
+
+
+def _fraction_rem(a, b):
+    """The remainder of a by b over Q, by long division in Fractions."""
+    r = [Fraction(x) for x in a]
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        for j, y in enumerate(b):
+            r[len(r) - len(b) + j] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+@settings(deadline=None)
+@given(_polys, _polys, st.sampled_from([1, -1, 2, -6]))
+@example((0, 0, 0, 0, 0, 1), (-1, 0, 0, 0), -1)
+def test_pseudo_rem_is_an_integer_multiple_of_the_remainder(a, low, lead):
+    # s*a - Q*b for an integer s != 0 is s times the remainder over Q; a
+    # divisor led by +-1 never rescales, so s is then 1
+    b = low + (lead,)
+    r, exact = _pseudo_rem(a, b), _fraction_rem(a, b)
+    assert len(r) == len(exact)
+    if exact:
+        s = r[-1] / exact[-1]
+        assert s.denominator == 1 and list(r) == [s * x for x in exact]
+        assert s == 1 or abs(b[-1]) != 1
 
 
 @settings(deadline=None)

@@ -1,5 +1,7 @@
 """The three constructions, their agreements, and the verification drivers."""
 
+import itertools
+
 import pytest
 
 from qshapo.freealg import NCPoly, complete, get_rewrite_system, serre_relations
@@ -11,7 +13,7 @@ from qshapo.roots import (
     pairing,
     sample_dominant_chain,
 )
-from qshapo.scalars import R_ONE, RatQ, WeightScalar, qint
+from qshapo.scalars import R_ONE, RatQ, WeightScalar, add_terms, qint
 from qshapo.shapovalov import (
     Checks,
     InductionPreconditionError,
@@ -102,6 +104,42 @@ def test_theta_det_pi0_coefficient_is_one():
         hw = HighestWeight.symbolic(n)
         got = theta_det(n, hw)
         assert got[pi0_monomial(n, 1)] == hw.one()
+
+
+def leibniz_det(n, hw, sub=-1):
+    """The ordered determinant by the Leibniz sum over all permutations:
+    entry (r, c) is f_{r,c+1} for r <= c and sub * h_c(lam) for r = c + 1,
+    each product keeps its root vectors in column order, and a permutation
+    through a zero entry is skipped."""
+    c = {i: h_eval(i, hw) for i in range(1, n)}
+    out = {}
+    for rows in itertools.permutations(range(1, n + 1)):
+        chain, x = [], hw.one()
+        for col, r in enumerate(rows, 1):
+            if r <= col:
+                chain.append((r, col + 1))
+            elif r == col + 1:
+                x = x * (sub * c[col])
+            else:
+                break
+        else:
+            inv = sum(a > b for a, b in itertools.combinations(rows, 2))
+            add_terms(out, [(tuple(chain), -x if inv % 2 else x)])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_theta_det_matches_the_leibniz_sum(n):
+    weights = [
+        HighestWeight.symbolic(n),
+        HighestWeight.symbolic(n, hyperplane_m=1),
+        HighestWeight.numeric(hyperplane_sample(n, 1, 1, seed=7)[0]),
+    ]
+    for hw in weights:
+        assert theta_det(n, hw) == leibniz_det(n, hw)
+    # negative control: +c_i on the subdiagonal changes the determinant
+    if n >= 2:
+        assert theta_det(n, weights[0]) != leibniz_det(n, weights[0], sub=1)
 
 
 def test_theta_vector_weight():

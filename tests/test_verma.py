@@ -425,18 +425,6 @@ def test_act_poly_matches_repeated_act_f():
     assert (via_poly - via_f).is_zero()
 
 
-def test_vermavector_serialization():
-    rs = get_rewrite_system(2)
-    hw = HighestWeight.numeric((2, -1))
-    vec = act_f(2, act_f(1, VermaVector.highest(hw), rs), rs)
-    obj = vec.to_json_obj()
-    assert obj["weight_offset"] == [1, 1]
-    assert obj["terms"] == {"2,1": "1"}
-    tex = vec.to_latex()
-    assert "f_{2}f_{1} v_\\lambda" in tex and tex.startswith("\\documentclass")
-    assert VermaVector(hw, {}).to_json_obj()["weight_offset"] is None
-
-
 def test_cancellation_scalar_identities_rank_five():
     # the quantum-integer recurrence behind the interior cancellation, and
     # the hyperplane identity behind the final one, both as symbolic scalars
