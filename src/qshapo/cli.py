@@ -160,18 +160,16 @@ def cmd_theta(cfg: argparse.Namespace) -> int:
         coords = theta_det(cfg.n, hw)
         print(_render_evaluated(coords, cfg))
         return 0
-    if cfg.method in ("inductive", "power"):
-        if cfg.lam is None:
-            print("error: this method needs --lambda", file=sys.stderr)
-            return 2
-        if cfg.method == "inductive":
-            coords = theta_inductive(cfg.n, cfg.m, cfg.lam).normalized()
-        else:
-            coords = theta_power(cfg.n, cfg.m, cfg.lam)
-        print(_render_evaluated(coords, cfg))
-        return 0
-    print(f"error: unknown method {cfg.method}", file=sys.stderr)
-    return 2
+    # inductive or power, the last two --method choices
+    if cfg.lam is None:
+        print("error: this method needs --lambda", file=sys.stderr)
+        return 2
+    if cfg.method == "inductive":
+        coords = theta_inductive(cfg.n, cfg.m, cfg.lam).normalized()
+    else:
+        coords = theta_power(cfg.n, cfg.m, cfg.lam)
+    print(_render_evaluated(coords, cfg))
+    return 0
 
 
 # ----------------------------------------------------------------------------
@@ -245,10 +243,7 @@ def main(argv=None) -> int:
         print("error: n, m and samples must be positive", file=sys.stderr)
         return 2
     try:
-        if cfg.command == "theta":
-            return cmd_theta(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
+        return cmd_theta(cfg) if cfg.command == "theta" else cmd_verify(cfg)
     except (WeightError, InductionPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -257,8 +252,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: internal inconsistency ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4
-    print(f"error: unknown command {cfg.command}", file=sys.stderr)
-    return 2
 
 
 if __name__ == "__main__":

@@ -26,16 +26,17 @@ Two scalar types live here:
 Below both types sits the integer kernel (the last section of this module).
 Every rewrite-rule coefficient, every normal form and every PBW column is a
 Laurent polynomial in q, which the kernel keeps as a tuple of (q-exponent,
-int) pairs.  A scalar of any kind is cleared into it once, by a common
-multiple D of its denominators (``common_denominator``; the (q**4 - 1)**j
-that 1/(v - v**-1) brings into a symbolic-weight computation), as integers
-keyed by its packed y- and q-exponents; linear maps then run on exact
-integers with no gcd, and a result is rebuilt as RatQ or WeightScalar
-values, divided by D once, only when it is handed out (``_rebuild``;
-``_through_kernel`` is the round trip).  So every public map that computes
-in the kernel refuses, with ValueError, a q-exponent of size 2**28 or more
-(``_LIMIT``) and a result whose numerator spans more than 2**20 powers of q
-(``_MAX_SPAN``).
+int) pairs.  The boundary is two functions.  ``_clear`` is the way in: it
+clears scalars of any kind at once, by a common multiple D of their
+denominators (``common_denominator``; the (q**4 - 1)**j that 1/(v - v**-1)
+brings into a symbolic-weight computation), into integers keyed by their
+packed y- and q-exponents.  Linear maps then run on exact integers with no
+gcd.  ``_rebuild`` is the way out: it divides a result by D once and hands
+it out as RatQ or WeightScalar values.  ``_through_kernel`` is the round
+trip of ``normal_form``, ``to_pbw`` and ``from_pbw``.  So every public map
+that computes in the kernel refuses, with ValueError, a q-exponent of size
+2**28 or more (``_LIMIT``) and a result whose numerator spans more than
+2**20 powers of q (``_MAX_SPAN``).
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -154,14 +155,6 @@ def _pdiv(a, b):
     return _ptrim(out)
 
 
-def _peval(a, x: int) -> int:
-    """a(x), by Horner's rule."""
-    r = 0
-    for c in reversed(a):
-        r = r * x + c
-    return r
-
-
 def _pseudo_rem(a, b):
     """A pseudo-remainder of a by b for the primitive PRS gcd: s*a - Q*b of
     degree below b's, for a nonzero integer s, so it has the primitive part
@@ -213,21 +206,11 @@ def _pgcd(a, b):
     return x
 
 
-_EVAL_GAP = 1 << 20
-
-
 def _pcancel(a, b):
-    """a/g and b/g for the primitive gcd g of nonzero a and b.  A constant
-    is coprime to every polynomial, so g is then 1.
-
-    Before the gcd, a and b are evaluated at x = R + 2**20, where every
-    root of b lies within R = 1 + max|b_i| of 0.  A common factor h of
-    positive degree has |h(x)| >= 2**20 and divides both values, so a gcd
-    of the values below 2**20 proves g = 1."""
+    """a/g and b/g for the primitive gcd g of nonzero a and b, computed by
+    _pgcd whenever both are non-constant.  A constant is coprime to every
+    polynomial, so g is then 1 and no gcd runs."""
     if len(a) == 1 or len(b) == 1:
-        return a, b
-    x = _EVAL_GAP + 1 + max(map(abs, b))
-    if _igcd(_peval(a, x), _peval(b, x)) < _EVAL_GAP:
         return a, b
     g = _pgcd(a, b)
     if g == P_ONE:
@@ -919,76 +902,51 @@ def common_denominator(coeffs) -> tuple[int, ...]:
     return D
 
 
-class _Cleared:
-    """Scalars in n symbols multiplied by a common multiple D of their
-    denominators, read as {key: int}.  The keys of y-exponents and the
-    quotients D/den are computed once per value met."""
-
-    __slots__ = ("n", "D", "_keys", "_quotients")
-
-    def __init__(self, n, D):
-        self.n, self.D = n, D
-        self._keys: dict = {}
-        self._quotients: dict = {}
-
-    def expand(self, c) -> dict:
-        """D * c as {key: int}, for a RatQ or a WeightScalar."""
+def _clear(coeffs: dict, n: int):
+    """(D, ints): D a common multiple of the denominators of the scalars c
+    in coeffs (RatQs, or WeightScalars in n symbols), and D * c as {key:
+    int} under the same key for each c that is not zero.  A RatQ packs
+    under the key of the empty y-exponent, which is the key of (0,) * n.
+    The key of each y-exponent and the quotient D/den of each denominator
+    are computed once per call."""
+    D = common_denominator(coeffs.values())
+    keys: dict = {}
+    quotients: dict = {}
+    ints = {}
+    for u, c in coeffs.items():
         if isinstance(c, WeightScalar):
-            if c.n != self.n:
+            if c.n != n:
                 raise ValueError("WeightScalar symbol-count mismatch")
             terms = c.terms.items()
         else:
-            terms = (((0,) * self.n, c),)
-        keys = self._keys
+            terms = (((), c),)
         out = {}
         for e, x in terms:
             base = keys.get(e)
             if base is None:
                 base = keys[e] = _pack(e)
             num = x.num
-            if x.den != self.D:
-                quo = self._quotients.get(x.den)
+            if x.den != D:
+                quo = quotients.get(x.den)
                 if quo is None:
-                    quo = self._quotients[x.den] = _pdiv(self.D, x.den)
-                    if quo is None:
-                        raise ValueError("denominator does not divide the common denominator")
+                    quo = quotients[x.den] = _pdiv(D, x.den)
                 num = _pmul(num, quo)
             _digit(x.val + len(num))
             for k, a in enumerate(num, base + _digit(x.val)):
                 if a:
                     out[k] = a
-        return out
-
-
-def _shape(coeffs):
-    """(n, prefix) of the first WeightScalar among coeffs, or (0, None)
-    when they are all RatQs: the arguments of _clear and _rebuild that keep
-    the scalars' type."""
-    for c in coeffs:
-        if isinstance(c, WeightScalar):
-            return c.n, c.prefix
-    return 0, None
-
-
-def _clear(coeffs: dict, n: int):
-    """(D, ints): D a common multiple of the denominators of the scalars c
-    in coeffs (RatQs, or WeightScalars in n symbols), and D * c as {key:
-    int} under the same key for each c that is not zero."""
-    cleared = _Cleared(n, common_denominator(coeffs.values()))
-    ints = {}
-    for u, c in coeffs.items():
-        c = cleared.expand(c)
-        if c:
-            ints[u] = c
-    return cleared.D, ints
+        if out:
+            ints[u] = out
+    return D, ints
 
 
 def _through_kernel(coeffs: dict, fn) -> dict:
-    """fn(ints) / D as the same kind of scalars as coeffs (RatQs or
-    WeightScalars), where (D, ints) = _clear(coeffs) and fn is a linear map
-    to {u: {key: int}}: the round trip of the public maps that compute in
-    the kernel."""
-    n, prefix = _shape(coeffs.values())
+    """fn(ints) / D as the same kind of scalars as coeffs (RatQs, or
+    WeightScalars shaped like the first one among them), where (D, ints) =
+    _clear(coeffs) and fn is a linear map to {u: {key: int}} or {u: [(key,
+    int), ...]}: the round trip of normal_form, to_pbw and from_pbw."""
+    ws = next((c for c in coeffs.values() if isinstance(c, WeightScalar)), None)
+    n, prefix = (0, None) if ws is None else (ws.n, ws.prefix)
     D, ints = _clear(coeffs, n)
     return _rebuild(D, fn(ints), n, prefix)
 

@@ -41,6 +41,7 @@ from .scalars import (
     R_ONE,
     RatQ,
     _pmul,
+    _rebuild,
     qint,
 )
 from .uqsl import (
@@ -210,12 +211,11 @@ class InductiveTheta:
     coordinates, the per-step conjugation exponents, the leading
     coefficient with its predicted value, and the element's normal form."""
 
-    __slots__ = ("n", "m", "target", "chain", "r_values", "coords", "pi0", "poly")
+    __slots__ = ("n", "m", "chain", "r_values", "coords", "pi0", "poly")
 
-    def __init__(self, n, m, target, chain, r_values, coords, pi0, poly):
+    def __init__(self, n, m, chain, r_values, coords, pi0, poly):
         self.n = n
         self.m = m
-        self.target = target
         self.chain = chain
         self.r_values = r_values
         self.coords = coords
@@ -260,7 +260,7 @@ def theta_inductive(
     pi0 = coords.get(pi0_monomial(n, m))
     if pi0 is None:
         raise InconsistentResult("leading monomial missing from induction result")
-    return InductiveTheta(n, m, chain[n], chain, r_values, coords, pi0, theta)
+    return InductiveTheta(n, m, chain, r_values, coords, pi0, theta)
 
 
 def reflection_chain(n: int, lam) -> tuple[dict, list]:
@@ -325,7 +325,7 @@ def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
         factor = _nf_sum(coords, lambda M: _pbw_column(M, rs))
         prod = _nf_sum(_word_product(prod, factor), rs._nf_word)
         D = _pmul(D, E)
-    return _kernel_to_pbw(rs, prod, D)
+    return _rebuild(D, _kernel_to_pbw(rs, prod), 0)
 
 
 # ----------------------------------------------------------------------------

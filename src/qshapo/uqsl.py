@@ -34,17 +34,14 @@ from .freealg import (
 from .roots import alpha, cartan_entry, kostant_partitions, pairing
 from .scalars import (
     P_ONE,
-    R_ZERO,
     RatQ,
     WeightScalar,
-    _clear,
     _convolve,
     _laurent,
     _laurent_of,
     _pmul,
     _raw,
     _rebuild,
-    _shape,
     _through_kernel,
     add_terms,
     qbinom,
@@ -125,11 +122,13 @@ def f_monomial_of_index_set(I) -> tuple[tuple[int, int], ...]:
 # Exact linear algebra: one back-substitution by leading words
 # ----------------------------------------------------------------------------
 
-def solve_linear(cols: list[dict], rhs: dict, D=P_ONE, n: int = 0, prefix=None) -> list:
-    """Solve sum_c x_c * cols[c] = rhs / D for PBW coordinates: the columns
-    {word: Laurent tuple}, rhs D times the right-hand side in the integer
-    kernel, {word: {key: int}}, which the solve consumes, and the solution
-    rebuilt from (D, n, prefix) as _rebuild does, as RatQs by default.
+def solve_linear(cols: list[dict], rhs: dict) -> dict:
+    """Solve sum_c x_c * cols[c] = rhs for PBW coordinates in the integer
+    kernel: the columns {word: Laurent tuple}, rhs {word: {key: int}},
+    which the solve consumes, and the solution {c: [(key, int), ...]} for
+    each column index c whose coordinate is not zero.  A caller that
+    cleared rhs by a common denominator D divides the solution by D when it
+    rebuilds it (scalars._rebuild).
 
     The columns must be triangular, as PBW columns are (each leads with its
     own product of good Lyndon words): distinct deglex-leading words, each
@@ -163,8 +162,7 @@ def solve_linear(cols: list[dict], rhs: dict, D=P_ONE, n: int = 0, prefix=None) 
                 _convolve(rhs.setdefault(w, {}), minus_x, y)
     if any(a for r in rhs.values() for a in r.values()):
         raise SingularSystem("right-hand side outside the columns' span")
-    xs = _rebuild(D, xs, n, prefix)
-    return [xs.get(c, R_ZERO) for c in range(len(cols))]
+    return xs
 
 
 def _pbw_basis_columns(mu, rs: RewriteSystem) -> dict:
@@ -200,31 +198,29 @@ def _pbw_column(M, rs: RewriteSystem) -> dict:
 
 def to_pbw(p: NCPoly, rs: RewriteSystem) -> dict:
     """Coordinates of a homogeneous element in the PBW basis: one
-    solve_linear against the PBW columns of its multidegree.  Columns that
-    are not triangular, or an element outside their span, mean the rewriting
-    engine contradicts the PBW theorem, which is reported loudly
-    (SingularSystem).  As in RewriteSystem.normal_form,
-    p's scalars are cleared into the integer kernel once, and ValueError
-    refuses a q-exponent of size 2**28 or more or a coordinate whose
-    numerator spans more than 2**20 powers of q; so do from_pbw,
-    divide_right_F and theta_power.
+    solve_linear against the PBW columns of its multidegree, on the integer
+    kernel's round trip (scalars._through_kernel), as RatQs or, for
+    WeightScalar input, WeightScalars.  Columns that are not triangular, or
+    an element outside their span, mean the rewriting engine contradicts
+    the PBW theorem, which is reported loudly (SingularSystem).  As in
+    RewriteSystem.normal_form, ValueError refuses a q-exponent of size
+    2**28 or more or a coordinate whose numerator spans more than 2**20
+    powers of q; so do from_pbw, divide_right_F and theta_power.
     """
-    n, prefix = _shape(p.terms.values())
-    D, ints = _clear(p.terms, n)
-    nf = _nf_sum(ints, rs._nf_word)
+    return _through_kernel(p.terms, lambda ints: _kernel_to_pbw(rs, _nf_sum(ints, rs._nf_word)))
+
+
+def _kernel_to_pbw(rs: RewriteSystem, nf: dict) -> dict:
+    """The PBW coordinates of nf, a normal form in the kernel as {word:
+    {key: int}}, which the solve consumes: {monomial: [(key, int), ...]}
+    in kostant_partitions order, without the zero coordinates.  Words whose
+    integers are all zero are dropped before the solve."""
     nf = {w: c for w, c in nf.items() if any(c.values())}
-    return _kernel_to_pbw(rs, nf, D, n, prefix)
-
-
-def _kernel_to_pbw(rs: RewriteSystem, nf: dict, D, n=0, prefix=None) -> dict:
-    """to_pbw of the element nf / D, nf a normal form in the kernel as
-    {word: {key: int}}, which the solve consumes, rebuilt from (D, n,
-    prefix) as solve_linear rebuilds it: as RatQs by default."""
     if not nf:
         return {}
     basis = _pbw_basis_columns(NCPoly._raw(rs.n, nf).multidegree(), rs)
-    xs = solve_linear(list(basis.values()), nf, D, n, prefix)
-    return {M: x for M, x in zip(basis, xs) if x}
+    xs = solve_linear(list(basis.values()), nf)
+    return {M: xs[c] for c, M in enumerate(basis) if c in xs}
 
 
 def from_pbw(coords: dict, n: int) -> NCPoly:

@@ -667,14 +667,22 @@ def _scalars(kind, n):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_normal_form_matches_the_ratq_oracle(data):
+    from qshapo.uqsl import to_pbw
+
     n = data.draw(st.integers(2, 4))
     kind = data.draw(st.sampled_from(["laurent", "y", "t"]))
     letters = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
     words = data.draw(st.lists(st.permutations(letters).map(tuple), min_size=1, max_size=4))
     p = NCPoly(n, {w: data.draw(_scalars(kind, n)) for w in words})
     rs = get_rewrite_system(n)
-    got, want = rs.normal_form(p), RatQNormalForms(rs).normal_form(p)
+    oracle = RatQNormalForms(rs)
+    got, want = rs.normal_form(p), oracle.normal_form(p)
     assert got == want and str(got) == str(want)
+    # to_pbw takes the same round trip through the kernel, and its solve
+    # hands back the coordinates of the scalars' own kind
+    got, want = to_pbw(p, rs), oracle.to_pbw(p)
+    assert got == want
+    assert [(M, str(c)) for M, c in got.items()] == [(M, str(c)) for M, c in want.items()]
 
 
 def _cached_coefficients(rs):

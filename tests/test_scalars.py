@@ -16,7 +16,8 @@ from qshapo.scalars import (
     R_ZERO,
     RatQ,
     WeightScalar,
-    _Cleared,
+    _clear,
+    _pcancel,
     _pcontent,
     _pdiv,
     _pgcd,
@@ -487,7 +488,7 @@ def _split(key, n):
 
 
 def _read_back(ints, n, D):
-    """The value of {key: int} from _Cleared(n, D).expand, times 1/D, as a
+    """The value of {key: int} from _clear in n symbols, times 1/D, as a
     WeightScalar in n symbols."""
     out = WeightScalar.zero(n)
     for key, a in ints.items():
@@ -497,21 +498,26 @@ def _read_back(ints, n, D):
 
 
 def _assert_clears(coeffs, D, n=2):
-    """D is a multiple of every denominator, each cleared value is a dict
-    of integers, and multiplying it back by 1/D gives the value."""
-    cleared = _Cleared(n, D)
-    for c in coeffs:
+    """_clear of coeffs gives D, a multiple of every denominator; each
+    cleared value is a dict of nonzero integers, a zero value is left out,
+    and multiplying each back by 1/D gives the value."""
+    got, ints = _clear(dict(enumerate(coeffs)), n)
+    assert got == D
+    assert set(ints) == {i for i, c in enumerate(coeffs) if c}
+    for i, c in enumerate(coeffs):
         xs = c.terms.values() if isinstance(c, WeightScalar) else [c]
         assert all(_pdiv(D, x.den) is not None for x in xs)
-        ints = cleared.expand(c)
-        assert all(type(a) is int and a for a in ints.values())
-        assert _read_back(ints, n, D) == (
-            c if isinstance(c, WeightScalar) else WeightScalar.const(n, c)
-        )
+        if c:
+            assert all(type(a) is int and a for a in ints[i].values())
+            assert _read_back(ints[i], n, D) == (
+                c if isinstance(c, WeightScalar) else WeightScalar.const(n, c)
+            )
+    return ints
 
 
 def test_common_denominator_of_nothing_or_laurent_values_is_one():
     assert common_denominator([]) == (1,)
+    assert _clear({}, 2) == ((1,), {})
     laurent = [R_ONE, RatQ.q_power(-3), RatQ((2, 0, -1)), -RatQ.v_power(5)]
     assert common_denominator(laurent) == (1,)
     _assert_clears(laurent, (1,))
@@ -531,10 +537,9 @@ def test_common_denominator_of_a_divisibility_chain_runs_no_gcd(monkeypatch):
     monkeypatch.setattr(scalars, "_pcancel", no_gcd)
     D = common_denominator(coeffs)
     assert D == _ppow(Q4M1, 4)
-    cleared = _Cleared(1, D)
-    ints = [cleared.expand(c) for c in coeffs]
+    got, ints = _clear(dict(enumerate(coeffs)), 1)
     monkeypatch.undo()
-    assert all(ints)
+    assert got == D and len(ints) == len(coeffs)
     _assert_clears(coeffs, D)
 
 
@@ -549,8 +554,8 @@ def test_common_denominator_skips_zero_coefficients():
     coeffs = [R_ZERO, RatQ((1,), Q4M1), R_ZERO]
     D = common_denominator(coeffs)
     assert D == Q4M1
-    assert _Cleared(2, D).expand(R_ZERO) == {}
-    _assert_clears(coeffs, D)
+    assert _clear({"zero": R_ZERO}, 2) == ((1,), {})
+    assert set(_assert_clears(coeffs, D)) == {1}
 
 
 def test_common_denominator_of_weight_scalars():
@@ -559,9 +564,12 @@ def test_common_denominator_of_weight_scalars():
     coeffs = [a, RatQ((1,), _pmul(Q4M1, Q4M1)), b, WeightScalar.zero(2)]
     D = common_denominator(coeffs)
     assert D == _pmul(_pmul(Q4M1, Q4M1), COPRIME)
-    _assert_clears(coeffs, D)
-    ints = _Cleared(2, D).expand(a)
-    assert {_split(key, 2)[0] for key in ints} == set(a.terms)
+    ints = _assert_clears(coeffs, D)
+    assert {_split(key, 2)[0] for key in ints[0]} == set(a.terms)
+    # a RatQ packs under the key of the zero y-exponent
+    assert {_split(key, 2)[0] for key in ints[1]} == {(0, 0)}
+    with pytest.raises(ValueError, match="symbol-count"):
+        _clear({0: a}, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -571,12 +579,61 @@ def test_clear_and_restore_round_trip(coeffs):
     _assert_clears(coeffs, D)
     # the result of a linear map on the cleared values, restored, is the
     # map on the originals
-    cleared = _Cleared(1, D)
+    _, ints = _clear(dict(enumerate(coeffs)), 1)
     total: dict = {}
-    for c in coeffs:
-        for key, a in cleared.expand(c).items():
+    for c in ints.values():
+        for key, a in c.items():
             total[key] = total.get(key, 0) + a
     assert _read_back(total, 1, D) == WeightScalar.const(1, sum(coeffs, R_ZERO))
+
+
+# ----------------------------------------------------------------------------
+# Cancellation against sympy, on the denominators the library meets
+# ----------------------------------------------------------------------------
+
+def _qint_factor(k):
+    """(q**(4k) - 1)/(q**4 - 1) = 1 + q**4 + ... + q**(4k - 4)."""
+    return tuple(0 if i % 4 else 1 for i in range(4 * k - 3))
+
+
+# the denominators the library's arithmetic meets: q**4 - 1 from
+# 1/(v - v**-1), and the quantum-integer factors of qint(k), k <= 11
+_met_denominators = st.one_of(st.just(Q4M1), st.integers(2, 11).map(_qint_factor))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy oracle not installed")
+@settings(max_examples=80, deadline=None)
+@given(_met_denominators, _small_nonzero, _small_nonzero, st.booleans())
+@example(Q4M1, COPRIME, (1,), False)
+@example(_qint_factor(3), (1, 1), (1, 0, 1), True)
+def test_pcancel_against_sympy(d, a, b, planted):
+    # a planted common factor d, or b a multiple of d beside an unrelated
+    # a, which makes a coprime pair nearly always
+    a, b = (_pmul(a, d), _pmul(b, d)) if planted else (a, _pmul(b, d))
+    x, y = _pcancel(a, b)
+    # a = x * g and b = y * g for one primitive g of positive leading
+    # coefficient, of the degree of the gcd
+    g = _pdiv(a, x)
+    assert g is not None and _pmul(y, g) == b
+    assert g[-1] > 0 and _pcontent(g) == 1
+    assert len(g) - 1 == sympy.degree(sympy.gcd(_expr(a), _expr(b)), sympy.Symbol("q"))
+    # and x/y is sympy's cancelled a/b
+    c = gcd(_pcontent(x), _pcontent(y)) * (1 if y[-1] > 0 else -1)
+    assert (tuple(t // c for t in x), tuple(t // c for t in y)) == _sympy_canonical(
+        _expr(a), _expr(b)
+    )
+
+
+def test_pcancel_of_a_long_numerator_runs_in_linear_time():
+    # h_1 at (lam + rho, sigma_1) = L summed term by term: each RatQ sum
+    # cancels a numerator spanning up to 4L powers of q against q**4 - 1
+    from qshapo.uqsl import h_cartan
+    from qshapo.verma import HighestWeight, cartan_eval
+
+    from ratq_oracles import cartan_eval_sum
+
+    h1, hw = h_cartan(1, 2), HighestWeight.numeric((65536, 0))
+    assert cartan_eval_sum(h1, hw) == cartan_eval(h1, hw)
 
 
 # ----------------------------------------------------------------------------

@@ -435,18 +435,21 @@ def test_divide_right_F_reads_its_input_in_the_quotient():
 
 
 def test_solve_linear_paths():
-    # rhs in the kernel, D times it as {word: {q-exponent: int}}, which
-    # the solve consumes
+    # rhs in the kernel as {word: {q-exponent: int}}, which the solve
+    # consumes; the solution stays there, {column: [(q-exponent, int)]}
+    # without the zero coordinates, and a caller rebuilds it over the D
+    # it cleared rhs by
     a = laurent_terms({(1,): R_ONE})
     b = laurent_terms({(2,): R_ONE, (1,): Q(1)})
 
     def rhs():
         return {(2,): {0: 2}, (1,): {1: 2, 0: 3}}  # 3 a + 2 b
 
-    assert solve_linear([a, b], rhs()) == [RatQ.from_int(3), RatQ.from_int(2)]
+    assert solve_linear([a, b], rhs()) == {1: [(0, 2)], 0: [(0, 3)]}
     half = RatQ.from_int(2).inverse()
-    assert solve_linear([b, a], rhs(), (2,)) == [R_ONE, RatQ.from_int(3) * half]
-    assert solve_linear([a, b], {(1,): {0: 1}}) == [R_ONE, R_ZERO]
+    xs = _rebuild((2,), solve_linear([b, a], rhs()), 0)
+    assert xs == {0: R_ONE, 1: RatQ.from_int(3) * half}
+    assert solve_linear([a, b], {(1,): {0: 1}}) == {0: [(0, 1)]}
     with pytest.raises(SingularSystem, match="share the lead"):
         solve_linear([a, a], {(1,): {0: 1}})
     with pytest.raises(SingularSystem, match="is zero"):
@@ -455,7 +458,7 @@ def test_solve_linear_paths():
         solve_linear([a], {(2,): {0: 1}})
     with pytest.raises(SingularSystem, match="outside the columns' span"):
         solve_linear([a, b], {(2,): {0: 1}, (1,): {0: 1}, (3,): {2: -1}})
-    assert solve_linear([], {}) == []
+    assert solve_linear([], {}) == {}
 
 
 def test_cartan_elements():
@@ -610,9 +613,11 @@ def _is_unit(x):
 
 def _solve_cleared(cols, rhs):
     """solve_linear of Laurent columns and a RatQ rhs, cleared into the
-    kernel as to_pbw clears it."""
+    kernel and rebuilt from it as to_pbw clears and rebuilds them, as the
+    list of RatQ coordinates."""
     D, ints = _clear(rhs, 0)
-    return solve_linear([laurent_terms(col) for col in cols], ints, D)
+    xs = _rebuild(D, solve_linear([laurent_terms(col) for col in cols], ints), 0)
+    return [xs.get(c, R_ZERO) for c in range(len(cols))]
 
 
 @settings(max_examples=200, deadline=None)

@@ -567,34 +567,38 @@ def test_raising_a_kernel_form_vector_clears_no_scalar(monkeypatch):
     # and clears none
     import qshapo.scalars as scalars
     import qshapo.shapovalov as shapovalov
+    import qshapo.verma as verma
 
-    counts = {"expand": 0, "act_e": 0}
-    expand, raising = scalars._Cleared.expand, shapovalov.act_e
+    counts = {"clear": 0, "act_e": 0}
+    clear, raising = scalars._clear, shapovalov.act_e
 
-    def counting_expand(self, c):
-        counts["expand"] += 1
-        return expand(self, c)
+    def counting_clear(*args):
+        counts["clear"] += 1
+        return clear(*args)
 
     def counting_act_e(*args):
         counts["act_e"] += 1
         return raising(*args)
 
-    monkeypatch.setattr(scalars._Cleared, "expand", counting_expand)
+    # scalars' own name serves the round trip of normal_form, to_pbw and
+    # from_pbw, and verma's alias serves its vectors
+    monkeypatch.setattr(scalars, "_clear", counting_clear)
+    monkeypatch.setattr(verma, "_clear_scalars", counting_clear)
     monkeypatch.setattr(shapovalov, "act_e", counting_act_e)
     n = 4
     rs = get_rewrite_system(n)
     report = shapovalov.verify_hwv(n, 1, "symbolic", rs=rs)
     assert all(c["status"] == "pass" for c in report) and counts["act_e"] == n
-    during_verify, counts["expand"] = counts["expand"], 0
+    during_verify, counts["clear"] = counts["clear"], 0
     free = HighestWeight.symbolic(n)
     vec = theta_vector(theta_sum(n).evaluate(free), free, rs)
-    assert counts["expand"] == during_verify > 0
+    assert counts["clear"] == during_verify == 1
     vectors = [vec, VermaVector._kernel(HighestWeight.symbolic(n, hyperplane_m=1), vec.D, vec.ints)]
-    assert counts["expand"] == during_verify
+    assert counts["clear"] == during_verify
     for vec in vectors:
         for k in range(1, n + 1):
             act_e(k, act_e(k, vec, rs), rs)
-    assert counts["expand"] == during_verify
+    assert counts["clear"] == during_verify
 
 
 @pytest.mark.parametrize("n", range(1, 8))
