@@ -1,17 +1,21 @@
 """Command-line front end: compute elements and run verification suites.
 
 Each command builds the rank's rewriting system in process
-(freealg.get_rewrite_system), or leaves that to the construction or suite
-it calls; nothing is read from or written to disk.
+(freealg.get_rewrite_system, from the closed-form overlap schedule), or
+leaves that to the construction or suite it calls; nothing is read from or
+written to disk.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid weight
 (including a --lambda off the hyperplane (lam + rho, eta) = m where the
 element needs it, or one the command would not read) or arguments, 4 an
 internal inconsistency (a singular PBW system, a failed right division, an
-ad_F iterate that does not vanish, or a construction result its derivation
-rules out).  No degree is refused: the rewriting system completes itself
-as far as a computation needs.  Output is deterministic for a fixed
-argument vector (sampling is seeded, never wall-clock)."""
+ad_F iterate that does not vanish, a construction result its derivation
+rules out, or a rewriting system whose schedule or count certificate
+fails), 5 out of memory (a MemoryError: the computation outgrew the
+machine; no size is refused in advance).  No degree is refused: the
+rewriting system extends itself as far as a computation needs.  Output is
+deterministic for a fixed argument vector (sampling is seeded, never
+wall-clock)."""
 
 from __future__ import annotations
 
@@ -20,17 +24,15 @@ import json
 import os
 import sys
 import tempfile
-from functools import partial
 from pathlib import Path
 
 from .freealg import (
     CacheCorrupt,
     RewriteSystem,
-    complete,
+    build_serre_system,
     latex_document,
     serre_relations,
 )
-from .roots import pbw_dimension
 from .shapovalov import (
     InconsistentResult,
     InductionPreconditionError,
@@ -61,11 +63,14 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
     Only the benchmark calls it; it is kept until ROADMAP item 2, then
     item 7, removes it.
 
-    A loaded system is trusted only if it passes the checks of
+    A built system comes from freealg.build_serre_system, the closed-form
+    schedule with its count certificate, and extends itself by that
+    schedule.  A loaded system is trusted only if it passes the checks of
     RewriteSystem.from_text, its header matches, every Serre relation
-    reduces to 0 in it and each degree d <= cap has p_N(d) normal words;
-    otherwise it is rebuilt with a warning.  A built system carries the
-    dimensions p_N(d), a loaded one does not (see RewriteSystem).
+    reduces to 0 in it and the same certificate holds, each degree d <= cap
+    having p_N(d) normal words (RewriteSystem.count_failure); otherwise it
+    is rebuilt with a warning.  A loaded system has no schedule and extends
+    itself by completion (see RewriteSystem).
     The cache file is written to a temp file beside it and moved into place,
     so a concurrent run reads either the old file or the whole new one."""
     path = cache_path(cache_dir, n, cap)
@@ -77,15 +82,14 @@ def load_or_build(n: int, cap: int, cache_dir: Path):
                 raise CacheCorrupt("header mismatch")
             if any(rs.normal_form(rel) for rel in serre_relations(n)):
                 raise CacheCorrupt("a Serre relation has a nonzero normal form")
-            for d in range(1, cap + 1):
-                got, want = rs.count_normal_words(d), pbw_dimension(n, d)
-                if got != want:
-                    raise CacheCorrupt(f"{got} normal words in degree {d}, not {want}")
+            failure = rs.count_failure(0, cap)
+            if failure:
+                raise CacheCorrupt(failure)
             return rs, "loaded"
         except CacheCorrupt as exc:
             print(f"warning: cache {path} is corrupt ({exc}); rebuilding", file=sys.stderr)
             status = "rebuilt"
-    rs = complete(serre_relations(n), cap, n=n, dimensions=partial(pbw_dimension, n))
+    rs = build_serre_system(n, cap)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = tempfile.NamedTemporaryFile(
         "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
@@ -252,6 +256,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: internal inconsistency ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -6,12 +6,11 @@ Words are tuples of letters in 1..N; a polynomial is a finite map from words
 to scalars.  The monomial order is degree-lexicographic with f_1 < ... < f_N,
 comparing letters left to right, so tuple comparison on (len, word) realizes
 it directly.  The Serre relations are homogeneous in the multidegree (the
-letter-count vector), every rewrite preserves multidegree, and completion
-through degree D resolves all overlap ambiguities of degree <= D, which
-certifies that normal forms are canonical in those degrees.  A system
-extends its completion to the length of any longer word it meets; no degree
-is refused, only the cost grows with it.  Zero-testing in the quotient is
-normal_form(p) == 0.
+letter-count vector), every rewrite preserves multidegree, and a system is
+confluent through its degree cap, so normal forms are canonical in those
+degrees.  A system extends itself to the length of any longer word it
+meets; no degree is refused, only the cost grows with it.  Zero-testing in
+the quotient is normal_form(p) == 0.
 
 A count can stand in for the overlaps of a degree.  Every rule lies in the
 ideal, so the normal words of degree d span the degree-d part of the
@@ -19,9 +18,28 @@ quotient and number at least its dimension, which for the q-Serre ideal is
 p_N(d) by the PBW theorem (roots.pbw_dimension).  When they number exactly
 that they are a basis, so the difference of an overlap of degree d, in the
 ideal and in their span, is 0 (Bergman's diamond lemma, Adv. Math. 29,
-1978): a system completed from the Serre relations with their dimensions
-skips that degree's overlaps.  audit_confluence still resolves every
-overlap: it is the independent check.
+1978).  ``RewriteSystem.count_failure`` is that certificate.
+
+The library's Serre systems (build_serre_system, behind get_rewrite_system
+and cli.load_or_build) come from a closed-form schedule.  The q-Serre basis
+is the finite Groebner-Shirshov basis of Bokut and Malcolmson (Israel J.
+Math. 96, 1996): every lead is the product of two decreasing runs, and each
+rule the relations do not give comes from one overlap, (N - 1)(N - 2) in
+all (``_serre_schedule``).  A build takes the relations as rules, adds the
+rule of each scheduled overlap up to its degree cap in (degree, word)
+order, tail-reduces, and certifies every degree by count; an extension does
+the same over its new degrees.  Every other overlap then resolves by the
+count, so none is reduced.  A scheduled overlap that reduces to 0, or a
+count that fails, raises InconsistentResult: the build never falls back.
+
+``complete``, general overlap completion through a degree, stays for what
+the schedule does not cover: the pbw suite's own completion check, the
+systems that ``from_text`` reads (they extend by completion, resolving
+every new overlap, since nothing shows a file's rules lie in the ideal),
+the test oracles, and the benchmark.  A completion given its quotient's
+dimensions skips each degree whose normal words number it.
+audit_confluence still resolves every overlap: it is the independent
+check.
 
 An overlap w = la + suffix = prefix + lb is resolved when its remainder,
 rules[la] * suffix - prefix * rules[lb], reduces to 0 by rules whose leads
@@ -55,7 +73,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from functools import partial
 from io import StringIO
 
 from .roots import pbw_dimension
@@ -81,6 +98,11 @@ class CacheCorrupt(Exception):
     """A serialized rewrite system failed structural validation.  Raised only
     by from_text and cli.load_or_build, kept for the benchmark until ROADMAP
     item 2, then item 7, removes them."""
+
+
+class InconsistentResult(Exception):
+    """A construction produced a result its derivation rules out, so the
+    rewrite system or the code is inconsistent."""
 
 
 # ----------------------------------------------------------------------------
@@ -285,11 +307,13 @@ class RewriteSystem:
 
     ``rules`` maps a leading word to its replacement polynomial; replacements
     are multidegree-homogeneous with every word strictly smaller in deglex.
-    ``cap`` is the degree completed so far; a longer word first extends the
-    completion to its length.  That adds only rules with longer leads, so
-    normal forms are pure and cached ones (and PBW columns) stay valid.
+    ``cap`` is the degree built or completed so far; a longer word first
+    extends the system to its length: by its schedule, for a system that
+    build_serre_system made (``_schedule``, its overlaps), and by completion
+    otherwise.  Either adds only rules with longer leads, so normal forms
+    are pure and cached ones (and PBW columns) stay valid.
 
-    No lead is a factor of another (completion retires any lead a new one
+    No lead is a factor of another (``_add_rule`` retires any lead a new one
     divides, and ``from_text`` refuses a file that breaks this).  So a lead
     is never a proper prefix of another, and ``_delta``, the Aho-Corasick
     automaton over the leads, needs no state past a lead: its states are the
@@ -315,13 +339,18 @@ class RewriteSystem:
     whose normal words (``count_normal_words``) number it.  Only a system
     completed here from relations with known dimensions carries it; one
     read by ``from_text`` does not, since nothing shows a file's rules lie
-    in the ideal, and it resolves every overlap when it extends.
+    in the ideal, and it resolves every overlap when it extends.  A
+    scheduled system needs none: it certifies its degrees by
+    ``count_failure`` instead.
     """
 
     def __init__(self, n: int, cap: int, dimensions=None):
         self.n = n
         self.cap = cap
         self.dimensions = dimensions
+        # the overlaps (word, lead_a, lead_b) this system is built from, or
+        # None for a system that completion extends
+        self._schedule: list | None = None
         self._delta: list[list[int]] = [[0] * (n + 1)]
         self._rhs: dict[tuple, tuple] = {}
         self._nf_cache: dict[tuple, dict] = {}
@@ -560,11 +589,15 @@ class RewriteSystem:
 
     def count_normal_words(self, degree: int) -> int:
         """The number of words of length `degree` that no rule reduces, under
-        the rules as they stand (the system is not extended): the walks of
-        that length from state 0 through the non-negative states of
-        ``_delta``."""
+        the rules as they stand (the system is not extended)."""
+        return self._normal_word_counts(degree)[-1]
+
+    def _normal_word_counts(self, degree: int) -> list[int]:
+        """``count_normal_words`` of each degree 0..degree: the walks of each
+        length from state 0 through the non-negative states of ``_delta``."""
         delta = self._delta
         walks = [1] + [0] * (len(delta) - 1)
+        counts = [1]
         for _ in range(degree):
             nxt = [0] * len(delta)
             for s, k in enumerate(walks):
@@ -573,7 +606,19 @@ class RewriteSystem:
                         if t >= 0:
                             nxt[t] += k
             walks = nxt
-        return sum(walks)
+            counts.append(sum(walks))
+        return counts
+
+    def count_failure(self, done: int, degree: int) -> str | None:
+        """The certificate of degrees (done, degree]: None when the normal
+        words of each such degree d number p_N(d), the dimension of the
+        q-Serre quotient's degree-d part (roots.pbw_dimension), so that the
+        rules are confluent through `degree` (see the module docstring);
+        otherwise a message naming the first degree where they do not."""
+        for d, got in enumerate(self._normal_word_counts(degree)):
+            if d > done and got != pbw_dimension(self.n, d):
+                return f"{got} normal words in degree {d}, not {pbw_dimension(self.n, d)}"
+        return None
 
     # -- completion --------------------------------------------------------
 
@@ -624,16 +669,46 @@ class RewriteSystem:
             if diff:
                 self._add_rule(diff, queue)
                 counted = None
+        self._tail_reduce()
+
+    def _tail_reduce(self):
+        """Replace every replacement by its normal form, for a canonical,
+        serializable system."""
         self._rhs = {lead: self._triples(self._reduce({u: c for u, c, _ in rhs}))
                      for lead, rhs in self._rhs.items()}
 
+    def _run_schedule(self, done: int, degree: int):
+        """Add the rule of each scheduled overlap of degree in (done,
+        degree], in (degree, word) order, tail-reduce, and certify those
+        degrees by count.  Raises InconsistentResult when an overlap lacks a
+        participant or reduces to 0, or when a count fails."""
+        for w, la, lb in self._schedule:
+            if done < len(w) <= degree:
+                missing = [x for x in (la, lb) if x not in self._rhs]
+                if missing:
+                    raise InconsistentResult(f"the scheduled overlap {w} has no rule {missing[0]}")
+                diff = self._overlap_remainder(w, la, lb)
+                if not diff:
+                    raise InconsistentResult(
+                        f"the scheduled overlap {w} of {la} and {lb} reduces to 0")
+                self._add_rule(diff, [])  # its overlaps are the schedule's to resolve
+        self._tail_reduce()
+        failure = self.count_failure(done, degree)
+        if failure:
+            raise InconsistentResult(failure)
+
     def _extend(self, degree: int):
-        """Complete through `degree`.  Completion through cap resolved every
-        overlap of degree <= cap, so only the overlaps of the current leads
-        with degree in (cap, degree] are new; the rules alone determine
-        them, so a system read from a cache file extends the same way."""
+        """Extend through `degree`: a scheduled system by its schedule over
+        (cap, degree], any other by completion.  Completion through cap
+        resolved every overlap of degree <= cap, so only the overlaps of the
+        current leads with degree in (cap, degree] are new; the rules alone
+        determine them, so a system read from a cache file extends the same
+        way."""
         # raise the cap first: resolving reduces words of up to `degree` letters
         done, self.cap = self.cap, degree
+        if self._schedule is not None:
+            self._run_schedule(done, degree)
+            return
         queue = [
             (len(w), w, la, lb)
             for la in self._rhs
@@ -810,6 +885,14 @@ def complete(
     cap = max([degree_cap] + [rel.degree() for rel in relations])
     rs = RewriteSystem(relations[0].n if relations else n or 1, cap, dimensions)
     queue: list = []
+    _add_relations(rs, relations, queue)
+    rs._resolve(queue)
+    return rs
+
+
+def _add_relations(rs: RewriteSystem, relations, queue: list):
+    """Reduce each relation, smallest lead first, and add it as a rule
+    unless it reduces to 0, queueing the overlaps ``_add_rule`` finds."""
     for rel in sorted(relations, key=lambda p: deglex_key(p.leading_word())):
         try:
             terms = {w: _laurent_of(c) for w, c in rel.terms.items()}
@@ -818,8 +901,6 @@ def complete(
         q = rs._reduce(terms)
         if q:
             rs._add_rule(q, queue)
-    rs._resolve(queue)
-    return rs
 
 
 def audit_confluence(rs: RewriteSystem) -> list[tuple]:
@@ -847,6 +928,54 @@ def audit_confluence(rs: RewriteSystem) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------------
+# The closed-form schedule
+# ----------------------------------------------------------------------------
+
+def _run(j: int, i: int) -> tuple:
+    """The decreasing run (j, j-1, ..., i)."""
+    return tuple(range(j, i - 1, -1))
+
+
+def _serre_schedule(n: int) -> list[tuple]:
+    """The (N - 1)(N - 2) overlaps (word, lead_a, lead_b) that give every
+    rule of the rank-n q-Serre basis the relations do not, in (degree, word)
+    order: with D(j, i) = (j, ..., i)(j - 1) and C(j, i) = (j, ..., i)(j,
+    ..., i - 1),
+
+    * D(j, j-2) from (j, j-1, j-1) and (j-1, j-1, j-2);
+    * D(j, i), i < j - 2, from D(j, i+1) and the commutation (j-1, i);
+    * C(j, i), i < j, from C(j, i+1) and D(i+1, i-1), where C(j, j) is the
+      relation (j, j, j-1)."""
+    out = []
+    for j in range(3, n + 1):
+        out.append((_run(j, j - 1) + (j - 1, j - 2), (j, j - 1, j - 1), (j - 1, j - 1, j - 2)))
+        for i in range(j - 3, 0, -1):
+            d = _run(j, i + 1) + (j - 1,)
+            out.append((d + (i,), d, (j - 1, i)))
+        for i in range(j - 1, 1, -1):
+            c = _run(j, i + 1) + _run(j, i)
+            out.append((c + (i - 1, i), c, _run(i + 1, i - 1) + (i,)))
+    return sorted(out, key=lambda o: deglex_key(o[0]))
+
+
+def build_serre_system(n: int, cap: int) -> RewriteSystem:
+    """The rank-n q-Serre system through degree `cap` (or through its
+    longest relation's), from the closed-form schedule: the relations as
+    rules, the rule of each scheduled overlap of degree <= cap
+    (``_serre_schedule``), a tail reduction, and the count certificate of
+    every degree <= cap (``RewriteSystem.count_failure``).  It extends
+    itself by the same schedule.  Raises InconsistentResult when a scheduled
+    overlap reduces to 0 or a count fails; it never falls back to
+    completion."""
+    relations = serre_relations(n)
+    rs = RewriteSystem(n, max([cap] + [rel.degree() for rel in relations]))
+    _add_relations(rs, relations, [])
+    rs._schedule = _serre_schedule(n)
+    rs._run_schedule(0, rs.cap)
+    return rs
+
+
+# ----------------------------------------------------------------------------
 # Shared, cached systems
 # ----------------------------------------------------------------------------
 
@@ -861,16 +990,14 @@ def default_cap(n: int) -> int:
 
 
 def get_rewrite_system(n: int, cap: int | None = None) -> RewriteSystem:
-    """The rank's process-wide system: completed through `cap` (default
-    default_cap(n)) when the rank is new, otherwise extended in place to at
-    least `cap`, so one process holds one completion (and one set of
-    normal-form and PBW caches) per rank."""
+    """The rank's process-wide system: built through `cap` (default
+    default_cap(n)) by build_serre_system when the rank is new, otherwise
+    extended in place, by the same schedule, to at least `cap`; so one
+    process holds one system (and one set of normal-form and PBW caches)
+    per rank, and never runs completion."""
     rs = _SYSTEMS.get(n)
     if rs is None:
-        cap = default_cap(n) if cap is None else cap
-        rs = _SYSTEMS[n] = complete(
-            serre_relations(n), cap, n=n, dimensions=partial(pbw_dimension, n)
-        )
+        rs = _SYSTEMS[n] = build_serre_system(n, default_cap(n) if cap is None else cap)
     elif cap is not None and cap > rs.cap:
         rs._extend(cap)
     return rs

@@ -28,6 +28,7 @@ the determinant comparison identity that ties consecutive ranks together.
 from __future__ import annotations
 
 from .freealg import (
+    InconsistentResult,
     NCPoly,
     RewriteSystem,
     _nf_sum,
@@ -69,11 +70,6 @@ class InductionPreconditionError(ValueError):
 
 class WeightError(ValueError):
     """A weight failed a construction's precondition."""
-
-
-class InconsistentResult(Exception):
-    """A construction produced a result its derivation rules out, so the
-    rewrite system or the code is inconsistent."""
 
 
 def pi0_monomial(n: int, m: int) -> tuple:

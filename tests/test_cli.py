@@ -361,16 +361,16 @@ def test_cache_corrupt_rebuilds(capsys, tmp_path):
 
 def test_cache_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     # another run finishes writing the cache while this run is still
-    # completing; this run's write then fails half way through
+    # building; this run's write then fails half way through
     rs, status = cli.load_or_build(2, 6, tmp_path)
     assert status == "built"
     path = cli.cache_path(tmp_path, 2, 6)
     good = path.read_text()
     path.unlink()
-    real_complete = cli.complete
+    real_build = cli.build_serre_system
 
-    def complete_while_other_run_writes(*args, **kwargs):
-        out = real_complete(*args, **kwargs)
+    def build_while_other_run_writes(*args, **kwargs):
+        out = real_build(*args, **kwargs)
         path.write_text(good)
         return out
 
@@ -388,7 +388,7 @@ def test_cache_write_failure_keeps_previous_file(tmp_path, monkeypatch):
         fh.write = write
         return fh
 
-    monkeypatch.setattr(cli, "complete", complete_while_other_run_writes)
+    monkeypatch.setattr(cli, "build_serre_system", build_while_other_run_writes)
     monkeypatch.setattr(cli.tempfile, "NamedTemporaryFile", half_writing_tempfile)
     with pytest.raises(OSError):
         cli.load_or_build(2, 6, tmp_path)
@@ -542,6 +542,19 @@ def test_inconsistency_errors_exit_4(capsys, monkeypatch, exc):
     code, _, err = run_cli(capsys, "theta", "--n", "2")
     assert code == 4
     assert err == f"error: internal inconsistency ({exc.__name__}): forced\n"
+
+
+def test_memory_exhaustion_exits_5(capsys, monkeypatch):
+    # theta_inductive builds F^(m+r) for the weight's r, which outgrows
+    # memory at --lambda 3000,-3000; here it fails at once
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "theta_inductive", exhausted)
+    code, out, err = run_cli(
+        capsys, "theta", "--n", "2", "--m", "2", "--method", "inductive", "--lambda", "3000,-3000"
+    )
+    assert (code, out, err) == (5, "", "error: out of memory\n")
 
 
 def test_deterministic_output(capsys):

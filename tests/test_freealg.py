@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from qshapo import freealg
 from qshapo.freealg import (
     CacheCorrupt,
+    InconsistentResult,
     NCPoly,
     RewriteSystem,
     audit_confluence,
+    build_serre_system,
     complete,
     get_rewrite_system,
     serre_relations,
@@ -487,11 +490,33 @@ def test_count_normal_words_sums_the_normal_words(rank):
 
 
 def test_count_does_not_certify_a_stopped_completion():
-    # completion through degree 6 lacks the rank's degree-7 rule
-    rs = _certified(4, 6)
-    assert len(rs.rules) == 14
-    assert [rs.count_normal_words(d) for d in range(7)] == [pbw_dimension(4, d) for d in range(7)]
-    assert (rs.count_normal_words(7), pbw_dimension(4, 7)) == (637, 636)
+    # completion through degree 2N - 2 lacks the rank's rule of degree
+    # 2N - 1, one short of the whole basis
+    for n, rules in [(4, 14), (5, 25), (6, 39), (7, 56)]:
+        rs = _certified(n, 2 * n - 2)
+        assert len(rs.rules) == rules
+        assert len(build_serre_system(n, 2 * n - 1).rules) == rules + 1
+        assert [rs.count_normal_words(d) for d in range(2 * n - 1)] == [
+            pbw_dimension(n, d) for d in range(2 * n - 1)
+        ]
+        assert rs.count_failure(0, 2 * n - 2) is None
+        got, want = rs.count_normal_words(2 * n - 1), pbw_dimension(n, 2 * n - 1)
+        assert got == want + 1
+        assert rs.count_failure(0, 2 * n - 1) == (
+            f"{got} normal words in degree {2 * n - 1}, not {want}"
+        )
+    assert (got, want) == (1094350, 1094349)
+    assert (_certified(4, 6).count_normal_words(7), pbw_dimension(4, 7)) == (637, 636)
+
+
+def test_count_does_not_certify_a_system_missing_a_serre_rule():
+    # the n = 2 system without LEAD 2,2,1, the lead of a Serre relation
+    head, lead, _ = build_serre_system(2, 10).to_text().partition("LEAD 2,2,1\n")
+    assert lead  # the last of the two rules
+    rs = RewriteSystem.from_text(head.replace("rules=2", "rules=1"))
+    assert list(rs.rules) == [(2, 1, 1)]
+    assert (rs.count_normal_words(3), pbw_dimension(2, 3)) == (7, 6)
+    assert rs.count_failure(0, 10) == "7 normal words in degree 3, not 6"
 
 
 # completion through 2N - 1 finds every lead, and the leads still overlap
@@ -518,6 +543,123 @@ def test_extending_a_certified_system_resolves_no_overlap(n, cap, degree, monkey
     loaded.normal_form(word)
     assert calls
     assert loaded.to_text() == rs.to_text() == complete(serre_relations(n), degree, n=n).to_text()
+
+
+# ----------------------------------------------------------------------------
+# The closed-form schedule
+# ----------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _completed_text(n, cap):
+    return complete(serre_relations(n), cap, n=n).to_text()
+
+
+# N = 1..7 about the degree 2N - 1 of the longest lead, and the six (N, cap)
+# pairs the benchmark builds
+@pytest.mark.parametrize(
+    "n, cap",
+    [(n, cap) for n in range(1, 8) for cap in (2 * n - 2, 2 * n - 1, 2 * n + 1)]
+    + [(6, 8), (7, 8), (4, 10), (5, 10), (3, 12), (5, 12)],
+)
+def test_schedule_builds_the_completed_system(n, cap):
+    assert build_serre_system(n, cap).to_text() == _completed_text(n, cap)
+
+
+def test_schedule_has_one_overlap_per_derived_rule():
+    for n in range(1, 9):
+        schedule = freealg._serre_schedule(n)
+        assert len(schedule) == (n - 1) * (n - 2)
+        assert schedule == sorted(schedule, key=lambda o: freealg.deglex_key(o[0]))
+    # the relations give (N - 1)^2 rules, the schedule the rest
+    assert len(build_serre_system(8, 15).rules) == (3 * 8 - 2) * (8 - 1) // 2
+
+
+@pytest.mark.parametrize("n, degree", [(5, 12), (6, 11), (7, 13)])
+def test_scheduled_extension_equals_completion_and_keeps_the_caches(n, degree):
+    from qshapo.uqsl import jimbo, to_pbw
+
+    rs = build_serre_system(n, 6)
+    short = NCPoly(n, {(3, 2, 1, 3, 2, 1): R_ONE})
+    element = rs.normal_form(jimbo(1, 4, n) * jimbo(1, 3, n))
+    nf_before, pbw_before = rs.normal_form(short), to_pbw(element, rs)
+    cached, columns = dict(rs._nf_cache), dict(rs._pbw_cache)
+    assert cached and columns
+    long = tuple(k % n + 1 for k in range(degree))
+    got = rs.normal_form(NCPoly(n, {long: R_ONE}))
+    assert rs.cap == degree
+    assert long in rs._nf_cache
+    assert rs.to_text() == _completed_text(n, degree)
+    direct = RewriteSystem.from_text(_completed_text(n, degree))
+    assert got == direct.normal_form(NCPoly(n, {long: R_ONE}))
+    assert all(rs._nf_cache[w] is nf for w, nf in cached.items())
+    assert all(rs._pbw_cache[mu] is col for mu, col in columns.items())
+    assert rs.normal_form(short) == nf_before == direct.normal_form(short)
+    assert to_pbw(element, rs) == pbw_before == to_pbw(element, direct)
+
+
+def test_the_library_builds_and_extends_without_completion(tmp_path, monkeypatch):
+    from qshapo import cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("completion ran")
+
+    monkeypatch.setattr(freealg, "complete", refused)
+    monkeypatch.setattr(RewriteSystem, "_resolve", refused)
+    monkeypatch.setattr(freealg, "_SYSTEMS", {})
+    rs = get_rewrite_system(5)
+    assert get_rewrite_system(5, 12) is rs and rs.cap == 12
+    rs.normal_form(NCPoly(5, {tuple(k % 5 + 1 for k in range(14)): R_ONE}))
+    assert rs.cap == 14
+    built, status = cli.load_or_build(4, 8, tmp_path)
+    assert status == "built"
+    built.normal_words((4, 3, 2, 1))
+    assert built.cap == 10
+    monkeypatch.undo()
+    assert rs.to_text() == _completed_text(5, 14)
+    assert built.to_text() == _completed_text(4, 10)
+
+
+@pytest.mark.parametrize(
+    "n, dropped, message",
+    [
+        (4, 0, "has no rule (3, 2, 1, 2)"),  # D(3, 1), which C(3, 2) needs
+        (4, 1, "has no rule (4, 3, 2, 3)"),  # D(4, 2), which D(4, 1) needs
+        # C(3, 2), and C(N, 2), the longest lead: no other overlap needs
+        # them, so only the count finds them missing
+        (4, 2, "normal words in degree 5"),
+        (4, -1, "normal words in degree 7"),
+        (5, -1, "normal words in degree 9"),
+    ],
+)
+def test_schedule_missing_an_overlap_is_refused(n, dropped, message, monkeypatch):
+    full = freealg._serre_schedule
+
+    def short(m):
+        schedule = full(m)
+        del schedule[dropped]
+        return schedule
+
+    monkeypatch.setattr(freealg, "_serre_schedule", short)
+    with pytest.raises(InconsistentResult, match=re.escape(message)):
+        build_serre_system(n, 2 * n - 1)
+    if dropped == -1:  # the extension certifies its degrees too
+        rs = build_serre_system(n, 2 * n - 2)
+        with pytest.raises(InconsistentResult, match=re.escape(message)):
+            rs.normal_words((1,) + (2,) * (n - 1))
+
+
+@pytest.mark.parametrize("n, repeated", [(3, 0), (4, 2), (5, -1)])
+def test_schedule_listing_an_overlap_twice_is_refused(n, repeated, monkeypatch):
+    full = freealg._serre_schedule
+
+    def doubled(m):
+        schedule = full(m)
+        return sorted(schedule + [schedule[repeated]], key=lambda o: freealg.deglex_key(o[0]))
+
+    monkeypatch.setattr(freealg, "_serre_schedule", doubled)
+    w = full(n)[repeated][0]
+    with pytest.raises(InconsistentResult, match=re.escape(f"overlap {w} of ") + ".* reduces to 0"):
+        build_serre_system(n, 2 * n - 1)
 
 
 # ----------------------------------------------------------------------------
