@@ -313,7 +313,7 @@ class RewriteSystem:
     otherwise.  Either adds only rules with longer leads, so normal forms
     are pure and cached ones (and PBW columns) stay valid.
 
-    No lead is a factor of another (``_add_rule`` retires any lead a new one
+    No lead is a factor of another (``_insert_rule`` retires any lead a new one
     divides, and ``from_text`` refuses a file that breaks this).  So a lead
     is never a proper prefix of another, and ``_delta``, the Aho-Corasick
     automaton over the leads, needs no state past a lead: its states are the
@@ -622,26 +622,38 @@ class RewriteSystem:
 
     # -- completion --------------------------------------------------------
 
-    def _add_rule(self, terms: dict, queue: list):
+    def _insert_rule(self, terms: dict) -> list:
         """Orient the reduced polynomial with these terms (word -> Laurent
-        tuple) into a rule and queue its overlaps of degree <= cap."""
+        tuple) into a rule and refresh the automaton.  Any rule whose lead
+        the new lead divides is retired and, reduced, inserted again unless
+        it reduces to 0.  Returns the leads inserted, the new one first.
+        Only completion (``_add_rule``) looks for their overlaps; a
+        scheduled build names its own."""
         lead, rhs = _make_rule(terms)
-        # retire any rule whose lead the new lead divides, and re-reduce it
         retired = []
         for old in [old for old in self._rhs if _is_factor(lead, old)]:
             retired.append({old: L_ONE, **{u: _lneg(c) for u, c, _ in self._rhs.pop(old)}})
         self._rhs[lead] = self._triples(rhs)
         self._refresh_automaton()
-        for other in self._rhs:
-            pairs = [(lead, other)] if other == lead else [(lead, other), (other, lead)]
-            for la, lb in pairs:
-                for w in _overlaps(la, lb):
-                    if len(w) <= self.cap:
-                        heapq.heappush(queue, (len(w), w, la, lb))
+        inserted = [lead]
         for old in retired:
             q = self._reduce(old)
             if q:
-                self._add_rule(q, queue)
+                inserted += self._insert_rule(q)
+        return inserted
+
+    def _add_rule(self, terms: dict, queue: list):
+        """``_insert_rule``, then queue the overlaps of degree <= cap of each
+        lead it inserted that is still a rule with every rule."""
+        for lead in self._insert_rule(terms):
+            if lead not in self._rhs:
+                continue
+            for other in self._rhs:
+                pairs = [(lead, other)] if other == lead else [(lead, other), (other, lead)]
+                for la, lb in pairs:
+                    for w in _overlaps(la, lb):
+                        if len(w) <= self.cap:
+                            heapq.heappush(queue, (len(w), w, la, lb))
 
     def _resolve(self, queue: list):
         """Resolve the queued overlaps (len, word, lead_a, lead_b) in (degree,
@@ -691,7 +703,7 @@ class RewriteSystem:
                 if not diff:
                     raise InconsistentResult(
                         f"the scheduled overlap {w} of {la} and {lb} reduces to 0")
-                self._add_rule(diff, [])  # its overlaps are the schedule's to resolve
+                self._insert_rule(diff)
         self._tail_reduce()
         failure = self.count_failure(done, degree)
         if failure:
@@ -885,14 +897,15 @@ def complete(
     cap = max([degree_cap] + [rel.degree() for rel in relations])
     rs = RewriteSystem(relations[0].n if relations else n or 1, cap, dimensions)
     queue: list = []
-    _add_relations(rs, relations, queue)
+    _add_relations(rs, relations, lambda q: rs._add_rule(q, queue))
     rs._resolve(queue)
     return rs
 
 
-def _add_relations(rs: RewriteSystem, relations, queue: list):
-    """Reduce each relation, smallest lead first, and add it as a rule
-    unless it reduces to 0, queueing the overlaps ``_add_rule`` finds."""
+def _add_relations(rs: RewriteSystem, relations, add):
+    """Reduce each relation, smallest lead first, and add it as a rule by
+    add(terms) unless it reduces to 0: ``_add_rule``, which queues its
+    overlaps, in completion, and ``_insert_rule`` in a scheduled build."""
     for rel in sorted(relations, key=lambda p: deglex_key(p.leading_word())):
         try:
             terms = {w: _laurent_of(c) for w, c in rel.terms.items()}
@@ -900,7 +913,7 @@ def _add_relations(rs: RewriteSystem, relations, queue: list):
             raise ValueError(f"relation {rel}: {exc}") from None
         q = rs._reduce(terms)
         if q:
-            rs._add_rule(q, queue)
+            add(q)
 
 
 def audit_confluence(rs: RewriteSystem) -> list[tuple]:
@@ -969,7 +982,7 @@ def build_serre_system(n: int, cap: int) -> RewriteSystem:
     completion."""
     relations = serre_relations(n)
     rs = RewriteSystem(n, max([cap] + [rel.degree() for rel in relations]))
-    _add_relations(rs, relations, [])
+    _add_relations(rs, relations, rs._insert_rule)
     rs._schedule = _serre_schedule(n)
     rs._run_schedule(0, rs.cap)
     return rs

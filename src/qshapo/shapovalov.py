@@ -41,12 +41,18 @@ from .scalars import (
     P_ONE,
     R_ONE,
     RatQ,
+    _convolve,
+    _dense,
+    _laurent,
+    _pdiv,
     _pmul,
     _rebuild,
     qint,
 )
 from .uqsl import (
+    _Q4_MINUS_1,
     H_cartan,
+    _jimbo_ints,
     _kernel_to_pbw,
     _pbw_column,
     divide_right_F,
@@ -163,6 +169,89 @@ def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVec
     the vector keeps D, which act_e reads as it is."""
     D, ints = _clear(hw, {M: coords[M] for M in sorted(coords)})
     return VermaVector._kernel(hw, D, _nf_sum(ints, lambda M: _pbw_column(M, rs)))
+
+
+def _level_one(hw: HighestWeight, rs: RewriteSystem):
+    """The level-one element at hw applied to the highest weight vector,
+    (D, {word: {key: int}}) in the integer kernel of verma: the D and the
+    integers of theta_vector(theta_sum(n).evaluate(hw), hw, rs), built with
+    no PBW coordinates, column or rewritten product.
+
+    Grouping theta_sum's chains by their last segment (a, b), whose skipped
+    rows are a..b-2, gives theta_det's recurrence P_b = sum_{a<b} P_a
+    g(a, b) nf(f_{a,b}) with P_1 = 1, g(a, b) = h_a(lam) ... h_{b-2}(lam)
+    and theta = P_{N+1}.  P_a lies on the letters 1..a-1 and nf(f_{a,b}) on
+    a..b-1, and a normal word on smaller letters followed by one on larger
+    letters is normal (no lead of the q-Serre basis has an ascent that such
+    a boundary could cut), so each product is a concatenation.  Each word
+    that P_b reaches is checked against the automaton all the same, since
+    rs may be any system: one that is not normal raises InconsistentResult.
+
+    The h_i are cleared once (a zero one drops out as a zero factor).  Over
+    q**4 - 1 each has two terms, and each segment after the first brings
+    one q**4 - 1, so every chain carries D = (q**4 - 1)**(N-1), the D of a
+    symbolic weight.  At a numeric weight h_i(lam) is a Laurent polynomial
+    spanning about 4 (lam + rho, sigma_i) powers of q, and products of such
+    dense factors would cost the product of their spans; so the sum runs
+    over the same D there, and D is divided out of each word at the end,
+    leaving the D = 1 of theta_vector."""
+    n = hw.n
+    q4 = [(k, a) for k, a in enumerate(_Q4_MINUS_1) if a]
+    _, h = _clear(hw, {i: h_eval(i, hw) for i in range(1, n)})
+    if hw.mode == "numeric":
+        h = {i: {k: a for k, a in _convolved(c.items(), q4) if a} for i, c in h.items()}
+    first = rs._first_reduction
+    levels = [None, {(): {0: 1}}]  # levels[a] is P_a
+    for b in range(2, n + 2):
+        # nf(f_{1,b}) first: it extends rs to the length of the words checked below
+        roots = {}
+        for a in range(1, b):
+            nf = _nf_sum(_jimbo_ints(a, b, n), rs._nf_word)
+            roots[a] = [(v, t) for v, d in nf.items() if (t := _laurent(d))]
+        acc: dict = {}
+        g = [(0, 1)]  # g(a, b) as (key, int) pairs
+        for a in range(b - 1, 0, -1):
+            if a < b - 1:
+                if a not in h:
+                    break  # h_a(lam) = 0, and so is g(a', b) for every a' <= a
+                g = _convolved(h[a].items(), g)
+            s = _convolved(g, q4) if a > 1 else g
+            for u, c in levels[a].items():
+                t = _convolved(c.items(), s)
+                for v, cv in roots[a]:
+                    d = acc.get(u + v)
+                    if d is None:
+                        d = acc[u + v] = {}
+                    _convolve(d, t, cv)
+        if any(first(w) is not None for w in acc):
+            raise InconsistentResult("a product of normal words on ordered letters is not normal")
+        # P_b is the rank b-1 element times (q**4 - 1)**(b-2), whose sum
+        # cancels most of the integers it adds (two in three at N = 10);
+        # each word's accumulator is dropped as its integers are copied
+        levels.append(
+            {w: d for w in list(acc) if (d := {k: a for k, a in acc.pop(w).items() if a})}
+        )
+    D = P_ONE
+    for _ in range(n - 1):
+        D = _pmul(D, _Q4_MINUS_1)
+    if hw.mode == "symbolic" or D == P_ONE:
+        return D, levels[-1]
+    out = {}
+    for w, c in levels[-1].items():
+        lo, num = _dense(c)
+        quo = _pdiv(num, D)
+        if quo is None:
+            raise InconsistentResult(f"theta at a numeric weight is not Laurent at {w}")
+        out[w] = {k: a for k, a in enumerate(quo, lo) if a}
+    return P_ONE, out
+
+
+def _convolved(a, b) -> list:
+    """The product of two scalars given as (key, int) pairs, b the shorter,
+    as (key, int) pairs."""
+    acc: dict = {}
+    _convolve(acc, a, b)
+    return list(acc.items())
 
 
 # ----------------------------------------------------------------------------
@@ -302,23 +391,22 @@ def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
     m = 1 this is the evaluated closed sum.  Raises WeightError unless
     (lam + rho, eta) = m."""
     lam = check_power_weight(n, m, lam)
-    base = theta_sum(n)
     if m == 1:
-        return base.evaluate(HighestWeight.numeric(lam))
+        return theta_sum(n).evaluate(HighestWeight.numeric(lam))
     if rs is None:
         rs = get_rewrite_system(n)
     eta = eta_vec(n)
     eta_pair = [pairing(eta, alpha(k, n)) for k in range(1, n + 1)]
-    # a factor sums the PBW columns that theta_vector reads, and
-    # normal-forming each partial product keeps the product on the normal
-    # words of its multidegree; the free product would grow to as many as
-    # (N!)**m words.  The product stays in the integer kernel, 1/D times
-    # {word: {q-exponent: int}}, through the PBW solve.
+    # a factor is the level-one normal form that _level_one builds, with no
+    # PBW coordinates or columns, and normal-forming each partial product
+    # keeps the product on the normal words of its multidegree; the free
+    # product would grow to as many as (N!)**m words.  The product stays in
+    # the integer kernel, 1/D times {word: {q-exponent: int}}, through the
+    # PBW solve.
     D, prod = P_ONE, {(): {0: 1}}
     for j in range(m - 1, -1, -1):
         hw = HighestWeight.numeric(tuple(lam[k] - j * eta_pair[k] for k in range(n)))
-        E, coords = _clear(hw, base.evaluate(hw))
-        factor = _nf_sum(coords, lambda M: _pbw_column(M, rs))
+        E, factor = _level_one(hw, rs)
         prod = _nf_sum(_word_product(prod, factor), rs._nf_word)
         D = _pmul(D, E)
     return _rebuild(D, _kernel_to_pbw(rs, prod), 0)
@@ -396,10 +484,11 @@ def verify_hwv(
     """Check that the constructed element produces highest weight vectors.
 
     Symbolic mode (level one): theta*v is built once, at a fully
-    unconstrained symbolic weight, for the raising checks with k < N; the
-    k = N check raises the same integers at the hyperplane weight, exact
-    since no Cartan part of theta_sum, so no key of theta*v, holds k_N or
-    y_N.  Sampled mode: numeric weights
+    unconstrained symbolic weight, segment by segment from the closed sum
+    (_level_one), for the raising checks with k < N; the k = N check raises
+    the same integers at the hyperplane weight, exact since no Cartan part
+    of theta_sum, so no key of theta*v, holds k_N or y_N.  Sampled mode:
+    numeric weights
     on the hyperplane (or the given lam), with the level-m element built as
     a power when m > 1.  Returns one report entry per check.
     """
@@ -414,7 +503,7 @@ def verify_hwv(
 
     if mode == "symbolic":
         free = HighestWeight.symbolic(n)
-        vec = theta_vector(theta_sum(n).evaluate(free), free, rs)
+        vec = VermaVector._kernel(free, *_level_one(free, rs))
         for k in range(1, n):
             kills(k, vec, f"e_{k} kills theta*v (symbolic, unconstrained)")
         tied = VermaVector._kernel(HighestWeight.symbolic(n, hyperplane_m=1), vec.D, vec.ints)

@@ -38,6 +38,7 @@ from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar, qbinom, qint
 from .shapovalov import (
     Checks,
     InductionPreconditionError,
+    _level_one,
     check_hwv_args,
     check_power_weight,
     compare_doot,
@@ -45,7 +46,6 @@ from .shapovalov import (
     pi0_monomial,
     theta_inductive,
     theta_power,
-    theta_sum,
     theta_vector,
     verify_hwv,
 )
@@ -568,12 +568,13 @@ def suite_pbw(n: int) -> list[dict]:
 def suite_negative(n: int, lam=None) -> list[dict]:
     """A weight off the hyperplane: e_1, ..., e_(N-1) still kill theta*v,
     but the final raising direction survives; its entry shows the surviving
-    vector's first term."""
+    vector's first term.  theta*v is built segment by segment from the
+    closed sum (shapovalov._level_one), with no PBW coordinates."""
     check_suite_args("negative", n, lam=lam)
     off = tuple(lam) if lam is not None else (0,) * n
     rs = get_rewrite_system(n)
     hw = HighestWeight.numeric(off)
-    vec = theta_vector(theta_sum(n).evaluate(hw), hw, rs)
+    vec = VermaVector._kernel(hw, *_level_one(hw, rs))
     checks = Checks()
     for k in range(1, n):
         e = act_e(k, vec, rs)

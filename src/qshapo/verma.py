@@ -20,12 +20,15 @@ y-exponent and q-exponent.  Scalars of the weight are cleared into that
 form once, when a vector is built from them, and rebuilt only when its
 coefficients are read (``terms``, printing, ``==``).  Every left action of
 a polynomial goes through act_poly, the one place where a product is put in
-normal form; shapovalov.theta_vector applies PBW coordinates instead,
-reading each PBW monomial's normal form from the PBW column cache of uqsl.
-The raising action is computed purely from the defining commutation
-relation by pushing e_i through the word letter by letter; none of the
-derived commutation formulas feed the implementation, so they stay
-available as independent test oracles.
+normal form.  shapovalov builds the level-one theta*v segment by segment,
+as concatenations of root vectors' normal forms that need no rewriting
+(shapovalov._level_one), and shapovalov.theta_vector applies other PBW
+coordinates (a level-m element, theta_det), reading each PBW monomial's
+normal form from the PBW column cache of uqsl.  The raising action is
+computed purely from the defining commutation relation by pushing e_i
+through the word letter by letter; none of the derived commutation
+formulas feed the implementation, so they stay available as independent
+test oracles.
 
 The maps are Q(q)-linear, so they read and write the integers and leave D
 alone, or multiply it by the one denominator they bring (q**4 - 1 for the
@@ -50,6 +53,7 @@ from .scalars import (
     _LIMIT,
     _MASK,
     _SHIFT,
+    L_ONE,
     P_ONE,
     R_ONE,
     V_MINUS_VINV,
@@ -300,6 +304,11 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     q-exponents, and scaling a word's integers by it adds to their keys: the
     integer kernel below.  The output's D is the input's times q**4 - 1.  A
     letter outside 1..n raises ValueError, as in act_f.
+
+    A shortened word whose normal form is one word x with coefficient cx
+    (a normal word, or one a commutation moves) goes straight to x, scaled
+    by the scalar times cx; the others are summed first and normal-formed
+    once each, as in act_poly.
     """
     hw, n = vec.hw, vec.n
     if not 1 <= i <= n:
@@ -308,6 +317,8 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
     minus = _pack(*hw.eigen(tuple(-2 if k == i - 1 else 0 for k in range(n))))
     # s -> q**2 * (Y * v**-s - Y**-1 * v**s) as (key, int) pairs
     shifts: dict = {}
+    nf_word = rs._nf_word
+    out: dict = {}
     short: dict = {}
     for w, c in vec.ints.items():
         c = c.items()
@@ -321,8 +332,23 @@ def act_e(i: int, vec: VermaVector, rs: RewriteSystem) -> VermaVector:
                     (plus + _digit(2 - 2 * s), 1),
                     (minus + _digit(2 + 2 * s), -1),
                 )
-            _convolve(short.setdefault(w[:pos] + w[pos + 1 :], {}), c, pair)
-    return VermaVector._kernel(hw, _pmul(vec.D, _Q4_MINUS_1), _nf_sum(short, rs._nf_word))
+            u = w[:pos] + w[pos + 1 :]
+            nf = nf_word(u)
+            if len(nf) == 1:
+                (x, cx), = nf.items()
+                d = out.get(x)
+                if d is None:
+                    d = out[x] = {}
+                _convolve(d, c, [(k + kx, a * ax) for k, a in pair for kx, ax in cx])
+            else:
+                _convolve(short.setdefault(u, {}), c, pair)
+    for x, acc in _nf_sum(short, nf_word).items():
+        d = out.get(x)
+        if d is None:
+            out[x] = acc
+        else:
+            _convolve(d, acc.items(), L_ONE)
+    return VermaVector._kernel(hw, _pmul(vec.D, _Q4_MINUS_1), out)
 
 
 def act_poly(p: NCPoly, vec: VermaVector, rs: RewriteSystem) -> VermaVector:

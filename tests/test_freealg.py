@@ -565,6 +565,29 @@ def test_schedule_builds_the_completed_system(n, cap):
     assert build_serre_system(n, cap).to_text() == _completed_text(n, cap)
 
 
+def refuse_overlaps(*args):
+    raise AssertionError("a scheduled build enumerated overlaps")
+
+
+# the whole basis at N = 3..7, and the six (N, cap) pairs the benchmark builds
+@pytest.mark.parametrize(
+    "n, cap",
+    [(n, 2 * n - 1) for n in range(3, 8)] + [(6, 8), (7, 8), (4, 10), (5, 10), (3, 12), (5, 12)],
+)
+def test_a_scheduled_build_enumerates_no_overlap(n, cap, monkeypatch):
+    want = _completed_text(n, cap)
+    monkeypatch.setattr(freealg, "_overlaps", refuse_overlaps)
+    assert build_serre_system(n, cap).to_text() == want
+
+
+def test_a_scheduled_extension_enumerates_no_overlap(monkeypatch):
+    want = _completed_text(5, 12)
+    monkeypatch.setattr(freealg, "_overlaps", refuse_overlaps)
+    rs = build_serre_system(5, 6)
+    rs.normal_form(NCPoly(5, {tuple(k % 5 + 1 for k in range(12)): R_ONE}))
+    assert rs.cap == 12 and rs.to_text() == want
+
+
 def test_schedule_has_one_overlap_per_derived_rule():
     for n in range(1, 9):
         schedule = freealg._serre_schedule(n)

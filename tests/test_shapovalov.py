@@ -1,10 +1,18 @@
 """The three constructions, their agreements, and the verification drivers."""
 
 import itertools
+import random
 
 import pytest
 
-from qshapo.freealg import NCPoly, complete, get_rewrite_system, serre_relations
+from qshapo.freealg import (
+    InconsistentResult,
+    NCPoly,
+    RewriteSystem,
+    complete,
+    get_rewrite_system,
+    serre_relations,
+)
 from qshapo.roots import (
     alpha,
     dot_reflect,
@@ -19,6 +27,7 @@ from qshapo.shapovalov import (
     InductionPreconditionError,
     ShapoElement,
     WeightError,
+    _level_one,
     compare_doot,
     make_doot_weight,
     pi0_monomial,
@@ -31,7 +40,14 @@ from qshapo.shapovalov import (
     verify_hwv,
 )
 from qshapo.uqsl import H_cartan, LocElement, from_pbw, psi, to_pbw
-from qshapo.verma import HighestWeight, act_e, cartan_eval, h_eval, is_hwv, vector_from_ncpoly
+from qshapo.verma import (
+    HighestWeight,
+    act_e,
+    cartan_eval,
+    h_eval,
+    is_hwv,
+    vector_from_ncpoly,
+)
 from ratq_oracles import ratq_terms
 from ratq_oracles import solve_linear as solve_linear_ratq
 
@@ -361,6 +377,109 @@ def test_verify_hwv_symbolic():
         assert len(rep) == n
         assert all(r["status"] == "pass" for r in rep)
         assert all(r["witness"] == "0" for r in rep)
+
+
+# ----------------------------------------------------------------------------
+# theta*v built segment by segment
+# ----------------------------------------------------------------------------
+
+def builder_weights(n):
+    """The free weight, three hyperplanes, seeded numeric weights, one with
+    a zero h_i for each i < n, hyperplane samples, the zero weight and a far
+    one, whose h_i span hundreds of powers of q."""
+    yield HighestWeight.symbolic(n)
+    for m in (1, 2, -1):
+        yield HighestWeight.symbolic(n, hyperplane_m=m)
+    rng = random.Random(n)
+    for _ in range(3):
+        yield HighestWeight.numeric([rng.randint(-4, 4) for _ in range(n)])
+    for i in range(1, n):
+        lam = [rng.randint(-3, 3) for _ in range(n)]
+        lam[i - 1] -= sum(lam[:i]) + i  # (lam + rho, sigma_i) = 0
+        hw = HighestWeight.numeric(lam)
+        assert not h_eval(i, hw)
+        yield hw
+    for w in hyperplane_sample(n, 1, 2, 0):
+        yield HighestWeight.numeric(w)
+    yield HighestWeight.numeric((0,) * n)
+    yield HighestWeight.numeric((300,) + (-301,) * (n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_level_one_builder_equals_theta_vector_of_the_closed_sum(n):
+    rs = get_rewrite_system(n)
+    for hw in builder_weights(n):
+        want = theta_vector(theta_sum(n).evaluate(hw), hw, rs)
+        assert _level_one(hw, rs) == (want.D, want.ints), hw._key()
+
+
+def test_level_one_builder_equals_theta_vector_at_the_free_weight_of_rank_8():
+    rs, free = get_rewrite_system(8), HighestWeight.symbolic(8)
+    want = theta_vector(theta_sum(8).evaluate(free), free, rs)
+    assert _level_one(free, rs) == (want.D, want.ints)
+
+
+def normal_words_on(rs, letters, length):
+    """Every word of at most `length` letters from `letters` that no rule
+    of rs reduces, read off the automaton."""
+    out, frontier = [()], [((), 0)]
+    for _ in range(length):
+        frontier = [
+            (w + (a,), t) for w, s in frontier for a in letters if (t := rs._delta[s][a]) >= 0
+        ]
+        out += [w for w, _ in frontier]
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_normal_words_on_ordered_letters_concatenate_to_normal_words(n):
+    # the lemma _level_one rests on: a normal word on the letters below r
+    # followed by a normal word on the letters from r up is normal
+    rs = get_rewrite_system(n)
+    assert rs.cap >= 2 * n
+    swapped_fails = []
+    for r in range(2, n + 1):
+        low, high = range(1, r), range(r, n + 1)
+        lows, highs = normal_words_on(rs, low, 2 * n), normal_words_on(rs, high, 2 * n)
+        for u in lows:
+            for v in highs:
+                if len(u) + len(v) <= 2 * n:
+                    assert rs._first_reduction(u + v) is None, (u, v)
+                    if rs._first_reduction(v + u) is not None:
+                        swapped_fails.append(v + u)
+    # negative control: a larger letter first does not concatenate
+    assert swapped_fails
+    if n >= 3:
+        assert (3, 1) in swapped_fails
+
+
+def test_level_one_builder_refuses_a_system_where_the_lemma_fails():
+    # f_1 f_2 = 0 makes the product of nf(f_{1,2}) and nf(f_{2,3}) reducible
+    text = get_rewrite_system(2).to_text()
+    count = int(text.split("rules=")[1].split()[0])
+    text = text.replace(f"rules={count}", f"rules={count + 1}") + "LEAD 1,2\n"
+    bad = RewriteSystem.from_text(text)
+    for hw in (HighestWeight.symbolic(2), HighestWeight.numeric((0, 0))):
+        with pytest.raises(InconsistentResult):
+            _level_one(hw, bad)
+
+
+def test_level_one_checks_build_no_pbw_column(monkeypatch):
+    import qshapo.shapovalov as shapovalov
+    import qshapo.uqsl as uqsl
+    from qshapo.suites import suite_negative
+
+    def refuse(*args):
+        raise AssertionError("a PBW column was read")
+
+    monkeypatch.setattr(uqsl, "_pbw_basis_columns", refuse)
+    monkeypatch.setattr(shapovalov, "_pbw_column", refuse)
+    for n in range(1, 7):
+        report = verify_hwv(n, 1, "symbolic")
+        assert len(report) == n and all(r["status"] == "pass" for r in report), n
+    for n in range(2, 6):  # at N = 1 the zero weight is on the hyperplane
+        report = suite_negative(n)
+        assert all(r["status"] == "pass" for r in report), n
 
 
 def test_verify_hwv_sampled_levels():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshapo.freealg import NCPoly, get_rewrite_system
+from qshapo.freealg import NCPoly, build_serre_system, get_rewrite_system
 from qshapo.roots import alpha, cartan_entry, kostant_partitions, sample_dominant_chain, sigma_vec
 from qshapo.scalars import P_ONE, R_ONE, RatQ, WeightScalar, _pack, _rebuild, add_terms, qint
 from qshapo.shapovalov import theta_power, theta_sum, theta_vector
@@ -548,6 +548,33 @@ def test_act_e_matches_the_unhoisted_formula(data):
         assert act_e(i, vec, rs) == act_e_unhoisted(i, vec, rs), (hw.mode, words, i)
 
 
+@pytest.mark.parametrize("hw", [HighestWeight.numeric((1, -2, 0)), HighestWeight.symbolic(3)])
+def test_act_e_folds_one_word_normal_forms_and_sums_the_others(hw, monkeypatch):
+    # e_2 on f2 f1 f2 f1 leaves f1 f2 f1, normal, and f2 f1 f1, a q-Serre
+    # lead with a normal form of several words; so one call takes both
+    # branches of act_e: the first word goes straight to the output, and
+    # only the second is summed and normal-formed
+    import qshapo.verma as verma
+
+    rs = build_serre_system(3, 10)
+    p = NCPoly(3, {(2, 1, 2, 1): Q(1), (3, 2, 3, 2): V(3), (2, 1): R_ONE + Q(2)})
+    vec = vector_from_ncpoly(p, hw, rs)
+    assert {(2, 1, 2, 1), (3, 2, 3, 2)} <= set(vec.ints)
+    assert len(rs._nf_word((1, 2, 1))) == 1 and len(rs._nf_word((2, 1, 1))) > 1
+    summed = []
+    nf_sum = verma._nf_sum
+
+    def recording(ints, nf_of):
+        summed.extend(ints)
+        return nf_sum(ints, nf_of)
+
+    monkeypatch.setattr(verma, "_nf_sum", recording)
+    got = act_e(2, vec, rs)
+    monkeypatch.undo()
+    assert (2, 1, 1) in summed and (1, 2, 1) not in summed
+    assert got == act_e_unhoisted(2, vec, rs)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_theta_vector_matches_the_unhoisted_sum(data):
@@ -561,8 +588,9 @@ def test_theta_vector_matches_the_unhoisted_sum(data):
 
 
 def test_raising_a_kernel_form_vector_clears_no_scalar(monkeypatch):
-    # verify_hwv raises theta*v with every e_k; its scalars are cleared into
-    # integers once, when theta_vector builds it at the free weight, however
+    # verify_hwv raises theta*v with every e_k; its scalars (the h_i) are
+    # cleared into integers once, when shapovalov._level_one builds it at
+    # the free weight, as theta_vector clears the coordinates once, however
     # often it is raised, and its hyperplane copy takes the same integers
     # and clears none
     import qshapo.scalars as scalars
