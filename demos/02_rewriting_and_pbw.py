@@ -2,14 +2,17 @@
 
 The negative part of quantized sl(N+1) is the free algebra on f_1..f_N
 modulo the q-Serre relations.  We orient those relations as rewrite rules
-under the degree-lexicographic order and complete them by resolving overlap
-ambiguities degree by degree; through the degree completed so far, normal
-forms are then canonical, so "equal in the algebra" becomes "same normal
-form".  A longer word extends the completion to its own length.
+under the degree-lexicographic order and add the rules they lack from a
+closed-form schedule: one overlap of two known leads for each missing rule
+of the Bokut-Malcolmson basis.  A count then certifies the system: in every
+degree d built so far the normal words number p_N(d), the dimension the PBW
+theorem gives, so by the diamond lemma normal forms are canonical there and
+"equal in the algebra" becomes "same normal form".  A longer word extends
+the system, by the same schedule and count, to its own length.
 """
 
-from qshapo.freealg import NCPoly, complete, get_rewrite_system, serre_relations
-from qshapo.roots import kostant_count, kostant_partitions
+from qshapo.freealg import NCPoly, get_rewrite_system, serre_relations
+from qshapo.roots import kostant_count, kostant_partitions, pbw_dimension
 from qshapo.scalars import R_ONE
 from qshapo.uqsl import expand_pbw, jimbo, to_pbw
 
@@ -19,9 +22,14 @@ for rel in serre_relations(n):
     print("  ", rel)
 
 rs = get_rewrite_system(n)
-print(f"\ncompleted system: {len(rs.rules)} rules, confluent to degree {rs.cap}")
+print(f"\nscheduled system: {len(rs.rules)} rules, built to degree {rs.cap}")
 extra = [lead for lead in rs.rules if len(lead) > 3]
-print(f"rules discovered by completion (degree > 3): {sorted(extra)}")
+print(f"rules from the schedule's overlaps (degree > 3): {sorted(extra)}")
+counts = [rs.count_normal_words(d) for d in range(rs.cap + 1)]
+print(f"count certificate: normal words in degrees 0..{rs.cap}: {counts}")
+assert counts == [pbw_dimension(n, d) for d in range(rs.cap + 1)]
+assert rs.count_failure(0, rs.cap) is None
+print("  each equals p_N(d), the PBW dimension: confluent to that degree")
 
 p = NCPoly(n, {(3, 2, 2, 1): R_ONE})
 print(f"\nnormal form of f3 f2 f2 f1: {rs.normal_form(p)}")

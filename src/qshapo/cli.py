@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -213,6 +214,21 @@ def _parse_lambda(text: str):
         raise argparse.ArgumentTypeError("lambda must be comma-separated integers")
 
 
+def _joined_lambda(argv: list) -> list:
+    """argv with '--lambda X' (or an abbreviation, such as '--lam X')
+    written '--lambda=X' where X starts with '-' and a digit: argparse takes
+    such an X, unless it is one integer, for an option, so '--lambda -1,0'
+    would lose its weight."""
+    out = []
+    for arg in argv:
+        after_lambda = out and out[-1].startswith("--l") and "--lambda".startswith(out[-1])
+        if after_lambda and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qshapo",
@@ -241,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cfg = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    cfg = build_parser().parse_args(_joined_lambda(argv))
     # theta has no --samples
     if cfg.n < 1 or cfg.m < 1 or getattr(cfg, "samples", 1) < 1:
         print("error: n, m and samples must be positive", file=sys.stderr)

@@ -25,21 +25,22 @@ and cli.load_or_build) come from a closed-form schedule.  The q-Serre basis
 is the finite Groebner-Shirshov basis of Bokut and Malcolmson (Israel J.
 Math. 96, 1996): every lead is the product of two decreasing runs, and each
 rule the relations do not give comes from one overlap, (N - 1)(N - 2) in
-all (``_serre_schedule``).  A build takes the relations as rules, adds the
-rule of each scheduled overlap up to its degree cap in (degree, word)
-order, tail-reduces, and certifies every degree by count; an extension does
-the same over its new degrees.  Every other overlap then resolves by the
-count, so none is reduced.  A scheduled overlap that reduces to 0, or a
-count that fails, raises InconsistentResult: the build never falls back.
+all (``_serre_schedule``).  A build and a completion both start from the
+relations, as the rules of a degree-0 system, and grow it through
+``RewriteSystem._extend``.  A build adds the rule of each scheduled overlap
+up to its degree cap in (degree, word) order, certifies every degree by
+count, and tail-reduces; an extension does the same over its new degrees.
+Every other overlap then resolves by the count, so none is reduced.  A
+scheduled overlap that reduces to 0, or a count that fails, raises
+InconsistentResult: the build never falls back.
 
 ``complete``, general overlap completion through a degree, stays for what
 the schedule does not cover: the pbw suite's own completion check, the
-systems that ``from_text`` reads (they extend by completion, resolving
-every new overlap, since nothing shows a file's rules lie in the ideal),
-the test oracles, and the benchmark.  A completion given its quotient's
-dimensions skips each degree whose normal words number it.
-audit_confluence still resolves every overlap: it is the independent
-check.
+systems that ``from_text`` reads (they extend by completion, since nothing
+shows a file's rules lie in the ideal), the test oracles, and the
+benchmark.  Completion reduces every overlap and reads no dimension, so it
+is an oracle independent of the count; so is audit_confluence, which
+reduces every overlap of a finished system.
 
 An overlap w = la + suffix = prefix + lb is resolved when its remainder,
 rules[la] * suffix - prefix * rules[lb], reduces to 0 by rules whose leads
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 from io import StringIO
 
 from .roots import pbw_dimension
@@ -308,10 +310,11 @@ class RewriteSystem:
     ``rules`` maps a leading word to its replacement polynomial; replacements
     are multidegree-homogeneous with every word strictly smaller in deglex.
     ``cap`` is the degree built or completed so far; a longer word first
-    extends the system to its length: by its schedule, for a system that
-    build_serre_system made (``_schedule``, its overlaps), and by completion
-    otherwise.  Either adds only rules with longer leads, so normal forms
-    are pure and cached ones (and PBW columns) stay valid.
+    extends the system to its length (``_extend``, the only code that
+    raises it): by its schedule, for a system that build_serre_system made
+    (``_schedule``, its overlaps), and by completion otherwise.  Either
+    adds only rules with longer leads, so normal forms are pure and cached
+    ones (and PBW columns) stay valid.
 
     No lead is a factor of another (``_insert_rule`` retires any lead a new one
     divides, and ``from_text`` refuses a file that breaks this).  So a lead
@@ -333,21 +336,11 @@ class RewriteSystem:
     by them.  An extension adds only leads longer than the old cap, and no
     cached word or old rule is longer than that, so none of them changes:
     the caches and the table live as long as the system.
-
-    ``dimensions`` is None, or maps a degree to the dimension of the
-    quotient's part of that degree; completion then skips every degree
-    whose normal words (``count_normal_words``) number it.  Only a system
-    completed here from relations with known dimensions carries it; one
-    read by ``from_text`` does not, since nothing shows a file's rules lie
-    in the ideal, and it resolves every overlap when it extends.  A
-    scheduled system needs none: it certifies its degrees by
-    ``count_failure`` instead.
     """
 
-    def __init__(self, n: int, cap: int, dimensions=None):
+    def __init__(self, n: int, cap: int):
         self.n = n
         self.cap = cap
-        self.dimensions = dimensions
         # the overlaps (word, lead_a, lead_b) this system is built from, or
         # None for a system that completion extends
         self._schedule: list | None = None
@@ -435,7 +428,7 @@ class RewriteSystem:
     def _nf_word(self, w) -> dict:
         """Normal form of a single word as a dict word -> Laurent tuple
         (cached, and never to be mutated).  A word beyond the cap first
-        extends the completion to its length."""
+        extends the system to its length."""
         cache = self._nf_cache
         got = cache.get(w)
         if got is not None:
@@ -508,7 +501,7 @@ class RewriteSystem:
         merge, and may cancel, before either is rewritten.  A word reached
         once keeps its coefficient's tuple; only a word reached again gets
         an accumulator.  It reads and writes no cache, and it does not
-        extend the completion."""
+        extend the system."""
         if len({len(w) for w in terms}) > 1:
             raise ValueError("polynomial is not homogeneous")
         coeffs = dict(terms)
@@ -620,14 +613,14 @@ class RewriteSystem:
                 return f"{got} normal words in degree {d}, not {pbw_dimension(self.n, d)}"
         return None
 
-    # -- completion --------------------------------------------------------
+    # -- growth ------------------------------------------------------------
 
     def _insert_rule(self, terms: dict) -> list:
         """Orient the reduced polynomial with these terms (word -> Laurent
         tuple) into a rule and refresh the automaton.  Any rule whose lead
         the new lead divides is retired and, reduced, inserted again unless
         it reduces to 0.  Returns the leads inserted, the new one first.
-        Only completion (``_add_rule``) looks for their overlaps; a
+        Only completion (``_complete``) looks for their overlaps; a
         scheduled build names its own."""
         lead, rhs = _make_rule(terms)
         retired = []
@@ -642,57 +635,36 @@ class RewriteSystem:
                 inserted += self._insert_rule(q)
         return inserted
 
-    def _add_rule(self, terms: dict, queue: list):
-        """``_insert_rule``, then queue the overlaps of degree <= cap of each
-        lead it inserted that is still a rule with every rule."""
-        for lead in self._insert_rule(terms):
-            if lead not in self._rhs:
-                continue
-            for other in self._rhs:
-                pairs = [(lead, other)] if other == lead else [(lead, other), (other, lead)]
-                for la, lb in pairs:
-                    for w in _overlaps(la, lb):
-                        if len(w) <= self.cap:
-                            heapq.heappush(queue, (len(w), w, la, lb))
+    def _complete(self, done: int, degree: int):
+        """Overlap completion over the degrees (done, degree]: resolve the
+        overlaps of the leads in those degrees in (degree, word) order,
+        adding a rule for each one whose reduced remainder
+        (``_overlap_remainder``) is not 0 and queuing the overlaps in those
+        degrees of each lead that adds with every rule.  Every overlap is
+        reduced; no count stands in for one."""
+        queue: list = []
 
-    def _resolve(self, queue: list):
-        """Resolve the queued overlaps (len, word, lead_a, lead_b) in (degree,
-        word) order, adding a rule for each one whose reduced remainder
-        (``_overlap_remainder``) is not 0, then tail-reduce every
-        replacement for a canonical, serializable system.
+        def queue_overlaps(pairs):
+            for la, lb in pairs:
+                for w in _overlaps(la, lb):
+                    if done < len(w) <= degree:
+                        heapq.heappush(queue, (len(w), w, la, lb))
 
-        A system that carries its quotient's dimensions drops the queued
-        overlaps of each degree whose normal words already number its
-        dimension (see the module docstring), counting again after each
-        new rule."""
-        counted = None  # a degree found short since the last new rule
+        queue_overlaps(itertools.product(self._rhs, repeat=2))
         while queue:
-            d = queue[0][0]
-            if self.dimensions is not None and d != counted:
-                if self.count_normal_words(d) == self.dimensions(d):
-                    while queue and queue[0][0] == d:
-                        heapq.heappop(queue)
-                    continue
-                counted = d
             _, w, la, lb = heapq.heappop(queue)
             if la not in self._rhs or lb not in self._rhs:
                 continue  # a participant was retired
             diff = self._overlap_remainder(w, la, lb)
             if diff:
-                self._add_rule(diff, queue)
-                counted = None
-        self._tail_reduce()
-
-    def _tail_reduce(self):
-        """Replace every replacement by its normal form, for a canonical,
-        serializable system."""
-        self._rhs = {lead: self._triples(self._reduce({u: c for u, c, _ in rhs}))
-                     for lead, rhs in self._rhs.items()}
+                for lead in self._insert_rule(diff):
+                    if lead in self._rhs:
+                        queue_overlaps({p for b in self._rhs for p in ((lead, b), (b, lead))})
 
     def _run_schedule(self, done: int, degree: int):
         """Add the rule of each scheduled overlap of degree in (done,
-        degree], in (degree, word) order, tail-reduce, and certify those
-        degrees by count.  Raises InconsistentResult when an overlap lacks a
+        degree], in (degree, word) order, and certify those degrees by
+        count.  Raises InconsistentResult when an overlap lacks a
         participant or reduces to 0, or when a count fails."""
         for w, la, lb in self._schedule:
             if done < len(w) <= degree:
@@ -704,32 +676,26 @@ class RewriteSystem:
                     raise InconsistentResult(
                         f"the scheduled overlap {w} of {la} and {lb} reduces to 0")
                 self._insert_rule(diff)
-        self._tail_reduce()
         failure = self.count_failure(done, degree)
         if failure:
             raise InconsistentResult(failure)
 
     def _extend(self, degree: int):
-        """Extend through `degree`: a scheduled system by its schedule over
-        (cap, degree], any other by completion.  Completion through cap
-        resolved every overlap of degree <= cap, so only the overlaps of the
-        current leads with degree in (cap, degree] are new; the rules alone
-        determine them, so a system read from a cache file extends the same
-        way."""
+        """Extend through `degree`, the one way a system grows: a scheduled
+        system by its schedule over (cap, degree], any other by completion
+        (``_complete``), then replace every replacement by its normal form,
+        for a canonical, serializable system.  Growth through cap resolved
+        every overlap of degree <= cap, so only the overlaps with degree in
+        (cap, degree] are new; the rules alone determine them, so a system
+        read from a cache file extends the same way."""
         # raise the cap first: resolving reduces words of up to `degree` letters
         done, self.cap = self.cap, degree
         if self._schedule is not None:
             self._run_schedule(done, degree)
-            return
-        queue = [
-            (len(w), w, la, lb)
-            for la in self._rhs
-            for lb in self._rhs
-            for w in _overlaps(la, lb)
-            if done < len(w) <= degree
-        ]
-        heapq.heapify(queue)
-        self._resolve(queue)
+        else:
+            self._complete(done, degree)
+        self._rhs = {lead: self._triples(self._reduce({u: c for u, c, _ in rhs}))
+                     for lead, rhs in self._rhs.items()}
 
     # -- serialization ---------------------------------------------------
 
@@ -874,46 +840,37 @@ def _overlaps(la, lb):
             yield la + lb[k:]
 
 
-def complete(
-    relations: list[NCPoly], degree_cap: int, n: int | None = None, *, dimensions=None
-) -> RewriteSystem:
+def complete(relations: list[NCPoly], degree_cap: int, n: int | None = None) -> RewriteSystem:
     """Overlap completion of a homogeneous two-sided ideal through degree
     degree_cap, the system's initial degree (or its longest relation's).
 
     Resolves every overlap ambiguity of degree <= degree_cap in increasing
-    (degree, word) order; the system extends itself past that on demand.
-    `dimensions`, if given, maps a degree d to the dimension of the
-    quotient's degree-d part; the system keeps it and skips every degree
-    whose normal words number it (see RewriteSystem._resolve).  Only a map
-    known to hold for these relations may be passed.  Raises ValueError,
-    naming the relation or rule, when a coefficient is not a Laurent
-    polynomial or a leading coefficient does not divide its remainder in
-    Z[q, 1/q].
+    (degree, word) order (``RewriteSystem._complete``); the system extends
+    itself past that on demand.  Raises ValueError, naming the relation or
+    rule, when a coefficient is not a Laurent polynomial or a leading
+    coefficient does not divide its remainder in Z[q, 1/q].
     """
-    relations = [rel for rel in relations if not rel.is_zero()]
-    for rel in relations:
-        rel.multidegree()  # homogeneity check
-    # reducing a relation longer than degree_cap must not outrun the cap
-    cap = max([degree_cap] + [rel.degree() for rel in relations])
-    rs = RewriteSystem(relations[0].n if relations else n or 1, cap, dimensions)
-    queue: list = []
-    _add_relations(rs, relations, lambda q: rs._add_rule(q, queue))
-    rs._resolve(queue)
+    rs = _relation_system(relations, n)
+    rs._extend(max([degree_cap] + [rel.degree() for rel in relations]))
     return rs
 
 
-def _add_relations(rs: RewriteSystem, relations, add):
-    """Reduce each relation, smallest lead first, and add it as a rule by
-    add(terms) unless it reduces to 0: ``_add_rule``, which queues its
-    overlaps, in completion, and ``_insert_rule`` in a scheduled build."""
+def _relation_system(relations: list[NCPoly], n: int | None) -> RewriteSystem:
+    """The degree-0 system whose rules are the relations, each reduced by
+    the rules before it, smallest lead first, and dropped if it reduces to
+    0; complete and build_serre_system then grow it by ``_extend``."""
+    relations = [rel for rel in relations if not rel.is_zero()]
+    rs = RewriteSystem(relations[0].n if relations else n or 1, 0)
     for rel in sorted(relations, key=lambda p: deglex_key(p.leading_word())):
+        rel.multidegree()  # homogeneity check
         try:
             terms = {w: _laurent_of(c) for w, c in rel.terms.items()}
         except ValueError as exc:
             raise ValueError(f"relation {rel}: {exc}") from None
         q = rs._reduce(terms)
         if q:
-            add(q)
+            rs._insert_rule(q)
+    return rs
 
 
 def audit_confluence(rs: RewriteSystem) -> list[tuple]:
@@ -981,10 +938,9 @@ def build_serre_system(n: int, cap: int) -> RewriteSystem:
     overlap reduces to 0 or a count fails; it never falls back to
     completion."""
     relations = serre_relations(n)
-    rs = RewriteSystem(n, max([cap] + [rel.degree() for rel in relations]))
-    _add_relations(rs, relations, rs._insert_rule)
+    rs = _relation_system(relations, n)
     rs._schedule = _serre_schedule(n)
-    rs._run_schedule(0, rs.cap)
+    rs._extend(max([cap] + [rel.degree() for rel in relations]))
     return rs
 
 

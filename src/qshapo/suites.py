@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
 
 from .freealg import (
     NCPoly,
@@ -27,7 +26,6 @@ from .roots import (
     enumerate_II,
     enumerate_JJ,
     kostant_count,
-    pbw_dimension,
     positive_roots,
     r_of,
     sample_dominant_chain,
@@ -548,7 +546,7 @@ def suite_powers(
 
 def suite_pbw(n: int) -> list[dict]:
     cap, height = 8, 8
-    rs = complete(serre_relations(n), cap, n=n, dimensions=partial(pbw_dimension, n))
+    rs = complete(serre_relations(n), cap, n=n)
     checks = Checks()
     fails = audit_confluence(rs)
     checks.check(f"completion confluent to degree {cap}", not fails, str(fails[:2]))

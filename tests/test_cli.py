@@ -66,6 +66,27 @@ def test_theta_invalid_lambda_exit_2(capsys):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize("argv, lam, code", [
+    ("theta --n 2 --method det", "-1,0", 0),
+    ("verify --suite negative --n 2", "-2,5", 0),
+    # on the hyperplane, so the negative control refuses it
+    ("verify --suite negative --n 2", "-1,0", 2),
+])
+def test_a_negative_lambda_parses_in_both_spellings(capsys, argv, lam, code):
+    spaced = run_cli(capsys, *argv.split(), "--lambda", lam)
+    assert spaced == run_cli(capsys, *argv.split(), f"--lambda={lam}")
+    assert spaced == run_cli(capsys, *argv.split(), "--lam", lam)
+    assert spaced[0] == code
+
+
+def test_a_negative_lambda_that_is_not_integers_exits_2(capsys):
+    for lam in (["--lambda", "-1,x"], ["--lambda=-1,x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", "--n", "2", "--method", "det", *lam])
+        assert exc.value.code == 2
+        assert "lambda must be comma-separated integers" in capsys.readouterr().err
+
+
 def test_theta_power_off_hyperplane_exit_2(capsys):
     code, _, err = run_cli(
         capsys,
@@ -515,7 +536,7 @@ def test_count_check_rebuilds_a_cache_short_of_a_rule(capsys, tmp_path):
     assert err == f"warning: cache {path} is corrupt ({reason}); rebuilding\n"
     assert path.read_text() == freealg.complete(serre_relations(3), cap, n=3).to_text()
     rs, status = cli.load_or_build(3, cap, tmp_path)
-    assert status == "loaded" and rs.dimensions is None
+    assert status == "loaded" and rs._schedule is None
 
 
 def test_serre_check_flags_only_the_damaged_system():

@@ -468,18 +468,6 @@ def test_mutating_a_normal_form_leaves_the_cache_alone():
         assert rs.normal_form(p) == want[w] == fresh.normal_form(p)
 
 
-
-def _certified(n, cap):
-    return complete(serre_relations(n), cap, n=n, dimensions=functools.partial(pbw_dimension, n))
-
-
-@pytest.mark.parametrize(
-    "n, cap", [(2, 8), (2, 12), (3, 5), (3, 12), (4, 7), (4, 12), (5, 9), (5, 12), (6, 11)]
-)
-def test_certified_completion_finds_the_same_system(n, cap):
-    assert _certified(n, cap).to_text() == complete(serre_relations(n), cap, n=n).to_text()
-
-
 @pytest.mark.parametrize("rank", [2, 3, 4, "mixed"])
 def test_count_normal_words_sums_the_normal_words(rank):
     # on completed systems and on every rule set a completion passed through
@@ -493,7 +481,7 @@ def test_count_does_not_certify_a_stopped_completion():
     # completion through degree 2N - 2 lacks the rank's rule of degree
     # 2N - 1, one short of the whole basis
     for n, rules in [(4, 14), (5, 25), (6, 39), (7, 56)]:
-        rs = _certified(n, 2 * n - 2)
+        rs = complete(serre_relations(n), 2 * n - 2, n=n)
         assert len(rs.rules) == rules
         assert len(build_serre_system(n, 2 * n - 1).rules) == rules + 1
         assert [rs.count_normal_words(d) for d in range(2 * n - 1)] == [
@@ -506,7 +494,38 @@ def test_count_does_not_certify_a_stopped_completion():
             f"{got} normal words in degree {2 * n - 1}, not {want}"
         )
     assert (got, want) == (1094350, 1094349)
-    assert (_certified(4, 6).count_normal_words(7), pbw_dimension(4, 7)) == (637, 636)
+    stopped = complete(serre_relations(4), 6, n=4)
+    assert (stopped.count_normal_words(7), pbw_dimension(4, 7)) == (637, 636)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_completion_reads_no_dimension(n, monkeypatch):
+    # a wrong p_N(2N - 1) leaves completion as it was; the build's count
+    # certificate refuses it
+    want = complete(serre_relations(n), 2 * n - 1, n=n).to_text()
+    right = pbw_dimension
+    monkeypatch.setattr(freealg, "pbw_dimension", lambda m, d: right(m, d) + (d == 2 * n - 1))
+    assert complete(serre_relations(n), 2 * n - 1, n=n).to_text() == want
+    with pytest.raises(InconsistentResult, match=f"normal words in degree {2 * n - 1}, not"):
+        build_serre_system(n, 2 * n - 1)
+
+
+def test_completion_reduces_every_overlap_the_audit_does(monkeypatch):
+    # no count stands in for an overlap of the completion
+    seen = []
+    remainder = RewriteSystem._overlap_remainder
+
+    def recorded(self, w, la, lb):
+        seen.append((w, la, lb))
+        return remainder(self, w, la, lb)
+
+    monkeypatch.setattr(RewriteSystem, "_overlap_remainder", recorded)
+    rs = complete(serre_relations(3), 5, n=3)
+    completed = set(seen)
+    seen.clear()
+    assert audit_confluence(rs) == []
+    # no lead is retired at N = 3, so the two reduce the same overlaps
+    assert seen and set(seen) == completed
 
 
 def test_count_does_not_certify_a_system_missing_a_serre_rule():
@@ -519,11 +538,12 @@ def test_count_does_not_certify_a_system_missing_a_serre_rule():
     assert rs.count_failure(0, 10) == "7 normal words in degree 3, not 6"
 
 
-# completion through 2N - 1 finds every lead, and the leads still overlap
-# in the degrees past it (up to 6, 9 and 12 at N = 3, 4 and 5)
+# a build through 2N - 1 holds every lead, and the leads still overlap in
+# the degrees past it (up to 6, 9 and 12 at N = 3, 4 and 5)
 @pytest.mark.parametrize("n, cap, degree", [(3, 5, 8), (4, 7, 10), (5, 9, 12)])
 def test_extending_a_certified_system_resolves_no_overlap(n, cap, degree, monkeypatch):
-    # every overlap is resolved by reducing its remainder
+    # every overlap is resolved by reducing its remainder; the scheduled
+    # system certifies its new degrees by count, with no overlap left
     calls = []
     remainder = RewriteSystem._overlap_remainder
 
@@ -533,13 +553,13 @@ def test_extending_a_certified_system_resolves_no_overlap(n, cap, degree, monkey
 
     monkeypatch.setattr(RewriteSystem, "_overlap_remainder", counted)
     word = NCPoly(n, {tuple(k % n + 1 for k in range(degree)): R_ONE})
-    rs = _certified(n, cap)
+    rs = build_serre_system(n, cap)
     calls.clear()
     rs.normal_form(word)
     assert rs.cap == degree and calls == []
-    # a system read from a file carries no dimensions and resolves them all
+    # a system read from a file has no schedule and resolves them all
     loaded = RewriteSystem.from_text(rs.to_text().replace(f"cap={degree}", f"cap={cap}"))
-    assert loaded.dimensions is None
+    assert loaded._schedule is None
     loaded.normal_form(word)
     assert calls
     assert loaded.to_text() == rs.to_text() == complete(serre_relations(n), degree, n=n).to_text()
@@ -627,7 +647,7 @@ def test_the_library_builds_and_extends_without_completion(tmp_path, monkeypatch
         raise AssertionError("completion ran")
 
     monkeypatch.setattr(freealg, "complete", refused)
-    monkeypatch.setattr(RewriteSystem, "_resolve", refused)
+    monkeypatch.setattr(RewriteSystem, "_complete", refused)
     monkeypatch.setattr(freealg, "_SYSTEMS", {})
     rs = get_rewrite_system(5)
     assert get_rewrite_system(5, 12) is rs and rs.cap == 12
@@ -866,7 +886,7 @@ def _interns_no_rule_coefficient(rs):
 def test_interned_coefficients_are_shared_and_are_the_cached_ones():
     from qshapo.shapovalov import theta_power
 
-    rs = complete(serre_relations(3), 5, n=3, dimensions=functools.partial(pbw_dimension, 3))
+    rs = complete(serre_relations(3), 5, n=3)
     theta_power(3, 2, (1, 0, -2), rs)
     kept = _cached_coefficients(rs)
     # one object for each value, and that object is the table's; the table
@@ -881,7 +901,7 @@ def test_an_extension_keeps_the_caches_and_their_interning():
     from qshapo.shapovalov import theta_power, theta_sum, theta_vector
     from qshapo.verma import HighestWeight
 
-    rs = complete(serre_relations(3), 5, n=3, dimensions=functools.partial(pbw_dimension, 3))
+    rs = complete(serre_relations(3), 5, n=3)
     hw = HighestWeight.numeric((1, 0, -3))
     theta_vector(theta_sum(3).evaluate(hw), hw, rs)  # the level-one columns
     before, columns = dict(rs._nf_cache), rs._pbw_cache[(1, 1, 1)]
