@@ -53,11 +53,12 @@ nonzero remainder is exactly a pair of distinct normal forms.
 
 No lead is a factor of another, so one Aho-Corasick automaton over the leads
 (Aho and Corasick, CACM 18, 1975) finds the leftmost reducible factor of a
-word in one left-to-right scan, and prunes the enumeration of normal words
-as it grows them.  Single-word normal forms, which the Verma actions meet
-again and again, are cached as dicts that are shared between words (a
-commutation rewrite stores its child's dict) and never mutated once cached;
-an overlap is met once, so completion and the audit leave that cache alone.
+word in one left-to-right scan, and its walks that end no lead are the
+normal words, counted by multidegree without building them.  Single-word
+normal forms, which the Verma actions meet again and again, are cached as
+dicts that are shared between words (a commutation rewrite stores its
+child's dict) and never mutated once cached; an overlap is met once, so
+completion and the audit leave that cache alone.
 
 Every coefficient the engine computes with lies in Z[q, 1/q]: the rules of
 the q-Serre quotient have Laurent coefficients (Bokut and Malcolmson, Israel
@@ -335,7 +336,9 @@ class RewriteSystem:
     object; a rule's coefficients are not, since the engine only multiplies
     by them.  An extension adds only leads longer than the old cap, and no
     cached word or old rule is longer than that, so none of them changes:
-    the caches and the table live as long as the system.
+    the caches and the table live as long as the system.  Only
+    ``_walk_counts`` reads the states of ``_delta``, which a change of
+    leads renumbers, so ``_refresh_automaton`` empties it.
     """
 
     def __init__(self, n: int, cap: int):
@@ -345,6 +348,8 @@ class RewriteSystem:
         # None for a system that completion extends
         self._schedule: list | None = None
         self._delta: list[list[int]] = [[0] * (n + 1)]
+        # (state of _delta, multidegree) -> its walks; see _walks_from
+        self._walk_counts: dict[tuple, int] = {}
         self._rhs: dict[tuple, tuple] = {}
         self._nf_cache: dict[tuple, dict] = {}
         self._coeffs: dict[tuple, tuple] = {}
@@ -373,7 +378,8 @@ class RewriteSystem:
                      for u, t in terms.items())
 
     def _refresh_automaton(self):
-        """Rebuild ``_delta`` from the leads of ``_rhs``."""
+        """Rebuild ``_delta`` from the leads of ``_rhs``, and empty the
+        walk counts read off the old one."""
         trie: list[dict] = [{}]
         for lead in self._rhs:
             s = 0
@@ -399,6 +405,7 @@ class RewriteSystem:
                     queue.append(child)
             delta[s] = row
         self._delta = delta
+        self._walk_counts = {}
 
     def _interned(self, acc: dict) -> dict:
         """{word: Laurent tuple} from {word: Laurent tuple or accumulator
@@ -549,10 +556,22 @@ class RewriteSystem:
 
     # -- dimension counting --------------------------------------------------
 
-    def normal_words(self, mu) -> list[tuple]:
-        """All normal words of the given multidegree, sorted in deglex."""
+    def _multidegree(self, mu) -> tuple:
+        """mu as a tuple, extending the system to its degree: ValueError,
+        before any extension, for a length other than the rank or a
+        negative entry."""
+        mu = tuple(mu)
+        if len(mu) != self.n:
+            raise ValueError("multidegree has wrong rank")
+        if any(x < 0 for x in mu):
+            raise ValueError("multidegree must be nonnegative")
         if sum(mu) > self.cap:
             self._extend(sum(mu))
+        return mu
+
+    def normal_words(self, mu) -> list[tuple]:
+        """All normal words of the given multidegree, sorted in deglex."""
+        mu = self._multidegree(mu)
         out = []
         delta = self._delta
 
@@ -574,11 +593,30 @@ class RewriteSystem:
         return out
 
     def dim_weight_space(self, mu) -> int:
-        """Dimension of the multidegree-mu slice of the quotient, counted as
-        the number of normal words."""
-        if any(x < 0 for x in mu):
-            raise ValueError("multidegree must be nonnegative")
-        return len(self.normal_words(mu))
+        """Dimension of the multidegree-mu slice of the quotient: the number
+        of normal words, counted without building them as the walks from
+        state 0 of ``_delta`` that read mu and end no lead."""
+        return self._walks_from(0, self._multidegree(mu))
+
+    def _walks_from(self, state: int, rem: tuple) -> int:
+        """The walks from this state through the non-negative states of
+        ``_delta`` that read the letters of multidegree rem, in any order:
+        the sum over the letters i left in rem whose step ends no lead of
+        the walks from that step with one i fewer.  Memoised in
+        ``_walk_counts``, which only the leads determine, so
+        ``_refresh_automaton`` empties it."""
+        if not any(rem):
+            return 1
+        key = (state, rem)
+        got = self._walk_counts.get(key)
+        if got is None:
+            got = 0
+            row = self._delta[state]
+            for i, r in enumerate(rem):
+                if r and row[i + 1] >= 0:
+                    got += self._walks_from(row[i + 1], rem[:i] + (r - 1,) + rem[i + 1 :])
+            self._walk_counts[key] = got
+        return got
 
     def count_normal_words(self, degree: int) -> int:
         """The number of words of length `degree` that no rule reduces, under

@@ -18,6 +18,7 @@ Everything here is pure combinatorics over immutable tuples.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 from typing import NamedTuple
@@ -238,7 +239,8 @@ def root_vector(ij: tuple[int, int], n: int) -> tuple[int, ...]:
 def kostant_partitions(mu) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All multisets of positive roots summing to mu (any integer sequence),
     each a lex-sorted tuple of intervals, in sorted order.  kostant_count
-    counts them by another recursion, the oracle for basis dimensions."""
+    counts them without building them, by a sweep that shares no code
+    with this one (the oracle for basis dimensions)."""
     return _kostant_partitions(tuple(mu))
 
 
@@ -273,31 +275,51 @@ def _kostant_partitions(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...
 
 
 def kostant_count(mu) -> int:
-    """The number of Kostant partitions of mu, counted without building them."""
+    """The number of Kostant partitions of mu, counted without building them:
+    the ways to end every interval still open after mu[:-1] (each covers
+    the last coordinate) and to fill that coordinate with new ones."""
     mu = tuple(mu)
     if any(x < 0 for x in mu):
         return 0
-    return _count_partitions(mu, 0)
+    if not mu:
+        return 1
+    return sum(k for state, k in _open_intervals(mu[:-1]).items() if sum(state) <= mu[-1])
 
 
 @lru_cache(maxsize=None)
-def _count_partitions(rem: tuple[int, ...], idx: int) -> int:
-    """The number of multisets of the roots positive_roots(n)[idx:] that sum
-    to rem; the memo is shared by every weight of a rank."""
-    vecs = _root_vectors(len(rem))
-    if idx == len(vecs):
-        return 0 if any(rem) else 1
-    vec = vecs[idx]
-    total = 0
-    while all(x >= 0 for x in rem):
-        total += _count_partitions(rem, idx + 1)
-        rem = tuple(r - v for r, v in zip(rem, vec))
-    return total
+def _open_intervals(prefix: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The sweep of a weight's coordinates, left to right, through prefix:
+    {state: the number of multisets of positive roots (intervals) that
+    cover each coordinate t of prefix prefix[t] times and whose intervals
+    in state go on past its last coordinate}.  A state counts those open
+    intervals by their start and keeps only the nonzero counts, sorted:
+    no later step reads a start.  A coordinate is covered by the intervals
+    open before it and by new ones starting there; each start then keeps
+    any number of its intervals open.  The map depends on the prefix
+    alone, so one cached map serves every weight that extends it, of any
+    rank; it is shared, so never mutated.  No entry of prefix is negative."""
+    if not prefix:
+        return {(): 1}
+    out: dict[tuple[int, ...], int] = {}
+    for state, k in _open_intervals(prefix[:-1]).items():
+        fresh = prefix[-1] - sum(state)
+        if fresh < 0:
+            continue
+        for kept in itertools.product(*(range(c + 1) for c in state + (fresh,))):
+            nxt = tuple(sorted(c for c in kept if c))
+            out[nxt] = out.get(nxt, 0) + k
+    return out
 
 
-@lru_cache(maxsize=None)
-def _root_vectors(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(root_vector(ij, n) for ij in positive_roots(n))
+def weights_of_height(n: int, h: int):
+    """The nonnegative n-tuples of sum h, in lexicographic order."""
+    if n == 0:
+        if h == 0:
+            yield ()
+        return
+    for first in range(h + 1):
+        for rest in weights_of_height(n - 1, h - first):
+            yield (first,) + rest
 
 
 def pbw_dimension(n: int, d: int) -> int:

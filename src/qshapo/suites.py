@@ -31,6 +31,7 @@ from .roots import (
     sample_dominant_chain,
     sigma_vec,
     split_I,
+    weights_of_height,
 )
 from .scalars import R_ONE, V_MINUS_VINV, RatQ, WeightScalar, qbinom, qint
 from .shapovalov import (
@@ -553,9 +554,8 @@ def suite_pbw(n: int) -> list[dict]:
     name = f"normal-word counts match partition counts to height {height}"
     checks.declare(name)
     for h in range(1, height + 1):
-        for mu in itertools.product(range(h + 1), repeat=n):
-            if sum(mu) == h:
-                checks.check(name, rs.dim_weight_space(mu) == kostant_count(mu), str(mu))
+        for mu in weights_of_height(n, h):
+            checks.check(name, rs.dim_weight_space(mu) == kostant_count(mu), str(mu))
     return checks.report()
 
 

@@ -21,7 +21,7 @@ from qshapo.freealg import (
     get_rewrite_system,
     serre_relations,
 )
-from qshapo.roots import kostant_count, pbw_dimension
+from qshapo.roots import kostant_count, pbw_dimension, weights_of_height
 from qshapo.scalars import (
     R_ONE,
     V_MINUS_VINV,
@@ -125,6 +125,20 @@ def test_dim_audit_against_kostant():
                 if sum(mu) != h:
                     continue
                 assert rs.dim_weight_space(mu) == kostant_count(mu), (n, mu)
+
+
+@pytest.mark.parametrize("mu, message", [
+    ((1, 1), "has wrong rank"),
+    ((1, 1, 1, 1), "has wrong rank"),
+    ((20, 20), "has wrong rank"),
+    ((1, -1, 20), "must be nonnegative"),
+])
+def test_a_multidegree_of_the_wrong_shape_is_refused(mu, message):
+    rs = build_serre_system(3, 5)
+    for count in (rs.dim_weight_space, rs.normal_words):
+        with pytest.raises(ValueError, match=f"multidegree {message}"):
+            count(mu)
+    assert rs.cap == 5  # refused before any extension
 
 
 def test_confluence_audit():
@@ -536,6 +550,35 @@ def test_count_does_not_certify_a_system_missing_a_serre_rule():
     assert list(rs.rules) == [(2, 1, 1)]
     assert (rs.count_normal_words(3), pbw_dimension(2, 3)) == (7, 6)
     assert rs.count_failure(0, 10) == "7 normal words in degree 3, not 6"
+
+
+@pytest.mark.parametrize("n, cap, degree", [(2, 10, 12), (3, 3, 6)])
+def test_walk_counts_follow_the_leads_of_their_own_system(n, cap, degree):
+    # a system, and its copy without the Serre rule of lead 2,2,1 built as in
+    # test_count_does_not_certify_a_system_missing_a_serre_rule; at N = 3
+    # the extension to `degree` adds rules to both
+    lead = (2, 2, 1)
+    full = build_serre_system(n, cap)
+    rules = len(full.rules)
+    text = re.sub(r"LEAD 2,2,1\n(?:  .*\n)*", "", full.to_text())
+    dropped = RewriteSystem.from_text(text.replace(f"rules={rules}", f"rules={rules - 1}"))
+    assert lead not in dropped.rules and len(dropped.rules) == rules - 1
+
+    def interleave(top):
+        for h in range(1, top + 1):
+            for mu in weights_of_height(n, h):
+                for rs in (full, dropped, full):
+                    assert rs.dim_weight_space(mu) == len(rs.normal_words(mu)), (rs.cap, mu)
+
+    interleave(cap)
+    assert full.count_normal_words(3) < dropped.count_normal_words(3)
+    # the rule put back through the path completion grows by: the counts
+    # read off the old automaton must go with it
+    dropped._insert_rule({lead: freealg.L_ONE, **{u: freealg._lneg(c) for u, c, _ in full._rhs[lead]}})
+    interleave(cap)
+    assert dropped.rules == full.rules
+    interleave(degree)
+    assert full.cap == dropped.cap == degree
 
 
 # a build through 2N - 1 holds every lead, and the leads still overlap in

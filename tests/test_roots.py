@@ -18,6 +18,7 @@ from qshapo.roots import (
     sample_dominant_chain,
     sigma_vec,
     split_I,
+    weights_of_height,
 )
 from ratq_oracles import kostant_partitions_by_roots
 
@@ -195,6 +196,41 @@ def test_kostant_count_counts_the_partitions():
             for mu in itertools.product(range(h + 1), repeat=n):
                 if sum(mu) == h:
                     assert kostant_count(mu) == len(kostant_partitions(mu)), mu
+
+
+def kostant_count_by_series(mu):
+    """The coefficient of x^mu in the product over positive roots beta of
+    1/(1 - x^beta), each factor multiplied in over the box [0, mu]."""
+    n = len(mu)
+    box = list(itertools.product(*(range(m + 1) for m in mu)))
+    coeff = dict.fromkeys(box, 0)
+    coeff[(0,) * n] = 1
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            # beta covers coordinates i..j-1; box is in lex order, so x - beta
+            # is reached before x and may already hold powers of x^beta
+            for x in box:
+                if all(x[k] for k in range(i, j)):
+                    coeff[x] += coeff[x[:i] + tuple(c - 1 for c in x[i:j]) + x[j:]]
+    return coeff[tuple(mu)]
+
+
+def test_kostant_count_is_the_series_coefficient():
+    for n in range(1, 6):
+        for h in range(7):
+            for mu in weights_of_height(n, h):
+                assert kostant_count(mu) == kostant_count_by_series(mu), mu
+    assert kostant_count((2,) * 8) == kostant_count_by_series((2,) * 8) == 5875
+    assert kostant_count((1,) * 12) == kostant_count_by_series((1,) * 12) == 2048
+    assert kostant_count((3, -1, 2)) == kostant_count((0, 0, -1)) == 0
+    assert kostant_count(()) == 1
+
+
+def test_weights_of_height_is_the_filtered_product():
+    for n in range(6):
+        for h in range(7):
+            want = [mu for mu in itertools.product(range(h + 1), repeat=n) if sum(mu) == h]
+            assert list(weights_of_height(n, h)) == want, (n, h)
 
 
 def test_pbw_dimension_sums_the_kostant_counts():
