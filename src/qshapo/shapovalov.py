@@ -158,10 +158,10 @@ def theta_sum(n: int) -> ShapoElement:
 
 
 def theta_vector(coords: dict, hw: HighestWeight, rs: RewriteSystem) -> VermaVector:
-    """Apply an evaluated element (PBW coordinates) to the highest weight
-    vector: each PBW monomial's normal form is read from the PBW column
-    cache of rs, scaled by its coordinate and added into one sum.  The
-    monomials must be in sorted PBW form.
+    """Apply an evaluated element in PBW coordinates (theta_det, theta_power)
+    to the highest weight vector: each PBW monomial's normal form is read
+    from the PBW column cache of rs, scaled by its coordinate and added into
+    one sum.  The monomials must be in sorted PBW form.
 
     The map is Q(q)-linear, so the coordinates are cleared once, by a
     common denominator D (the (q**4 - 1)**j of the h_i at a symbolic
@@ -385,30 +385,36 @@ def check_power_weight(n: int, m: int, lam) -> tuple:
     return lam
 
 
-def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
-    """Level-m element at lam as the ordered product of level-one
-    evaluations at lam - (m-1)eta, ..., lam - eta, lam (left to right); at
-    m = 1 this is the evaluated closed sum.  Raises WeightError unless
-    (lam + rho, eta) = m."""
+def _power(n: int, m: int, lam, rs: RewriteSystem):
+    """The level-m element at lam applied to the highest weight vector, as
+    (D, {word: {q-exponent: int}}): the ordered product of _level_one's
+    factors at lam - (m-1)eta, ..., lam (left to right), normal-formed after
+    each factor, which keeps it on the normal words of its multidegree (the
+    free product would grow to as many as (N!)**m words).  Raises
+    WeightError unless (lam + rho, eta) = m."""
     lam = check_power_weight(n, m, lam)
-    if m == 1:
-        return theta_sum(n).evaluate(HighestWeight.numeric(lam))
-    if rs is None:
-        rs = get_rewrite_system(n)
     eta = eta_vec(n)
     eta_pair = [pairing(eta, alpha(k, n)) for k in range(1, n + 1)]
-    # a factor is the level-one normal form that _level_one builds, with no
-    # PBW coordinates or columns, and normal-forming each partial product
-    # keeps the product on the normal words of its multidegree; the free
-    # product would grow to as many as (N!)**m words.  The product stays in
-    # the integer kernel, 1/D times {word: {q-exponent: int}}, through the
-    # PBW solve.
     D, prod = P_ONE, {(): {0: 1}}
     for j in range(m - 1, -1, -1):
         hw = HighestWeight.numeric(tuple(lam[k] - j * eta_pair[k] for k in range(n)))
         E, factor = _level_one(hw, rs)
         prod = _nf_sum(_word_product(prod, factor), rs._nf_word)
         D = _pmul(D, E)
+    return D, prod
+
+
+def theta_power(n: int, m: int, lam, rs: RewriteSystem | None = None) -> dict:
+    """Level-m element at lam in PBW coordinates: the product _power builds,
+    read out by the PBW solve; at m = 1 this is the evaluated closed sum,
+    which needs no solve.  Raises WeightError unless (lam + rho, eta) = m,
+    before it loads a rewriting system."""
+    lam = check_power_weight(n, m, lam)
+    if m == 1:
+        return theta_sum(n).evaluate(HighestWeight.numeric(lam))
+    if rs is None:
+        rs = get_rewrite_system(n)
+    D, prod = _power(n, m, lam, rs)
     return _rebuild(D, _kernel_to_pbw(rs, prod), 0)
 
 
@@ -488,9 +494,9 @@ def verify_hwv(
     (_level_one), for the raising checks with k < N; the k = N check raises
     the same integers at the hyperplane weight, exact since no Cartan part
     of theta_sum, so no key of theta*v, holds k_N or y_N.  Sampled mode:
-    numeric weights
-    on the hyperplane (or the given lam), with the level-m element built as
-    a power when m > 1.  Returns one report entry per check.
+    numeric weights on the hyperplane (or the given lam), with theta*v the
+    level-m product in normal form (_power), raised with no PBW coordinates
+    or columns.  Returns one report entry per check.
     """
     check_hwv_args(n, m, mode, lam)
     if rs is None:
@@ -513,8 +519,7 @@ def verify_hwv(
 
     weights = [tuple(lam)] if lam is not None else hyperplane_sample(n, m, samples, seed)
     for w in weights:
-        hw = HighestWeight.numeric(w)
-        vec = theta_vector(theta_power(n, m, w, rs), hw, rs)
+        vec = VermaVector._kernel(HighestWeight.numeric(w), *_power(n, m, w, rs))
         for k in range(1, n + 1):
             kills(k, vec, f"e_{k} kills theta*v at lambda={','.join(map(str, w))}")
     return checks.report()

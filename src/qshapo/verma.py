@@ -22,13 +22,13 @@ coefficients are read (``terms``, printing, ``==``).  Every left action of
 a polynomial goes through act_poly, the one place where a product is put in
 normal form.  shapovalov builds the level-one theta*v segment by segment,
 as concatenations of root vectors' normal forms that need no rewriting
-(shapovalov._level_one), and shapovalov.theta_vector applies other PBW
-coordinates (a level-m element, theta_det), reading each PBW monomial's
-normal form from the PBW column cache of uqsl.  The raising action is
-computed purely from the defining commutation relation by pushing e_i
-through the word letter by letter; none of the derived commutation
-formulas feed the implementation, so they stay available as independent
-test oracles.
+(shapovalov._level_one) and their level-m product (shapovalov._power);
+shapovalov.theta_vector applies PBW coordinates (theta_det, theta_power),
+reading each PBW monomial's normal form from uqsl's PBW column cache.
+The raising action is computed purely from the defining commutation
+relation by pushing e_i through the word letter by letter; none of the
+derived commutation formulas feed the implementation, so they stay
+available as independent test oracles.
 
 The maps are Q(q)-linear, so they read and write the integers and leave D
 alone, or multiply it by the one denominator they bring (q**4 - 1 for the

@@ -112,6 +112,13 @@ GOLDEN = [
      "2eefc1cba8da17c8f2333ce7329da9e211edb50c5a561864119385e1b9ebbce1"),
     ("theta --n 5 --m 2 --method inductive --lambda 3,1,0,1,-8", 0,
      "e6b4c1e93cd44d4a2d7ebb3245818556ea0d40199df15eaa960a91dde5ac3169"),
+    # sampled level-m checks on the normal-form product, whose PBW
+    # coordinates would need every column of the multidegrees (6, 6, 6) and
+    # (4, 4, 4, 4)
+    ("verify --suite hwv --mode sampled --n 3 --m 6 --lambda 0,0,3", 0,
+     "ca09c360d049b10e4475690bed3ef3c729280b6fecc13fb4b5648d5504e8dee1"),
+    ("verify --suite hwv --mode sampled --n 4 --m 4 --lambda 0,0,0,0", 0,
+     "a34e3b9c3e5d50592530c89f5a71060b1d69c3bbcc4095b94d035de6cfebd3e5"),
 ]
 
 

@@ -28,6 +28,7 @@ from qshapo.shapovalov import (
     ShapoElement,
     WeightError,
     _level_one,
+    _power,
     compare_doot,
     make_doot_weight,
     pi0_monomial,
@@ -42,6 +43,7 @@ from qshapo.shapovalov import (
 from qshapo.uqsl import H_cartan, LocElement, from_pbw, psi, to_pbw
 from qshapo.verma import (
     HighestWeight,
+    VermaVector,
     act_e,
     cartan_eval,
     h_eval,
@@ -480,6 +482,38 @@ def test_level_one_checks_build_no_pbw_column(monkeypatch):
     for n in range(2, 6):  # at N = 1 the zero weight is on the hyperplane
         report = suite_negative(n)
         assert all(r["status"] == "pass" for r in report), n
+    # the sampled level-m check raises the product in normal form
+    for n, m, lam in [(3, 2, None), (2, 4, None), (3, 6, (0, 0, 3)), (4, 4, (0,) * 4)]:
+        report = verify_hwv(n, m, "sampled", lam=lam)
+        assert report and all(r["status"] == "pass" for r in report), (n, m)
+
+
+def test_powers_suite_reads_no_pbw_coordinates_of_the_product(monkeypatch):
+    import qshapo.shapovalov as shapovalov
+    from qshapo.suites import suite_powers
+
+    def refuse(*args):
+        raise AssertionError("the product went through PBW coordinates")
+
+    # theta_inductive's own to_pbw still reads columns, through uqsl
+    monkeypatch.setattr(shapovalov, "_kernel_to_pbw", refuse)
+    monkeypatch.setattr(shapovalov, "theta_vector", refuse)
+    for n, m in [(3, 2), (2, 3)]:
+        report = suite_powers(n, m)
+        assert report and all(r["status"] == "pass" for r in report), (n, m)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 3), (2, 2), (2, 4), (3, 2), (3, 3), (4, 2)] + [(n, 1) for n in range(1, 6)]
+)
+def test_power_equals_the_pbw_round_trip(n, m):
+    # the checks raise _power's normal form; the reference is the path they
+    # took before, through PBW coordinates and back through the columns
+    rs = get_rewrite_system(n)
+    for lam in hyperplane_sample(n, m, 2, seed=11):
+        hw = HighestWeight.numeric(lam)
+        got = VermaVector._kernel(hw, *_power(n, m, lam, rs))
+        assert got == theta_vector(theta_power(n, m, lam, rs), hw, rs), lam
 
 
 def test_verify_hwv_sampled_levels():
